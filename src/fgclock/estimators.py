@@ -24,6 +24,7 @@ is the ML estimator) but differ for sigma > 0; the exact-MAP oracles in
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ from .errors import DegenerateModelError, ParameterError, ShapeError
 VARIANT_RECURSIVE = "recursive"
 VARIANT_PAPER = "paper"
 VARIANT_ML = "ml"
+
+#: Largest sigma whose square is still finite.
+_SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,30 @@ class OffsetEstimate:
         )
 
 
+def _check_chain(U, name="U", ndim=1):
+    """``U`` as a float array, checked to be ``ndim``-D, nonempty and all finite."""
+    U = np.asarray(U, dtype=float)
+    if U.ndim != ndim or U.size == 0:
+        raise ShapeError(f"{name} must be a nonempty {ndim}-D sequence")
+    if not np.isfinite(U).all():
+        raise ParameterError(f"{name} must hold finite values only")
+    return U
+
+
+def _check_lam(lam):
+    if not lam > 0:
+        raise ParameterError(f"lam must be > 0, got {lam}")
+
+
+def _sigma_squared(sigma):
+    """sigma**2, after checking that sigma >= 0 and that its square is finite."""
+    if not 0 <= sigma <= _SIGMA_MAX:
+        raise ParameterError(
+            f"sigma must be >= 0 with a finite square (<= {_SIGMA_MAX:.4g}), got {sigma}"
+        )
+    return sigma**2
+
+
 def backward_constants(lam, sigma, n):
     """Run the backward coefficient recursion from level N down to 1.
 
@@ -106,17 +134,21 @@ def backward_constants(lam, sigma, n):
     (the B - C^2/(4A) correction vanishes) and D_{N-i} = (i+1) * lam; the
     recursion is evaluated literally so tests can verify those closed
     forms rather than assume them.
+
+    sigma**2 must lie in the normal floating-point range: at sigma = 0, or
+    when sigma**2 underflows, 1/sigma^2 overflows and the constants diverge.
     """
-    if not lam > 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
+    _check_lam(lam)
     if int(n) != n or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
-    if sigma <= 0:
+    s2 = _sigma_squared(sigma)
+    if s2 < sys.float_info.min:
         raise DegenerateModelError(
-            "backward constants diverge at sigma = 0; use the running-minimum shortcut"
+            "backward constants diverge when sigma**2 is 0 or below the normal "
+            "range; use the running-minimum shortcut"
         )
     n = int(n)
-    inv2s2 = 1.0 / (2.0 * sigma**2)
+    inv2s2 = 1.0 / (2.0 * s2)
     A = np.empty(n)
     B = np.full(n, -inv2s2)
     C = np.full(n, 2.0 * inv2s2)
@@ -155,10 +187,20 @@ def compose_shift(constants, k, m, x):
 
 
 def _chain_shifts(lam, sigma, n):
-    """Per-level additive shifts D_k * sigma^2 for k = 1..N (zeros at sigma=0)."""
-    if sigma == 0:
+    """Per-level additive shifts D_k * sigma^2 for k = 1..N.
+
+    Zeros, the sigma = 0 limit, when sigma**2 is 0 or below the normal
+    range, where the backward recursion would divide by it.
+    """
+    s2 = _sigma_squared(sigma)
+    if s2 < sys.float_info.min:
         return np.zeros(n)
-    return backward_constants(lam, sigma, n).D * sigma**2
+    return backward_constants(lam, sigma, n).D * s2
+
+
+def _paper_shifts(lam, sigma, n):
+    """Linearly growing shifts (N - k) * lam * sigma^2 for k = 1..N."""
+    return lam * _sigma_squared(sigma) * np.arange(n - 1, -1, -1, dtype=float)
 
 
 def backtrack_estimate(U, lam, sigma):
@@ -169,13 +211,8 @@ def backtrack_estimate(U, lam, sigma):
     xi_hat_k = min(xi_bar_k, U_k). At sigma = 0 this reduces to the
     running minimum of U.
     """
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 1 or len(U) == 0:
-        raise ShapeError("U must be a nonempty 1-D sequence")
-    if not lam > 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-    if not sigma >= 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    U = _check_chain(U)
+    _check_lam(lam)
     n = len(U)
     shifts = _chain_shifts(lam, sigma, n)
     xi_bar = np.empty(n)
@@ -194,16 +231,9 @@ def closed_form_estimate_paper(U, lam, sigma):
 
     Returns min over k = 1..N of U_k + (N - k) * lam * sigma^2.
     """
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 1 or len(U) == 0:
-        raise ShapeError("U must be a nonempty 1-D sequence")
-    if not lam > 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-    if not sigma >= 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    n = len(U)
-    shifts = lam * sigma**2 * np.arange(n - 1, -1, -1, dtype=float)
-    return float(np.min(U + shifts))
+    U = _check_chain(U)
+    _check_lam(lam)
+    return float(np.min(U + _paper_shifts(lam, sigma, len(U))))
 
 
 def fge_offset(U, V, lambda_xi, lambda_psi, sigma, variant=VARIANT_RECURSIVE):
@@ -212,8 +242,8 @@ def fge_offset(U, V, lambda_xi, lambda_psi, sigma, variant=VARIANT_RECURSIVE):
     Runs the selected xi-chain estimator on (U, lambda_xi) and reuses the
     same machinery verbatim on (V, lambda_psi).
     """
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
+    U = _check_chain(U, "U")
+    V = _check_chain(V, "V")
     if U.shape != V.shape:
         raise ShapeError(f"U and V must have equal length, got {U.shape} vs {V.shape}")
     if variant == VARIANT_RECURSIVE:
@@ -233,10 +263,55 @@ def ml_offset(U, V):
     Independent of lam and sigma; equals both factor-graph variants in
     the sigma -> 0 limit.
     """
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if U.ndim != 1 or len(U) == 0:
-        raise ShapeError("U must be a nonempty 1-D sequence")
+    U = _check_chain(U, "U")
+    V = _check_chain(V, "V")
     if U.shape != V.shape:
         raise ShapeError(f"U and V must have equal length, got {U.shape} vs {V.shape}")
     return OffsetEstimate.from_chains(float(U.min()), float(V.min()), VARIANT_ML)
+
+
+def chain_kernel(variant, lam, sigma, n):
+    """Batched final-coordinate estimator for one chain of ``n`` rounds.
+
+    Returns a function that maps a ``(trials, n)`` block of observations
+    to the ``(trials,)`` estimates xi_hat_N, equal bit for bit, row by
+    row, to the single-series estimator of ``variant``. Shifts are
+    computed here, once, so one kernel serves every block of a Monte
+    Carlo cell. ``recursive`` runs the forward clipping pass across all
+    rows at once; ``paper`` and ``ml`` take one vectorized min per row.
+    """
+    _check_lam(lam)
+    if int(n) != n or n < 1:
+        raise ParameterError(f"n must be a positive integer, got {n}")
+    n = int(n)
+    if variant == VARIANT_RECURSIVE:
+        shifts = _chain_shifts(lam, sigma, n)
+
+        def final(U):
+            prev = U[:, 0].copy()
+            for k in range(1, n):
+                np.add(prev, shifts[k], out=prev)
+                np.minimum(prev, U[:, k], out=prev)
+            return prev
+
+    elif variant == VARIANT_PAPER:
+        shifts = _paper_shifts(lam, sigma, n)
+
+        def final(U):
+            return np.min(U + shifts, axis=1)
+
+    elif variant == VARIANT_ML:
+
+        def final(U):
+            return U.min(axis=1)
+
+    else:
+        raise ParameterError(f"unknown variant {variant!r}")
+
+    def kernel(U):
+        U = _check_chain(U, ndim=2)
+        if U.shape[1] != n:
+            raise ShapeError(f"expected {n} rounds per row, got {U.shape[1]}")
+        return final(U)
+
+    return kernel

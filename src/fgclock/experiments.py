@@ -6,7 +6,9 @@ Per-trial generator seeds are derived from the master seed by a fixed
 counter scheme: the latent path for trial t at axis position i uses
 ``[master_seed, i, t, 0]`` and the observations ``[master_seed, i, t, 1]``
 (fed to numpy's default_rng), so trials are independent and the whole
-table is reproducible bit-for-bit.
+table is reproducible bit-for-bit. A cell draws its trials one generator
+pair at a time but transforms and estimates them in blocks of trials, as
+``(block, N)`` arrays.
 """
 
 import csv
@@ -17,14 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FgclockError, ParameterError, SizeError
+from .errors import FgclockError, ParameterError
 from .estimators import (
+    VARIANT_ML,
     VARIANT_PAPER,
     VARIANT_RECURSIVE,
+    chain_kernel,
     fge_offset,
     ml_offset,
 )
-from .model import ClockModelParams, simulate_observations, simulate_paths
+from .model import (
+    ClockModelParams,
+    draw_delay_uniforms,
+    draw_path_noise,
+    exponential_delays,
+    random_walks,
+)
 from .oracle import MAX_ENUM_ROUNDS, exact_map_active_set
 
 AXIS_ROUNDS = "rounds"
@@ -34,6 +44,16 @@ TAG_FGE_RECURSIVE = "fge-recursive"
 TAG_FGE_PAPER = "fge-paper"
 TAG_ML = "ml"
 ALL_ESTIMATORS = (TAG_FGE_RECURSIVE, TAG_FGE_PAPER, TAG_ML)
+_VARIANTS = {
+    TAG_FGE_RECURSIVE: VARIANT_RECURSIVE,
+    TAG_FGE_PAPER: VARIANT_PAPER,
+    TAG_ML: VARIANT_ML,
+}
+
+#: Trial-rounds per block: a cell of N rounds is evaluated
+#: ``block_trials(N)`` trials at a time, so its memory does not grow with
+#: the trial count.
+BLOCK_ROUNDS = 1 << 16
 
 CSV_HEADER = ("axis", "estimator", "mse", "stderr", "trials")
 
@@ -125,26 +145,37 @@ class MseTable:
         raise KeyError((axis_value, estimator))
 
 
-def _estimate_theta(tag, obs, params):
-    if tag == TAG_ML:
-        return ml_offset(obs.U, obs.V).theta_hat_N
-    variant = VARIANT_RECURSIVE if tag == TAG_FGE_RECURSIVE else VARIANT_PAPER
-    est = fge_offset(
-        obs.U, obs.V, params.lambda_xi, params.lambda_psi, params.sigma, variant
-    )
-    return est.theta_hat_N
+def block_trials(rounds):
+    """Trials per block in a cell of ``rounds`` rounds."""
+    return max(1, BLOCK_ROUNDS // rounds)
 
 
 def _run_cell(params, axis_index, trials, master_seed, estimators):
     """Squared errors of every estimator over ``trials`` independent runs."""
+    n = params.rounds
+    kernels = {
+        tag: (
+            chain_kernel(_VARIANTS[tag], params.lambda_xi, params.sigma, n),
+            chain_kernel(_VARIANTS[tag], params.lambda_psi, params.sigma, n),
+        )
+        for tag in estimators
+    }
     sq = {tag: np.empty(trials) for tag in estimators}
-    for t in range(trials):
-        path = simulate_paths(params, seed=[master_seed, axis_index, t, 0])
-        obs = simulate_observations(path, params, seed=[master_seed, axis_index, t, 1])
-        truth = float(path.theta[-1])
-        for tag in estimators:
-            err = _estimate_theta(tag, obs, params) - truth
-            sq[tag][t] = err * err
+    block = min(block_trials(n), trials)
+    noise = np.empty((block, 2, n))
+    uniforms = np.empty((block, 2, n))
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        z, u = noise[: stop - start], uniforms[: stop - start]
+        for b, t in enumerate(range(start, stop)):
+            draw_path_noise([master_seed, axis_index, t, 0], z[b])
+            draw_delay_uniforms([master_seed, axis_index, t, 1], u[b])
+        walk = random_walks(z, params)
+        obs = walk[..., 1:] + exponential_delays(u, params)
+        truth = (walk[:, 0, -1] - walk[:, 1, -1]) / 2.0
+        for tag, (xi_kernel, psi_kernel) in kernels.items():
+            err = (xi_kernel(obs[:, 0]) - psi_kernel(obs[:, 1])) / 2.0 - truth
+            sq[tag][start:stop] = err * err
     return sq
 
 

@@ -105,47 +105,81 @@ class ObservationSeries:
         return len(self.U)
 
 
+def draw_path_noise(seed, out):
+    """Fill ``out`` (shape (2, N)) with the standard normals of one latent path.
+
+    Both rows come from one generator seeded with ``seed``: row 0 (the xi
+    increments) is drawn before row 1 (the psi increments), so the draw
+    order is part of the reproducibility contract.
+    """
+    np.random.default_rng(seed).standard_normal(out=out)
+
+
+def draw_delay_uniforms(seed, out):
+    """Fill ``out`` (shape (2, N)) with the uniforms of one observation series.
+
+    Both rows come from one generator seeded with ``seed``: row 0 (the
+    U-side delays) is drawn before row 1 (the V-side delays).
+    """
+    np.random.default_rng(seed).random(out=out)
+
+
+def random_walks(noise, params):
+    """xi and psi random walks driven by ``(..., 2, N)`` standard normals.
+
+    Returns ``(..., 2, N + 1)`` values: row 0 starts at xi_0 = d0 + theta0,
+    row 1 at psi_0 = d0 - theta0, and each adds the cumulative sum of the
+    N(0, sigma^2) increments ``sigma * noise`` along the last axis.
+    """
+    start = np.array([params.d0 + params.theta0, params.d0 - params.theta0])
+    walk = np.empty(noise.shape[:-1] + (noise.shape[-1] + 1,))
+    walk[..., 0] = start
+    steps = walk[..., 1:]
+    np.multiply(noise, params.sigma, out=steps)
+    np.cumsum(steps, axis=-1, out=steps)
+    steps += start[:, None]
+    return walk
+
+
+def exponential_delays(uniforms, params):
+    """Network delays from ``(..., 2, N)`` uniforms on [0, 1).
+
+    Inverse-CDF transform: row 0 becomes Exp(lambda_xi) delays (the U side)
+    and row 1 Exp(lambda_psi) delays (the V side).
+    """
+    delays = np.log1p(-uniforms)
+    np.negative(delays, out=delays)
+    delays /= np.array([[params.lambda_xi], [params.lambda_psi]])
+    return delays
+
+
 def simulate_paths(params, seed):
     """Sample the latent random-walk paths xi_0..xi_N and psi_0..psi_N.
 
     Starts at xi_0 = d0 + theta0, psi_0 = d0 - theta0 and adds i.i.d.
-    N(0, sigma^2) increments. The xi increments are drawn before the psi
-    increments from a single generator, so the draw order is part of the
-    reproducibility contract.
+    N(0, sigma^2) increments drawn by :func:`draw_path_noise`.
     """
     if not isinstance(params, ClockModelParams):
         params = ClockModelParams(**params)
-    rng = np.random.default_rng(seed)
-    n = params.rounds
-    w = rng.normal(0.0, params.sigma, size=n)
-    v = rng.normal(0.0, params.sigma, size=n)
-    xi0 = params.d0 + params.theta0
-    psi0 = params.d0 - params.theta0
-    xi = np.empty(n + 1)
-    psi = np.empty(n + 1)
-    xi[0] = xi0
-    psi[0] = psi0
-    np.cumsum(w, out=xi[1:])
-    np.cumsum(v, out=psi[1:])
-    xi[1:] += xi0
-    psi[1:] += psi0
+    noise = np.empty((2, params.rounds))
+    draw_path_noise(seed, noise)
+    xi, psi = random_walks(noise, params)
     return LatentPath(xi=xi, psi=psi)
 
 
 def simulate_observations(path, params, seed):
     """Sample U_k = xi_k + X_k and V_k = psi_k + Y_k for k = 1..N.
 
-    The exponential delays are generated by inverse-CDF transform of a
-    seeded uniform stream (U-side draws first, then V-side).
+    The exponential delays are the inverse-CDF transform of the uniforms
+    drawn by :func:`draw_delay_uniforms` (U-side draws first, then V-side).
     """
     if path.rounds != params.rounds:
         raise ShapeError(
             f"path has {path.rounds} rounds but params.rounds = {params.rounds}"
         )
-    rng = np.random.default_rng(seed)
-    n = params.rounds
-    x = -np.log1p(-rng.random(n)) / params.lambda_xi
-    y = -np.log1p(-rng.random(n)) / params.lambda_psi
+    uniforms = np.empty((2, params.rounds))
+    draw_delay_uniforms(seed, uniforms)
+    x, y = exponential_delays(uniforms, params)
     return ObservationSeries(U=path.xi[1:] + x, V=path.psi[1:] + y)
 
 

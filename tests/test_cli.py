@@ -122,6 +122,17 @@ class TestEstimate:
         assert code == EXIT_VALIDATION
         assert "row 3" in err
 
+    @pytest.mark.parametrize("variant", ["recursive", "paper", "ml", "all"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_row_is_validation_error(self, tmp_path, capsys, variant, bad):
+        csv = tmp_path / "obs.csv"
+        csv.write_text(f"k,U,V\n1,1.0,2.0\n2,{bad},2.0\n3,1.5,1.8\n")
+        code, out, err = run(capsys, "estimate", "--input", str(csv),
+                             "--variant", variant)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "finite" in err
+
     def test_bad_header(self, tmp_path, capsys):
         csv = tmp_path / "obs.csv"
         csv.write_text("a,b,c\n1,1.0,2.0\n")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgclock import (
+    ClockModelParams,
     DegenerateModelError,
     ParameterError,
     ShapeError,
@@ -17,6 +18,8 @@ from fgclock import (
     ml_offset,
     shift_kernel,
 )
+from fgclock.estimators import chain_kernel
+from fgclock.experiments import ALL_ESTIMATORS, SweepConfig, mse_vs_sigma
 
 finite_reals = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -290,3 +293,96 @@ class TestSigmaLimit:
                 fge = fge_offset(U, V, lam, lam, sigma, "recursive").theta_hat_N
                 ml = ml_offset(U, V).theta_hat_N
                 assert abs(fge - ml) <= lam * sigma**2 * n * (n + 1) / 2
+
+
+CHAIN_ESTIMATORS = {
+    "backtrack": lambda U: backtrack_estimate(U, 2.0, 0.1),
+    "paper": lambda U: closed_form_estimate_paper(U, 2.0, 0.1),
+    "fge-recursive": lambda U: fge_offset(U, [1.0, 1.0, 1.0], 2.0, 2.0, 0.1, "recursive"),
+    "fge-paper": lambda U: fge_offset(U, [1.0, 1.0, 1.0], 2.0, 2.0, 0.1, "paper"),
+    "ml": lambda U: ml_offset(U, [1.0, 1.0, 1.0]),
+    "ml-v": lambda U: ml_offset([1.0, 1.0, 1.0], U),
+    "kernel": lambda U: chain_kernel("recursive", 2.0, 0.1, 3)(np.array([U])),
+}
+
+
+class TestNonFiniteObservations:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("estimator", sorted(CHAIN_ESTIMATORS))
+    def test_rejected(self, estimator, bad):
+        # min(bar, nan) is bar, so an unchecked recursive pass would skip a NaN
+        with pytest.raises(ParameterError, match="finite"):
+            CHAIN_ESTIMATORS[estimator]([0.5, bad, 0.7])
+
+    def test_kernel_checks_shape(self):
+        kernel = chain_kernel("paper", 2.0, 0.1, 3)
+        with pytest.raises(ShapeError):
+            kernel(np.ones(3))
+        with pytest.raises(ShapeError):
+            kernel(np.ones((2, 4)))
+
+
+class TestChainKernel:
+    @pytest.mark.parametrize("variant", ["recursive", "paper", "ml"])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-2, 0.7])
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_rows_match_single_series(self, variant, sigma, n):
+        rng = np.random.default_rng(n)
+        U = rng.uniform(0.0, 2.0, size=(40, n))
+        single = {
+            "recursive": lambda row: backtrack_estimate(row, 3.0, sigma).xi_hat[-1],
+            "paper": lambda row: closed_form_estimate_paper(row, 3.0, sigma),
+            "ml": lambda row: ml_offset(row, row).xi_hat_N,
+        }[variant]
+        got = chain_kernel(variant, 3.0, sigma, n)(U)
+        want = np.array([single(row) for row in U])
+        assert got.tobytes() == want.tobytes()
+
+    def test_unknown_variant(self):
+        with pytest.raises(ParameterError):
+            chain_kernel("bogus", 1.0, 0.1, 3)
+
+
+@pytest.mark.parametrize(
+    "sigma, underflows",
+    [(1e-200, True), (1e-160, True), (1e200, False), (math.inf, False), (math.nan, False)],
+)
+def test_extreme_sigma_stays_in_error_contract(sigma, underflows):
+    # sigma**2 underflowing (to 0 or below the normal range) behaves as
+    # sigma = 0; a sigma whose square is not finite is a ParameterError.
+    U, V = [1.0, 0.4, 0.8], [0.9, 1.1, 0.7]
+    estimators = {
+        "backtrack": lambda s: backtrack_estimate(U, 10.0, s).xi_hat[-1],
+        "paper": lambda s: closed_form_estimate_paper(U, 10.0, s),
+        "fge-recursive": lambda s: fge_offset(U, V, 10.0, 7.0, s).theta_hat_N,
+        "fge-paper": lambda s: fge_offset(U, V, 10.0, 7.0, s, "paper").theta_hat_N,
+        "kernel": lambda s: chain_kernel("recursive", 10.0, s, 3)(np.array([U]))[0],
+    }
+
+    def sweep():
+        return mse_vs_sigma(SweepConfig(
+            params=ClockModelParams(10.0, 7.0, 0.0, 1.0, 0.5, 25),
+            axis="sigma", values=(sigma,), trials=20, seed=1,
+        ))
+
+    if underflows:
+        for name, estimate in estimators.items():
+            assert estimate(sigma) == estimate(0.0), name
+        with pytest.raises(DegenerateModelError):
+            backward_constants(10.0, sigma, 3)
+        for row in sweep().rows:
+            assert ":failed[" not in row.estimator and math.isfinite(row.mse)
+        return
+    for name, estimate in estimators.items():
+        with pytest.raises(ParameterError):
+            estimate(sigma)
+    with pytest.raises(ParameterError):
+        backward_constants(10.0, sigma, 3)
+    if math.isnan(sigma):
+        # ClockModelParams rejects it before any cell runs
+        with pytest.raises(ParameterError, match="sigma"):
+            sweep()
+    else:
+        assert {row.estimator for row in sweep().rows} == {
+            f"{tag}:failed[ParameterError]" for tag in ALL_ESTIMATORS
+        }

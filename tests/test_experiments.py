@@ -4,12 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from fgclock import ClockModelParams, ParameterError
+from fgclock import (
+    ClockModelParams,
+    ParameterError,
+    fge_offset,
+    ml_offset,
+    simulate_observations,
+    simulate_paths,
+)
 from fgclock.experiments import (
     ALL_ESTIMATORS,
     CSV_HEADER,
     MseTable,
     SweepConfig,
+    _run_cell,
+    block_trials,
     compare_estimators,
     mse_vs_rounds,
     mse_vs_sigma,
@@ -183,3 +192,60 @@ class TestCompareEstimators:
         U, V = rng.uniform(0, 2, 20), rng.uniform(0, 2, 20)
         report = compare_estimators(U, V, self.params(rounds=20))
         assert report["oracle"] is None
+
+
+def reference_cell(params, axis_index, trials, seed):
+    """Per-trial squared errors from the public single-series functions."""
+    sq = {tag: np.empty(trials) for tag in ALL_ESTIMATORS}
+    for t in range(trials):
+        path = simulate_paths(params, seed=[seed, axis_index, t, 0])
+        obs = simulate_observations(path, params, seed=[seed, axis_index, t, 1])
+        truth = float(path.theta[-1])
+        estimates = {
+            "fge-recursive": fge_offset(obs.U, obs.V, params.lambda_xi,
+                                        params.lambda_psi, params.sigma, "recursive"),
+            "fge-paper": fge_offset(obs.U, obs.V, params.lambda_xi,
+                                    params.lambda_psi, params.sigma, "paper"),
+            "ml": ml_offset(obs.U, obs.V),
+        }
+        for tag, est in estimates.items():
+            err = est.theta_hat_N - truth
+            sq[tag][t] = err * err
+    return sq
+
+
+class TestBatchedCell:
+    """The blocked cell must equal the one-trial-at-a-time evaluation bit for bit."""
+
+    @pytest.mark.parametrize(
+        "sigma, rounds, trials",
+        [
+            (1e-2, 1, 40),  # rounds axis, N = 1
+            (1e-2, 2, 40),
+            (1e-2, 25, 40),
+            (0.0, 10, 40),  # sigma axis, sigma = 0
+            (1e-4, 10, 40),
+            (1.0, 10, 40),
+            (1e-2, 7, 1),  # a single trial
+            (1e-2, 200, block_trials(200) + 1),  # crosses a block boundary
+        ],
+    )
+    def test_matches_per_trial_reference(self, sigma, rounds, trials):
+        params = ClockModelParams(10.0, 7.0, sigma, 1.0, 0.5, rounds)
+        got = _run_cell(params, 3, trials, 21, ALL_ESTIMATORS)
+        want = reference_cell(params, 3, trials, 21)
+        for tag in ALL_ESTIMATORS:
+            assert got[tag].tobytes() == want[tag].tobytes(), tag
+
+    @pytest.mark.parametrize(
+        "axis, values", [("rounds", (1, 4, 9)), ("sigma", (0.0, 1e-3, 0.2))]
+    )
+    def test_tables_match_per_trial_reference(self, axis, values):
+        params = ClockModelParams(10.0, 7.0, 1e-2, 1.0, 0.5, 6)
+        cfg = make_config(params=params, axis=axis, values=values, trials=30, seed=5)
+        table = (mse_vs_rounds if axis == "rounds" else mse_vs_sigma)(cfg)
+        for i, v in enumerate(values):
+            field = "rounds" if axis == "rounds" else "sigma"
+            ref = reference_cell(dataclasses.replace(params, **{field: v}), i, 30, 5)
+            for tag in ALL_ESTIMATORS:
+                assert table.cell(v, tag).mse == float(np.mean(ref[tag]))
