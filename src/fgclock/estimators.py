@@ -13,7 +13,11 @@ Two variants of the factor-graph estimate are provided:
 
 * ``recursive`` — forward backtracking with the D-constants produced by
   the backward recursion (D_{N-i} = (i+1) * lam), i.e. cumulative shifts
-  that grow triangularly with distance from the last round;
+  that grow triangularly with distance from the last round. In floating
+  point the recursion reduces to a running sum of lam (see
+  :func:`_chain_shifts`), so the estimators compute the shifts as a
+  cumulative sum; :func:`backward_constants` evaluates the literal A/B/C/D
+  recursion and is kept as the check of that lemma, not run by them;
 * ``paper`` — the simplified closed form
   min(U_N, U_{N-1} + lam sigma^2, ..., U_1 + (N-1) lam sigma^2)
   whose shifts grow linearly.
@@ -29,15 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
+from .model import check_chain, check_rate, density_sigma_squared, sigma_squared
 
 #: Variant tags accepted by fge_offset / carried by OffsetEstimate.
 VARIANT_RECURSIVE = "recursive"
 VARIANT_PAPER = "paper"
 VARIANT_ML = "ml"
-
-#: Largest sigma whose square is still finite.
-_SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -102,30 +104,6 @@ class OffsetEstimate:
         )
 
 
-def _check_chain(U, name="U", ndim=1):
-    """``U`` as a float array, checked to be ``ndim``-D, nonempty and all finite."""
-    U = np.asarray(U, dtype=float)
-    if U.ndim != ndim or U.size == 0:
-        raise ShapeError(f"{name} must be a nonempty {ndim}-D sequence")
-    if not np.isfinite(U).all():
-        raise ParameterError(f"{name} must hold finite values only")
-    return U
-
-
-def _check_lam(lam):
-    if not lam > 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-
-
-def _sigma_squared(sigma):
-    """sigma**2, after checking that sigma >= 0 and that its square is finite."""
-    if not 0 <= sigma <= _SIGMA_MAX:
-        raise ParameterError(
-            f"sigma must be >= 0 with a finite square (<= {_SIGMA_MAX:.4g}), got {sigma}"
-        )
-    return sigma**2
-
-
 def backward_constants(lam, sigma, n):
     """Run the backward coefficient recursion from level N down to 1.
 
@@ -133,19 +111,21 @@ def backward_constants(lam, sigma, n):
     and recurses downward. In exact arithmetic A stays level-invariant
     (the B - C^2/(4A) correction vanishes) and D_{N-i} = (i+1) * lam; the
     recursion is evaluated literally so tests can verify those closed
-    forms rather than assume them.
+    forms rather than assume them. The estimators do not call it: their
+    shifts come from the cumulative sum of :func:`_chain_shifts`, which
+    equals ``D * sigma**2`` bit for bit and is tested against it.
 
     sigma**2 must lie in the normal floating-point range: at sigma = 0, or
-    when sigma**2 underflows, 1/sigma^2 overflows and the constants diverge.
+    when sigma**2 underflows, 1/sigma^2 overflows and the constants diverge
+    (DegenerateModelError). 2 sigma**2 must be finite, or 1/(2 sigma^2) is
+    0 and C/(2A) is 0/0 (ParameterError).
     """
-    _check_lam(lam)
     if int(n) != n or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
-    s2 = _sigma_squared(sigma)
-    if s2 < sys.float_info.min:
-        raise DegenerateModelError(
-            "backward constants diverge when sigma**2 is 0 or below the normal "
-            "range; use the running-minimum shortcut"
+    s2 = density_sigma_squared(sigma, lam)
+    if math.isinf(2.0 * float(s2)):
+        raise ParameterError(
+            f"the backward recursion needs a finite 2 * sigma**2, got sigma={sigma}"
         )
     n = int(n)
     inv2s2 = 1.0 / (2.0 * s2)
@@ -187,20 +167,32 @@ def compose_shift(constants, k, m, x):
 
 
 def _chain_shifts(lam, sigma, n):
-    """Per-level additive shifts D_k * sigma^2 for k = 1..N.
+    """Per-level additive shifts D_k * sigma^2 for k = 1..N, contiguous.
+
+    Wherever :func:`backward_constants` is defined, its ratio C_k/(2 A_k)
+    is exactly -1 and A_k stays exactly -1/(2 sigma^2) in floating point,
+    so each D_{k-1} is the rounded sum lam + D_k: D is the cumulative sum
+    of lam taken from level N down, and the shifts equal the recursion's
+    ``D * sigma**2`` bit for bit. The sum is accumulated in place, in a
+    reversed view of the result.
 
     Zeros, the sigma = 0 limit, when sigma**2 is 0 or below the normal
     range, where the backward recursion would divide by it.
     """
-    s2 = _sigma_squared(sigma)
+    s2 = sigma_squared(sigma, lam)
     if s2 < sys.float_info.min:
         return np.zeros(n)
-    return backward_constants(lam, sigma, n).D * s2
+    shifts = np.empty(n)
+    from_last = shifts[::-1]
+    from_last.fill(lam)
+    np.cumsum(from_last, out=from_last)
+    shifts *= s2
+    return shifts
 
 
 def _paper_shifts(lam, sigma, n):
     """Linearly growing shifts (N - k) * lam * sigma^2 for k = 1..N."""
-    return lam * _sigma_squared(sigma) * np.arange(n - 1, -1, -1, dtype=float)
+    return lam * sigma_squared(sigma, lam) * np.arange(n - 1, -1, -1, dtype=float)
 
 
 def backtrack_estimate(U, lam, sigma):
@@ -211,19 +203,30 @@ def backtrack_estimate(U, lam, sigma):
     xi_hat_k = min(xi_bar_k, U_k). At sigma = 0 this reduces to the
     running minimum of U.
     """
-    U = _check_chain(U)
-    _check_lam(lam)
+    U = check_chain(U)
     n = len(U)
     shifts = _chain_shifts(lam, sigma, n)
     xi_bar = np.empty(n)
     xi_hat = np.empty(n)
+    bars, hats = memoryview(xi_bar), memoryview(xi_hat)
     prev = math.inf
-    for k in range(n):
-        bar = prev + shifts[k]
-        prev = min(bar, U[k])
-        xi_bar[k] = bar
-        xi_hat[k] = prev
+    # Python floats through memoryviews: no numpy scalar per round
+    for k, (shift, u) in enumerate(zip(memoryview(shifts), memoryview(U))):
+        bar = prev + shift
+        # min(bar, u): a tie keeps bar, which decides the sign of 0.0 vs -0.0
+        prev = u if u < bar else bar
+        bars[k] = bar
+        hats[k] = prev
     return BacktrackResult(xi_hat=xi_hat, xi_bar=xi_bar)
+
+
+def _final_estimate(U, lam, sigma):
+    """xi_hat_N of :func:`backtrack_estimate` on a checked ``U``, levels not kept."""
+    prev = math.inf
+    for shift, u in zip(memoryview(_chain_shifts(lam, sigma, len(U))), memoryview(U)):
+        bar = prev + shift
+        prev = u if u < bar else bar
+    return prev
 
 
 def closed_form_estimate_paper(U, lam, sigma):
@@ -231,8 +234,7 @@ def closed_form_estimate_paper(U, lam, sigma):
 
     Returns min over k = 1..N of U_k + (N - k) * lam * sigma^2.
     """
-    U = _check_chain(U)
-    _check_lam(lam)
+    U = check_chain(U)
     return float(np.min(U + _paper_shifts(lam, sigma, len(U))))
 
 
@@ -242,13 +244,13 @@ def fge_offset(U, V, lambda_xi, lambda_psi, sigma, variant=VARIANT_RECURSIVE):
     Runs the selected xi-chain estimator on (U, lambda_xi) and reuses the
     same machinery verbatim on (V, lambda_psi).
     """
-    U = _check_chain(U, "U")
-    V = _check_chain(V, "V")
+    U = check_chain(U, "U")
+    V = check_chain(V, "V")
     if U.shape != V.shape:
         raise ShapeError(f"U and V must have equal length, got {U.shape} vs {V.shape}")
     if variant == VARIANT_RECURSIVE:
-        xi_n = float(backtrack_estimate(U, lambda_xi, sigma).xi_hat[-1])
-        psi_n = float(backtrack_estimate(V, lambda_psi, sigma).xi_hat[-1])
+        xi_n = _final_estimate(U, lambda_xi, sigma)
+        psi_n = _final_estimate(V, lambda_psi, sigma)
     elif variant == VARIANT_PAPER:
         xi_n = closed_form_estimate_paper(U, lambda_xi, sigma)
         psi_n = closed_form_estimate_paper(V, lambda_psi, sigma)
@@ -263,8 +265,8 @@ def ml_offset(U, V):
     Independent of lam and sigma; equals both factor-graph variants in
     the sigma -> 0 limit.
     """
-    U = _check_chain(U, "U")
-    V = _check_chain(V, "V")
+    U = check_chain(U, "U")
+    V = check_chain(V, "V")
     if U.shape != V.shape:
         raise ShapeError(f"U and V must have equal length, got {U.shape} vs {V.shape}")
     return OffsetEstimate.from_chains(float(U.min()), float(V.min()), VARIANT_ML)
@@ -280,7 +282,7 @@ def chain_kernel(variant, lam, sigma, n):
     Carlo cell. ``recursive`` runs the forward clipping pass across all
     rows at once; ``paper`` and ``ml`` take one vectorized min per row.
     """
-    _check_lam(lam)
+    check_rate(lam)
     if int(n) != n or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
     n = int(n)
@@ -291,7 +293,9 @@ def chain_kernel(variant, lam, sigma, n):
             prev = U[:, 0].copy()
             for k in range(1, n):
                 np.add(prev, shifts[k], out=prev)
-                np.minimum(prev, U[:, k], out=prev)
+                # np.minimum keeps its second argument on a 0.0/-0.0 tie
+                # (x86-64), so prev goes second to match min(bar, u)
+                np.minimum(U[:, k], prev, out=prev)
             return prev
 
     elif variant == VARIANT_PAPER:
@@ -309,7 +313,7 @@ def chain_kernel(variant, lam, sigma, n):
         raise ParameterError(f"unknown variant {variant!r}")
 
     def kernel(U):
-        U = _check_chain(U, ndim=2)
+        U = check_chain(U, ndim=2)
         if U.shape[1] != n:
             raise ShapeError(f"expected {n} rounds per row, got {U.shape[1]}")
         return final(U)

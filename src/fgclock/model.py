@@ -11,11 +11,67 @@ imperfection makes the offset drift, so xi and psi each follow a
 Gaussian random walk with increment standard deviation sigma.
 """
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateModelError, ParameterError, ShapeError
+
+#: Largest sigma whose square is still finite.
+SIGMA_MAX = math.sqrt(sys.float_info.max)
+
+
+def check_rate(lam, name="lam"):
+    """Raise ParameterError unless ``lam`` is a finite delay rate > 0."""
+    if not 0 < lam < math.inf:
+        raise ParameterError(f"{name} must be finite and > 0, got {lam}")
+
+
+def check_chain(U, name="U", ndim=1):
+    """``U`` as a float array, checked to be ``ndim``-D, nonempty and all finite."""
+    U = np.asarray(U, dtype=float)
+    if U.ndim != ndim or U.size == 0:
+        raise ShapeError(f"{name} must be a nonempty {ndim}-D sequence")
+    if not np.isfinite(U).all():
+        raise ParameterError(f"{name} must hold finite values only")
+    return U
+
+
+def sigma_squared(sigma, lam):
+    """sigma**2 for a chain with delay rate ``lam``, after checking both.
+
+    sigma must be >= 0 with a finite square, and the unit shift
+    lam * sigma**2 of the estimators must be finite: where it overflows,
+    a zero-distance term would be inf * 0 = NaN.
+    """
+    check_rate(lam)
+    if not 0 <= sigma <= SIGMA_MAX:
+        raise ParameterError(
+            f"sigma must be >= 0 with a finite square (<= {SIGMA_MAX:.4g}), got {sigma}"
+        )
+    s2 = sigma**2
+    # Python floats: an overflowing product is inf, without a numpy warning
+    if math.isinf(float(lam) * float(s2)):
+        raise ParameterError(f"lam * sigma**2 overflows (lam={lam}, sigma={sigma})")
+    return s2
+
+
+def density_sigma_squared(sigma, lam):
+    """:func:`sigma_squared`, also requiring sigma**2 in the normal range.
+
+    The Gauss-Markov density divides by sigma**2, so it is degenerate when
+    sigma**2 is 0 or so small (subnormal) that 1 / sigma**2 overflows.
+    """
+    s2 = sigma_squared(sigma, lam)
+    if s2 < sys.float_info.min:
+        raise DegenerateModelError(
+            f"the Gauss-Markov density is degenerate when sigma**2 is 0 or below "
+            f"the normal range, got sigma={sigma}"
+        )
+    return s2
 
 
 @dataclass(frozen=True)
@@ -46,16 +102,23 @@ class ClockModelParams:
     rounds: int
 
     def __post_init__(self):
-        if not self.lambda_xi > 0:
-            raise ParameterError(f"lambda_xi must be > 0, got {self.lambda_xi}")
-        if not self.lambda_psi > 0:
-            raise ParameterError(f"lambda_psi must be > 0, got {self.lambda_psi}")
+        check_rate(self.lambda_xi, "lambda_xi")
+        check_rate(self.lambda_psi, "lambda_psi")
         if not self.sigma >= 0:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if not self.d0 >= 0:
-            raise ParameterError(f"d0 must be >= 0, got {self.d0}")
-        if int(self.rounds) != self.rounds or self.rounds < 1:
-            raise ParameterError(f"rounds must be a positive integer, got {self.rounds}")
+        if not 0 <= self.d0 < math.inf:
+            raise ParameterError(f"d0 must be finite and >= 0, got {self.d0}")
+        if not math.isfinite(self.theta0):
+            raise ParameterError(f"theta0 must be finite, got {self.theta0}")
+        rounds = self.rounds
+        if (
+            isinstance(rounds, bool)
+            or not isinstance(rounds, numbers.Real)
+            or not 1 <= rounds < math.inf
+            or int(rounds) != rounds
+        ):
+            raise ParameterError(f"rounds must be a positive integer, got {rounds!r}")
+        object.__setattr__(self, "rounds", int(rounds))
 
 
 @dataclass(frozen=True)
@@ -194,20 +257,17 @@ def chain_log_posterior(candidate, obs, lam, sigma):
     and -inf whenever any xi_k > U_k (a delay would have to be negative).
     The flat prior on xi_0 contributes nothing.
     """
-    candidate = np.asarray(candidate, dtype=float)
-    obs = np.asarray(obs, dtype=float)
-    if sigma <= 0:
-        raise DegenerateModelError("chain_log_posterior needs sigma > 0")
-    if not lam > 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-    if candidate.ndim != 1 or obs.ndim != 1 or len(candidate) != len(obs) + 1:
+    s2 = density_sigma_squared(sigma, lam)
+    candidate = check_chain(candidate, "candidate")
+    obs = check_chain(obs, "obs")
+    if len(candidate) != len(obs) + 1:
         raise ShapeError(
             f"candidate must have len(obs)+1 entries, got {len(candidate)} vs {len(obs)}"
         )
     if np.any(candidate[1:] > obs):
         return -np.inf
     incr = np.diff(candidate)
-    return float(-np.dot(incr, incr) / (2.0 * sigma**2) + lam * candidate[1:].sum())
+    return float(-np.dot(incr, incr) / (2.0 * s2) + lam * candidate[1:].sum())
 
 
 def log_posterior(candidate_xi, U, params):

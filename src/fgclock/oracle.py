@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateModelError,
-    GridCoverageError,
-    ParameterError,
-    ShapeError,
-    SizeError,
-)
-from .model import chain_log_posterior
+from .errors import ConvergenceError, GridCoverageError, ParameterError, SizeError
+from .model import chain_log_posterior, check_chain, density_sigma_squared
 
 #: Active-set enumeration is 2^N; keep desk-scale.
 MAX_ENUM_ROUNDS = 12
@@ -47,14 +40,9 @@ class MapSolution:
 
 
 def _validate_chain_args(U, lam, sigma):
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 1 or len(U) == 0:
-        raise ShapeError("U must be a nonempty 1-D sequence")
-    if not lam > 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-    if sigma <= 0:
-        raise DegenerateModelError("the MAP objective is degenerate at sigma = 0")
-    return U
+    """Checked ``U``; the MAP objective divides by sigma**2, so it must be normal."""
+    density_sigma_squared(sigma, lam)
+    return check_chain(U)
 
 
 def _objective(path, U, lam, sigma):
@@ -108,16 +96,6 @@ def _solve_for_active_set(U, active_mask, lam_s2, n):
     if seg_start is not None:
         _solve_free_segment(x, U, seg_start, n - 1, n, lam_s2)
     return x
-
-
-def _gradient(x, lam, sigma, n):
-    """Gradient of the chain objective (root eliminated) at x."""
-    g = np.full(n, lam)
-    inv_s2 = 1.0 / sigma**2
-    d = np.diff(x) * inv_s2
-    g[:-1] += d
-    g[1:] -= d
-    return g
 
 
 def exact_map_active_set(U, lam, sigma):

@@ -203,3 +203,11 @@ class TestCompareOracle:
         code, _, err = run(capsys, "compare-oracle", "--rounds", "13")
         assert code == EXIT_USAGE
         assert "12" in err
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+    def test_extreme_sigma_is_validation_error(self, capsys, sigma):
+        code, out, err = run(capsys, "compare-oracle", "--sigma", sigma,
+                             "--rounds", "4", "--instances", "3")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "sigma" in err

@@ -18,7 +18,7 @@ from fgclock import (
     ml_offset,
     shift_kernel,
 )
-from fgclock.estimators import chain_kernel
+from fgclock.estimators import _chain_shifts, chain_kernel
 from fgclock.experiments import ALL_ESTIMATORS, SweepConfig, mse_vs_sigma
 
 finite_reals = st.floats(
@@ -59,6 +59,14 @@ class TestBackwardConstants:
     def test_bad_lambda(self):
         with pytest.raises(ParameterError):
             backward_constants(0.0, 1.0, 3)
+
+    def test_two_sigma_squared_overflow_raises(self):
+        # lam * sigma**2 is finite but 2 sigma**2 is not: the literal
+        # recursion would give C/(2A) = 0/0, while the estimators stay finite
+        with pytest.raises(ParameterError, match="2 \\* sigma"):
+            backward_constants(1e-3, 1.2e154, 3)
+        assert math.isfinite(fge_offset([1.0, 0.4], [0.9, 1.1], 1e-3, 1e-3, 1.2e154)
+                             .theta_hat_N)
 
 
 class TestShiftKernel:
@@ -345,11 +353,13 @@ class TestChainKernel:
 
 @pytest.mark.parametrize(
     "sigma, underflows",
-    [(1e-200, True), (1e-160, True), (1e200, False), (math.inf, False), (math.nan, False)],
+    [(1e-200, True), (1e-160, True), (1e200, False), (math.inf, False), (math.nan, False),
+     (5e153, False), (1.34e154, False)],
 )
 def test_extreme_sigma_stays_in_error_contract(sigma, underflows):
     # sigma**2 underflowing (to 0 or below the normal range) behaves as
-    # sigma = 0; a sigma whose square is not finite is a ParameterError.
+    # sigma = 0; a sigma whose square, or lam * sigma**2 (lam = 10 here), is
+    # not finite is a ParameterError.
     U, V = [1.0, 0.4, 0.8], [0.9, 1.1, 0.7]
     estimators = {
         "backtrack": lambda s: backtrack_estimate(U, 10.0, s).xi_hat[-1],
@@ -386,3 +396,99 @@ def test_extreme_sigma_stays_in_error_contract(sigma, underflows):
         assert {row.estimator for row in sweep().rows} == {
             f"{tag}:failed[ParameterError]" for tag in ALL_ESTIMATORS
         }
+
+
+SHIFTED_ESTIMATORS = {
+    "backtrack": lambda lam, s: backtrack_estimate([1.0, 0.4, 0.8], lam, s),
+    "paper": lambda lam, s: closed_form_estimate_paper([1.0, 0.4, 0.8], lam, s),
+    "fge-recursive": lambda lam, s: fge_offset([1.0, 0.4], [0.9, 1.1], lam, 1.0, s),
+    "fge-paper": lambda lam, s: fge_offset([1.0, 0.4], [0.9, 1.1], 1.0, lam, s, "paper"),
+    "kernel-recursive": lambda lam, s: chain_kernel("recursive", lam, s, 3),
+    "kernel-paper": lambda lam, s: chain_kernel("paper", lam, s, 3),
+    "backward_constants": lambda lam, s: backward_constants(lam, s, 3),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(SHIFTED_ESTIMATORS))
+@pytest.mark.parametrize(
+    "lam, sigma",
+    [(math.inf, 0.01), (math.inf, 0.0), (math.nan, 0.01), (1e300, 1e5)],
+)
+def test_non_finite_unit_shift_rejected(estimator, lam, sigma):
+    # lam = inf made paper NaN (inf * 0) while recursive returned U_N
+    with pytest.raises(ParameterError):
+        SHIFTED_ESTIMATORS[estimator](lam, sigma)
+
+
+def literal_backtrack(U, shifts):
+    """The first release's forward pass, indexing numpy scalars: the reference."""
+    n = len(U)
+    xi_bar = np.empty(n)
+    xi_hat = np.empty(n)
+    prev = math.inf
+    for k in range(n):
+        bar = prev + shifts[k]
+        prev = min(bar, U[k])
+        xi_bar[k] = bar
+        xi_hat[k] = prev
+    return xi_hat, xi_bar
+
+
+def recursion_shifts(lam, sigma, n):
+    """Shifts from the literal A/B/C/D recursion; zeros at sigma = 0."""
+    if sigma == 0:
+        return np.zeros(n)
+    return backward_constants(lam, sigma, n).D * sigma**2
+
+
+FAST_PATH_GRID = pytest.mark.parametrize(
+    "lam, sigma, n",
+    [
+        (lam, sigma, n)
+        for lam in (1e-3, 1.0, 10.0, 1e3)
+        for sigma in (1e-150, 1e-2, 1.0, 1e150)
+        for n in (1, 2, 25, 1000, 28_800)
+    ],
+)
+
+
+class TestFastRecursivePath:
+    """The recursive estimators agree bit for bit with the literal recursion."""
+
+    @FAST_PATH_GRID
+    def test_shifts_equal_recursion(self, lam, sigma, n):
+        shifts = _chain_shifts(lam, sigma, n)
+        assert shifts.flags.c_contiguous
+        assert shifts.tobytes() == recursion_shifts(lam, sigma, n).tobytes()
+
+    @FAST_PATH_GRID
+    def test_estimates_equal_reference_loop(self, lam, sigma, n):
+        rng = np.random.default_rng([n, int(lam * 1000)])
+        U = rng.uniform(0.0, 2.0, n)
+        V = rng.uniform(-1.0, 3.0, n)
+        self.assert_all_equal_reference(U, V, lam, sigma)
+
+    def test_signed_zero_ties_keep_the_shifted_value(self):
+        # at sigma = 0, bar = prev + 0.0 turns -0.0 into 0.0; a tie with an
+        # observation -0.0 keeps bar, so the sign of the estimate shows the rule
+        U = np.array([-0.0, -0.0, 0.0, -0.0])
+        V = np.array([0.0, -0.0, -0.0, -0.0])
+        xi_hat, _ = literal_backtrack(U, np.zeros(4))
+        assert not np.signbit(xi_hat[-1])
+        self.assert_all_equal_reference(U, V, 2.0, 0.0)
+
+    @staticmethod
+    def assert_all_equal_reference(U, V, lam, sigma):
+        n = len(U)
+        shifts = recursion_shifts(lam, sigma, n)
+        want_hat, want_bar = literal_backtrack(U, shifts)
+        want_psi, _ = literal_backtrack(V, shifts)
+        got = backtrack_estimate(U, lam, sigma)
+        assert got.xi_hat.tobytes() == want_hat.tobytes()
+        assert got.xi_bar.tobytes() == want_bar.tobytes()
+        est = fge_offset(U, V, lam, lam, sigma)
+        assert np.array([est.xi_hat_N, est.psi_hat_N]).tobytes() == np.array(
+            [want_hat[-1], want_psi[-1]]
+        ).tobytes()
+        rows = chain_kernel("recursive", lam, sigma, n)(np.array([U, V]))
+        assert rows.tobytes() == np.array([want_hat[-1], want_psi[-1]]).tobytes()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,11 +34,26 @@ class TestParams:
             ("d0", -0.1),
             ("rounds", 0),
             ("rounds", 2.5),
+            ("lambda_xi", math.inf),
+            ("lambda_psi", math.nan),
+            ("d0", math.inf),
+            ("d0", math.nan),
+            ("theta0", math.nan),
+            ("theta0", -math.inf),
+            ("rounds", True),
+            ("rounds", math.nan),
+            ("rounds", math.inf),
+            ("rounds", "3"),
         ],
     )
     def test_invalid_params_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
             make_params(**{field: value})
+
+    @pytest.mark.parametrize("rounds", [2.0, np.int64(2), np.float64(2.0)])
+    def test_rounds_stored_as_int(self, rounds):
+        params = make_params(rounds=rounds)
+        assert params.rounds == 2 and type(params.rounds) is int
 
     def test_theta0_may_be_negative(self):
         make_params(theta0=-0.3)
@@ -148,6 +165,29 @@ class TestLogPosterior:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             chain_log_posterior(np.zeros(3), np.ones(3), 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "lam, sigma, error",
+        [
+            (1.0, 1e200, ParameterError),
+            (1e300, 1e5, ParameterError),
+            (math.inf, 1.0, ParameterError),
+            (1.0, 1e-200, DegenerateModelError),
+            (1.0, 1e-160, DegenerateModelError),
+        ],
+    )
+    def test_extreme_parameters_raise(self, lam, sigma, error):
+        # sigma**2 or lam * sigma**2 overflowing, or sigma**2 below the normal
+        # range, where dividing by it would overflow
+        with pytest.raises(error):
+            chain_log_posterior(np.zeros(3), np.ones(2), lam, sigma)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            chain_log_posterior([0.0, bad, 0.0], np.ones(2), 1.0, 1.0)
+        with pytest.raises(ParameterError, match="finite"):
+            chain_log_posterior(np.zeros(3), [1.0, bad], 1.0, 1.0)
 
     def test_concavity_on_feasible_region(self):
         rng = np.random.default_rng(21)

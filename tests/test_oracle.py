@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,31 @@ class TestOraclesConsistent:
             exact = exact_map_active_set(U, 1.0, 0.1)
             ca = coordinate_ascent_map(U, 1.0, 0.1)
             assert abs(exact.objective - ca.objective) <= 1e-8
+
+
+ORACLES = {
+    "exact": lambda U, lam, sigma: exact_map_active_set(U, lam, sigma),
+    "coordinate-ascent": lambda U, lam, sigma: coordinate_ascent_map(U, lam, sigma),
+    "grid": lambda U, lam, sigma: grid_max_marginal(U, lam, sigma, -5.0, 5.0, 64),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+@pytest.mark.parametrize(
+    "lam, sigma, U, error",
+    [
+        (1.0, 1e200, [1.0, 0.5], ParameterError),
+        (1e300, 1e5, [1.0, 0.5], ParameterError),
+        (math.inf, 0.1, [1.0, 0.5], ParameterError),
+        (math.nan, 0.1, [1.0, 0.5], ParameterError),
+        (1.0, 1e-200, [1.0, 0.5], DegenerateModelError),
+        (1.0, 1e-160, [1.0, 0.5], DegenerateModelError),
+        (1.0, 0.1, [1.0, math.nan], ParameterError),
+        (1.0, 0.1, [math.inf, 0.5], ParameterError),
+    ],
+)
+def test_invalid_inputs_raise(oracle, lam, sigma, U, error):
+    # the oracles share the estimators' validation: no OverflowError,
+    # NaN objective or RuntimeWarning at extreme parameters
+    with pytest.raises(error):
+        ORACLES[oracle](U, lam, sigma)
