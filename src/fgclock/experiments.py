@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,8 +233,8 @@ def compare_estimators(U, V, params):
     """Side-by-side report of all three estimators on one instance.
 
     Includes the exact-MAP oracle coordinates when N is small enough for
-    enumeration (and sigma > 0), plus absolute deviations between every
-    estimator pair.
+    enumeration and sigma**2 is in the normal range (the oracle's domain),
+    plus absolute deviations between every estimator pair.
     """
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -259,7 +260,7 @@ def compare_estimators(U, V, params):
         },
         "oracle": None,
     }
-    if len(U) <= MAX_ENUM_ROUNDS and params.sigma > 0:
+    if len(U) <= MAX_ENUM_ROUNDS and params.sigma**2 >= sys.float_info.min:
         xi_sol = exact_map_active_set(U, params.lambda_xi, params.sigma)
         psi_sol = exact_map_active_set(V, params.lambda_psi, params.sigma)
         report["oracle"] = {

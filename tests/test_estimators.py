@@ -438,7 +438,8 @@ def recursion_shifts(lam, sigma, n):
     """Shifts from the literal A/B/C/D recursion; zeros at sigma = 0."""
     if sigma == 0:
         return np.zeros(n)
-    return backward_constants(lam, sigma, n).D * sigma**2
+    with np.errstate(over="ignore"):
+        return backward_constants(lam, sigma, n).D * sigma**2
 
 
 FAST_PATH_GRID = pytest.mark.parametrize(
@@ -476,6 +477,33 @@ class TestFastRecursivePath:
         xi_hat, _ = literal_backtrack(U, np.zeros(4))
         assert not np.signbit(xi_hat[-1])
         self.assert_all_equal_reference(U, V, 2.0, 0.0)
+
+    def test_signed_zero_ties_in_every_row_of_a_wide_block(self):
+        # more rows than any SIMD width, so vector body and scalar tail both run
+        rng = np.random.default_rng(5)
+        block = rng.choice([-0.0, 0.0], size=(37, 6))
+        block[:2] = [[-0.0, -0.0, 0.0, -0.0, -0.0, -0.0], [0.0, -0.0, -0.0, -0.0, 0.0, -0.0]]
+        rows = chain_kernel("recursive", 2.0, 0.0, 6)(block)
+        want = np.array([literal_backtrack(u, np.zeros(6))[0][-1] for u in block])
+        # bar = prev + 0.0 is +0.0, and every tie keeps it
+        assert not np.signbit(want).any() and np.signbit(block[:, -1]).sum() > 9
+        assert rows.tobytes() == want.tobytes()
+
+    def test_overflowing_shifts_are_inf_without_warnings(self):
+        # lam * sigma**2 = 1e307 is finite, but the shifts of distant levels
+        # overflow; they round to +inf in both variants, and no NaN appears
+        lam, sigma, n = 10.0, 1e153, 100
+        shifts = _chain_shifts(lam, sigma, n)
+        with np.errstate(over="ignore"):
+            paper_shifts = lam * sigma**2 * np.arange(n - 1, -1, -1, dtype=float)
+        assert np.isinf(shifts[0]) and np.isfinite(shifts[-1])
+        assert shifts.tobytes() == recursion_shifts(lam, sigma, n).tobytes()
+        U = np.random.default_rng(6).uniform(0.0, 2.0, n)
+        self.assert_all_equal_reference(U, U[::-1].copy(), lam, sigma)
+        assert closed_form_estimate_paper(U, lam, sigma) == np.min(U + paper_shifts)
+        assert chain_kernel("paper", lam, sigma, n)(U[None, :]).tolist() == [
+            np.min(U + paper_shifts)
+        ]
 
     @staticmethod
     def assert_all_equal_reference(U, V, lam, sigma):

@@ -164,6 +164,15 @@ class TestCompareEstimators:
         assert len(thetas) == 1
         assert report["oracle"] is None
 
+    def test_subnormal_sigma_squared_skips_the_oracle(self):
+        # sigma**2 = 1e-320 is below the normal range: the estimators treat it
+        # as sigma = 0, and the oracle, whose density divides by it, is not run
+        rng = np.random.default_rng(5)
+        U, V = rng.uniform(0, 2, 5), rng.uniform(0, 2, 5)
+        report = compare_estimators(U, V, self.params(sigma=1e-160))
+        assert report["oracle"] is None
+        assert report["theta_hat"]["fge-recursive"] == report["theta_hat"]["ml"]
+
     def test_deviations_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(2)
         U, V = rng.uniform(0, 2, 6), rng.uniform(0, 2, 6)
