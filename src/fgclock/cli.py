@@ -16,15 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, FgclockError, ParameterError
-from .estimators import (
-    VARIANT_ML,
-    VARIANT_PAPER,
-    VARIANT_RECURSIVE,
-    backtrack_estimate,
-    closed_form_estimate_paper,
-    fge_offset,
-    ml_offset,
-)
+from .estimators import ESTIMATORS, fge_offset
 from .experiments import (
     AXIS_ROUNDS,
     AXIS_SIGMA,
@@ -166,19 +158,9 @@ def _read_observations(path):
 def cmd_estimate(args):
     U, V = _read_observations(args.input)
     params = _resolve_model({}, args)
-    variants = (
-        [VARIANT_RECURSIVE, VARIANT_PAPER, VARIANT_ML]
-        if args.variant == "all"
-        else [args.variant]
-    )
     out = {}
-    for variant in variants:
-        if variant == VARIANT_ML:
-            est = ml_offset(U, V)
-        else:
-            est = fge_offset(
-                U, V, params.lambda_xi, params.lambda_psi, params.sigma, variant
-            )
+    for variant in ESTIMATORS if args.variant == "all" else [args.variant]:
+        est = fge_offset(U, V, params.lambda_xi, params.lambda_psi, params.sigma, variant)
         out[variant] = {
             "xi_hat_N": est.xi_hat_N,
             "psi_hat_N": est.psi_hat_N,
@@ -191,28 +173,22 @@ def cmd_estimate(args):
 def cmd_sweep(args):
     cfg = _load_config(args.config)
     params = _resolve_model(cfg, args)
-    axis = args.axis or cfg.get("axis")
-    if axis not in (AXIS_ROUNDS, AXIS_SIGMA):
-        raise ParameterError(f"axis must be 'rounds' or 'sigma', got {axis!r}")
     values = cfg.get("values")
     if args.values is not None:
-        values = [float(v) for v in args.values.split(",")]
-    if values is None:
-        raise ParameterError("no sweep values given (config 'values' or --values)")
-    if axis == AXIS_ROUNDS:
-        values = [int(v) for v in values]
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 10_000))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    estimators = tuple(cfg.get("estimators", ALL_ESTIMATORS))
+        try:
+            values = [float(v) for v in args.values.split(",")]
+        except ValueError:
+            raise ParameterError(f"--values must be comma-separated numbers, "
+                                 f"got {args.values!r}") from None
     config = SweepConfig(
         params=params,
-        axis=axis,
-        values=tuple(values),
-        trials=trials,
-        seed=seed,
-        estimators=estimators,
+        axis=args.axis or cfg.get("axis"),
+        values=values,
+        trials=args.trials if args.trials is not None else cfg.get("trials", 10_000),
+        seed=args.seed if args.seed is not None else cfg.get("seed", 0),
+        estimators=cfg.get("estimators", ALL_ESTIMATORS),
     )
-    table = mse_vs_rounds(config) if axis == AXIS_ROUNDS else mse_vs_sigma(config)
+    table = mse_vs_rounds(config) if config.axis == AXIS_ROUNDS else mse_vs_sigma(config)
 
     csv_file = args.out
     json_file = f"{args.out}.json"
@@ -224,10 +200,10 @@ def cmd_sweep(args):
         fh.write("\n")
     resolved = dict(dataclasses.asdict(params))
     resolved.update(
-        axis=axis, values=list(values), trials=trials, seed=seed,
-        estimators=list(estimators),
+        axis=config.axis, values=list(config.values), trials=config.trials,
+        seed=config.seed, estimators=list(config.estimators),
     )
-    _write_manifest(manifest_file, "sweep", resolved, seed, [csv_file, json_file])
+    _write_manifest(manifest_file, "sweep", resolved, config.seed, [csv_file, json_file])
     print(f"wrote {csv_file}, {json_file}, {manifest_file}")
     return EXIT_OK
 
@@ -239,35 +215,28 @@ def cmd_compare_oracle(args):
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.instances < 1:
+        raise ParameterError(f"--instances must be >= 1, got {args.instances}")
     params = _resolve_model({}, args)
     params = dataclasses.replace(params, rounds=args.rounds)
-    worst_bt = (-1.0, None)
-    worst_pf = (-1.0, None)
+    # the factor-graph variants, each against the exact MAP
+    estimators = {
+        variant.oracle_key: variant.build(params.lambda_xi, params.sigma, params.rounds)
+        for variant in ESTIMATORS.values()
+        if variant.oracle_key is not None
+    }
+    worst = dict.fromkeys(estimators, (-1.0, None))
     for i in range(args.instances):
         path = simulate_paths(params, seed=[args.seed, i, 0])
         obs = simulate_observations(path, params, seed=[args.seed, i, 1])
-        exact = exact_map_active_set(obs.U, params.lambda_xi, params.sigma)
-        bt = backtrack_estimate(obs.U, params.lambda_xi, params.sigma).xi_hat[-1]
-        pf = closed_form_estimate_paper(obs.U, params.lambda_xi, params.sigma)
-        dev_bt = abs(bt - exact.path[-1])
-        dev_pf = abs(pf - exact.path[-1])
-        if dev_bt > worst_bt[0]:
-            worst_bt = (dev_bt, i)
-        if dev_pf > worst_pf[0]:
-            worst_pf = (dev_pf, i)
-    report = {
-        "rounds": args.rounds,
-        "instances": args.instances,
-        "seed": args.seed,
-        "max_abs_dev_backtrack": {
-            "value": worst_bt[0],
-            "at": {"seed": args.seed, "index": worst_bt[1]},
-        },
-        "max_abs_dev_paper_closed_form": {
-            "value": worst_pf[0],
-            "at": {"seed": args.seed, "index": worst_pf[1]},
-        },
-    }
+        exact = exact_map_active_set(obs.U, params.lambda_xi, params.sigma).path[-1]
+        for key, estimate in estimators.items():
+            dev = abs(estimate(obs.U) - exact)
+            if dev > worst[key][0]:
+                worst[key] = (dev, i)
+    report = {"rounds": args.rounds, "instances": args.instances, "seed": args.seed}
+    for key, (value, index) in worst.items():
+        report[key] = {"value": value, "at": {"seed": args.seed, "index": index}}
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -291,7 +260,7 @@ def build_parser():
     p.add_argument("--input", required=True, help="observation CSV with k,U,V columns")
     p.add_argument(
         "--variant",
-        choices=[VARIANT_RECURSIVE, VARIANT_PAPER, VARIANT_ML, "all"],
+        choices=[*ESTIMATORS, "all"],
         default="all",
     )
     _add_model_flags(p, with_rounds=False)

@@ -9,7 +9,9 @@ min because it is monotone increasing. Backtracking forward with
 per-level clipping at U_k yields the chain estimate, and the offset
 estimate is theta_hat = (xi_hat_N - psi_hat_N) / 2.
 
-Two variants of the factor-graph estimate are provided:
+The table :data:`ESTIMATORS` holds every estimator of xi_hat_N, keyed by
+variant tag; the offset estimators, the batched Monte Carlo kernels, the
+experiments and the CLI all dispatch through it:
 
 * ``recursive`` — forward backtracking with the D-constants produced by
   the backward recursion (D_{N-i} = (i+1) * lam), i.e. cumulative shifts
@@ -20,26 +22,23 @@ Two variants of the factor-graph estimate are provided:
   recursion and is kept as the check of that lemma, not run by them;
 * ``paper`` — the simplified closed form
   min(U_N, U_{N-1} + lam sigma^2, ..., U_1 + (N-1) lam sigma^2)
-  whose shifts grow linearly.
+  whose shifts grow linearly;
+* ``ml`` — the running minimum of U, which both factor-graph variants
+  collapse to at sigma = 0.
 
-They coincide at sigma = 0 (both collapse to the running minimum, which
-is the ML estimator) but differ for sigma > 0; the exact-MAP oracles in
-:mod:`fgclock.oracle` arbitrate between them.
+The two factor-graph variants differ for sigma > 0; the exact-MAP oracles
+in :mod:`fgclock.oracle` arbitrate between them.
 """
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .model import check_chain, check_rate, density_sigma_squared, sigma_squared
-
-#: Variant tags accepted by fge_offset / carried by OffsetEstimate.
-VARIANT_RECURSIVE = "recursive"
-VARIANT_PAPER = "paper"
-VARIANT_ML = "ml"
+from .model import check_chain, check_count, density_sigma_squared, sigma_squared
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,6 @@ class OffsetEstimate:
     theta_hat_N: float
     variant: str
 
-    @classmethod
-    def from_chains(cls, xi_hat_n, psi_hat_n, variant):
-        return cls(
-            xi_hat_N=xi_hat_n,
-            psi_hat_N=psi_hat_n,
-            theta_hat_N=(xi_hat_n - psi_hat_n) / 2.0,
-            variant=variant,
-        )
-
 
 def backward_constants(lam, sigma, n):
     """Run the backward coefficient recursion from level N down to 1.
@@ -120,14 +110,12 @@ def backward_constants(lam, sigma, n):
     (DegenerateModelError). 2 sigma**2 must be finite, or 1/(2 sigma^2) is
     0 and C/(2A) is 0/0 (ParameterError).
     """
-    if int(n) != n or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
+    n = check_count(n, "n")
     s2 = density_sigma_squared(sigma, lam)
     if math.isinf(2.0 * float(s2)):
         raise ParameterError(
             f"the backward recursion needs a finite 2 * sigma**2, got sigma={sigma}"
         )
-    n = int(n)
     inv2s2 = 1.0 / (2.0 * s2)
     A = np.empty(n)
     B = np.full(n, -inv2s2)
@@ -193,14 +181,6 @@ def _chain_shifts(lam, sigma, n):
     return shifts
 
 
-def _paper_shifts(lam, sigma, n):
-    """Linearly growing shifts (N - k) * lam * sigma^2 for k = 1..N."""
-    unit = lam * sigma_squared(sigma, lam)
-    # unit is finite, so an overflowing shift is +inf, never inf * 0
-    with np.errstate(over="ignore"):
-        return unit * np.arange(n - 1, -1, -1, dtype=float)
-
-
 def backtrack_estimate(U, lam, sigma):
     """Forward backtracking sweep producing xi_hat_1..xi_hat_N.
 
@@ -226,18 +206,73 @@ def backtrack_estimate(U, lam, sigma):
     return BacktrackResult(xi_hat=xi_hat, xi_bar=xi_bar)
 
 
-def _final_estimate(U, lam, sigma):
-    """xi_hat_N of :func:`backtrack_estimate` on a checked ``U``, levels not kept.
+def _recursive_estimator(lam, sigma, n):
+    """xi_hat_N of :func:`backtrack_estimate`, without keeping the levels.
 
-    Not storing xi_bar and xi_hat makes ``fge_offset(..., "recursive")``
-    2.6x faster end to end at N = 28 800 than taking ``xi_hat[-1]`` from
-    :func:`backtrack_estimate`; the tests hold the two to the same bits.
+    A 1-D series runs the forward pass on Python floats through
+    memoryviews, with no numpy scalar per round: 2.6x faster at
+    N = 28 800 than taking ``xi_hat[-1]`` from :func:`backtrack_estimate`.
+    A ``(trials, n)`` block runs it across all rows at once, one column
+    per round, where the per-row loop would cost a Python loop per trial.
     """
-    prev = math.inf
-    for shift, u in zip(memoryview(_chain_shifts(lam, sigma, len(U))), memoryview(U)):
-        bar = prev + shift
-        prev = u if u < bar else bar
-    return prev
+    shifts = _chain_shifts(lam, sigma, n)
+
+    def estimate(U):
+        if U.ndim == 1:
+            prev = math.inf
+            for shift, u in zip(memoryview(shifts), memoryview(U)):
+                bar = prev + shift
+                prev = u if u < bar else bar
+            return prev
+        prev = U[:, 0].copy()
+        smaller = np.empty(len(prev), dtype=bool)
+        for k in range(1, n):
+            np.add(prev, shifts[k], out=prev)
+            # u replaces bar only where strictly smaller, as in min(bar, u):
+            # a 0.0/-0.0 tie keeps bar
+            np.less(U[:, k], prev, out=smaller)
+            np.copyto(prev, U[:, k], where=smaller)
+        return prev
+
+    return estimate
+
+
+def _paper_estimator(lam, sigma, n):
+    """min over k of U_k + (N - k) * lam * sigma^2, along the last axis."""
+    unit = lam * sigma_squared(sigma, lam)
+    # unit is finite, so an overflowing shift is +inf, never inf * 0
+    with np.errstate(over="ignore"):
+        shifts = unit * np.arange(n - 1, -1, -1, dtype=float)
+    return lambda U: np.min(U + shifts, axis=-1)
+
+
+def _ml_estimator(lam, sigma, n):
+    """The minimum of U along the last axis; lam and sigma play no part."""
+    return lambda U: U.min(axis=-1)
+
+
+Variant = namedtuple("Variant", "build label oracle_key")
+
+#: The estimator table, keyed by variant tag, in report order: every variant
+#: dispatch is a lookup here. ``build(lam, sigma, n)`` checks lam and sigma,
+#: computes the shifts once and returns the estimator of xi_hat_N for one
+#: chain of n rounds. It maps a checked 1-D series to a float and a
+#: ``(trials, n)`` block to ``(trials,)`` estimates, each row bit for bit the
+#: 1-D result. ``label`` names the variant's rows in sweep tables and
+#: comparison reports; ``oracle_key`` names its deviation from the exact MAP
+#: in the compare-oracle report (None for ML, not a factor-graph estimate).
+ESTIMATORS = {
+    "recursive": Variant(_recursive_estimator, "fge-recursive", "max_abs_dev_backtrack"),
+    "paper": Variant(_paper_estimator, "fge-paper", "max_abs_dev_paper_closed_form"),
+    "ml": Variant(_ml_estimator, "ml", None),
+}
+
+
+def _variant(tag):
+    try:
+        return ESTIMATORS[tag]
+    except (KeyError, TypeError):
+        raise ParameterError(f"unknown variant {tag!r}") from None
 
 
 def closed_form_estimate_paper(U, lam, sigma):
@@ -246,28 +281,27 @@ def closed_form_estimate_paper(U, lam, sigma):
     Returns min over k = 1..N of U_k + (N - k) * lam * sigma^2.
     """
     U = check_chain(U)
-    return float(np.min(U + _paper_shifts(lam, sigma, len(U))))
+    return float(ESTIMATORS["paper"].build(lam, sigma, len(U))(U))
 
 
-def fge_offset(U, V, lambda_xi, lambda_psi, sigma, variant=VARIANT_RECURSIVE):
-    """Factor-graph offset estimate theta_hat_N = (xi_hat_N - psi_hat_N) / 2.
-
-    Runs the selected xi-chain estimator on (U, lambda_xi) and reuses the
-    same machinery verbatim on (V, lambda_psi).
-    """
+def _offset(U, V, variant, lambda_xi, lambda_psi, sigma):
     U = check_chain(U, "U")
     V = check_chain(V, "V")
     if U.shape != V.shape:
         raise ShapeError(f"U and V must have equal length, got {U.shape} vs {V.shape}")
-    if variant == VARIANT_RECURSIVE:
-        xi_n = _final_estimate(U, lambda_xi, sigma)
-        psi_n = _final_estimate(V, lambda_psi, sigma)
-    elif variant == VARIANT_PAPER:
-        xi_n = closed_form_estimate_paper(U, lambda_xi, sigma)
-        psi_n = closed_form_estimate_paper(V, lambda_psi, sigma)
-    else:
-        raise ParameterError(f"unknown variant {variant!r}")
-    return OffsetEstimate.from_chains(xi_n, psi_n, variant)
+    build = _variant(variant).build
+    xi_n = float(build(lambda_xi, sigma, len(U))(U))
+    psi_n = float(build(lambda_psi, sigma, len(V))(V))
+    return OffsetEstimate(xi_n, psi_n, (xi_n - psi_n) / 2.0, variant)
+
+
+def fge_offset(U, V, lambda_xi, lambda_psi, sigma, variant="recursive"):
+    """Offset estimate theta_hat_N = (xi_hat_N - psi_hat_N) / 2.
+
+    Runs the estimator of ``variant``, a tag of :data:`ESTIMATORS`, on
+    (U, lambda_xi) and the same estimator on (V, lambda_psi).
+    """
+    return _offset(U, V, variant, lambda_xi, lambda_psi, sigma)
 
 
 def ml_offset(U, V):
@@ -276,59 +310,24 @@ def ml_offset(U, V):
     Independent of lam and sigma; equals both factor-graph variants in
     the sigma -> 0 limit.
     """
-    U = check_chain(U, "U")
-    V = check_chain(V, "V")
-    if U.shape != V.shape:
-        raise ShapeError(f"U and V must have equal length, got {U.shape} vs {V.shape}")
-    return OffsetEstimate.from_chains(float(U.min()), float(V.min()), VARIANT_ML)
+    return _offset(U, V, "ml", None, None, None)
 
 
 def chain_kernel(variant, lam, sigma, n):
-    """Batched final-coordinate estimator for one chain of ``n`` rounds.
+    """The estimator of ``variant`` for ``(trials, n)`` blocks of one chain.
 
-    Returns a function that maps a ``(trials, n)`` block of observations
+    Returns a function that checks a block of observations and maps it
     to the ``(trials,)`` estimates xi_hat_N, equal bit for bit, row by
-    row, to the single-series estimator of ``variant``. Shifts are
-    computed here, once, so one kernel serves every block of a Monte
-    Carlo cell. ``recursive`` runs the forward clipping pass across all
-    rows at once; ``paper`` and ``ml`` take one vectorized min per row.
+    row, to the single-series estimator. Shifts are computed here, once,
+    so one kernel serves every block of a Monte Carlo cell.
     """
-    check_rate(lam)
-    if int(n) != n or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
-    n = int(n)
-    if variant == VARIANT_RECURSIVE:
-        shifts = _chain_shifts(lam, sigma, n)
-
-        def final(U):
-            prev = U[:, 0].copy()
-            smaller = np.empty(len(prev), dtype=bool)
-            for k in range(1, n):
-                np.add(prev, shifts[k], out=prev)
-                # u replaces bar only where strictly smaller, as in min(bar, u):
-                # a 0.0/-0.0 tie keeps bar
-                np.less(U[:, k], prev, out=smaller)
-                np.copyto(prev, U[:, k], where=smaller)
-            return prev
-
-    elif variant == VARIANT_PAPER:
-        shifts = _paper_shifts(lam, sigma, n)
-
-        def final(U):
-            return np.min(U + shifts, axis=1)
-
-    elif variant == VARIANT_ML:
-
-        def final(U):
-            return U.min(axis=1)
-
-    else:
-        raise ParameterError(f"unknown variant {variant!r}")
+    n = check_count(n, "n")
+    estimate = _variant(variant).build(lam, sigma, n)
 
     def kernel(U):
         U = check_chain(U, ndim=2)
         if U.shape[1] != n:
             raise ShapeError(f"expected {n} rounds per row, got {U.shape[1]}")
-        return final(U)
+        return estimate(U)
 
     return kernel

@@ -2,6 +2,9 @@
 
 Sweeps either the round count N or the random-walk noise sigma, scoring
 each estimator's theta_hat_N against the final latent offset theta_N.
+The estimators are the entries of :data:`fgclock.estimators.ESTIMATORS`,
+named in tables and reports by their labels (:data:`ALL_ESTIMATORS`), and
+:class:`SweepConfig` is where every sweep input is checked.
 Per-trial generator seeds are derived from the master seed by a fixed
 counter scheme: the latent path for trial t at axis position i uses
 ``[master_seed, i, t, 0]`` and the observations ``[master_seed, i, t, 1]``
@@ -15,22 +18,17 @@ import csv
 import dataclasses
 import io
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FgclockError, ParameterError
-from .estimators import (
-    VARIANT_ML,
-    VARIANT_PAPER,
-    VARIANT_RECURSIVE,
-    chain_kernel,
-    fge_offset,
-    ml_offset,
-)
+from .estimators import ESTIMATORS, chain_kernel, fge_offset
 from .model import (
     ClockModelParams,
+    check_count,
     draw_delay_uniforms,
     draw_path_noise,
     exponential_delays,
@@ -41,15 +39,9 @@ from .oracle import MAX_ENUM_ROUNDS, exact_map_active_set
 AXIS_ROUNDS = "rounds"
 AXIS_SIGMA = "sigma"
 
-TAG_FGE_RECURSIVE = "fge-recursive"
-TAG_FGE_PAPER = "fge-paper"
-TAG_ML = "ml"
-ALL_ESTIMATORS = (TAG_FGE_RECURSIVE, TAG_FGE_PAPER, TAG_ML)
-_VARIANTS = {
-    TAG_FGE_RECURSIVE: VARIANT_RECURSIVE,
-    TAG_FGE_PAPER: VARIANT_PAPER,
-    TAG_ML: VARIANT_ML,
-}
+#: Variant tag of each estimator label, in the table's order.
+_TAGS = {variant.label: tag for tag, variant in ESTIMATORS.items()}
+ALL_ESTIMATORS = tuple(_TAGS)
 
 #: Trial-rounds per block: a cell of N rounds is evaluated
 #: ``block_trials(N)`` trials at a time, so its memory does not grow with
@@ -61,7 +53,11 @@ CSV_HEADER = ("axis", "estimator", "mse", "stderr", "trials")
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One Monte Carlo sweep: base model, axis, trials and seeding."""
+    """One Monte Carlo sweep: base model, axis, trials and seeding.
+
+    Every sweep input is checked here, so callers pass values as read;
+    rounds values, trials and seed are stored as ints.
+    """
 
     params: ClockModelParams
     axis: str
@@ -73,22 +69,38 @@ class SweepConfig:
     def __post_init__(self):
         if self.axis not in (AXIS_ROUNDS, AXIS_SIGMA):
             raise ParameterError(f"axis must be 'rounds' or 'sigma', got {self.axis!r}")
-        vals = tuple(self.values)
-        if len(vals) == 0:
-            raise ParameterError("sweep values must be nonempty")
+        vals = _as_tuple(self.values)
+        if not vals or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals
+        ):
+            raise ParameterError(
+                f"sweep values must be a nonempty list of numbers, got {self.values!r}"
+            )
+        if self.axis == AXIS_ROUNDS:
+            # ints, so that a manifest records rounds 2, not 2.0
+            vals = tuple(check_count(v, "rounds values") for v in vals)
+        elif not all(v >= 0 for v in vals):
+            raise ParameterError("sigma values must be >= 0")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ParameterError("sweep values must be strictly increasing")
-        if self.axis == AXIS_ROUNDS and any(int(v) != v or v < 1 for v in vals):
-            raise ParameterError("rounds values must be positive integers")
-        if self.axis == AXIS_SIGMA and any(v < 0 for v in vals):
-            raise ParameterError("sigma values must be >= 0")
         object.__setattr__(self, "values", vals)
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ParameterError(f"trials must be a positive integer, got {self.trials}")
-        bad = [t for t in self.estimators if t not in ALL_ESTIMATORS]
-        if bad or not self.estimators:
-            raise ParameterError(f"unknown estimator tags {bad}")
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "trials", check_count(self.trials, "trials"))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", low=0))
+        tags = _as_tuple(self.estimators)
+        if not tags or not all(t in ALL_ESTIMATORS for t in tags):
+            raise ParameterError(
+                f"estimators must be a nonempty list of {list(ALL_ESTIMATORS)}, "
+                f"got {self.estimators!r}"
+            )
+        object.__setattr__(self, "estimators", tags)
+
+
+def _as_tuple(value):
+    """``value`` as a tuple, or () if it is not iterable (None, a number)."""
+    try:
+        return tuple(value)
+    except TypeError:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -156,8 +168,8 @@ def _run_cell(params, axis_index, trials, master_seed, estimators):
     n = params.rounds
     kernels = {
         tag: (
-            chain_kernel(_VARIANTS[tag], params.lambda_xi, params.sigma, n),
-            chain_kernel(_VARIANTS[tag], params.lambda_psi, params.sigma, n),
+            chain_kernel(_TAGS[tag], params.lambda_xi, params.sigma, n),
+            chain_kernel(_TAGS[tag], params.lambda_psi, params.sigma, n),
         )
         for tag in estimators
     }
@@ -239,13 +251,10 @@ def compare_estimators(U, V, params):
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
     thetas = {
-        TAG_FGE_RECURSIVE: fge_offset(
-            U, V, params.lambda_xi, params.lambda_psi, params.sigma, VARIANT_RECURSIVE
-        ),
-        TAG_FGE_PAPER: fge_offset(
-            U, V, params.lambda_xi, params.lambda_psi, params.sigma, VARIANT_PAPER
-        ),
-        TAG_ML: ml_offset(U, V),
+        variant.label: fge_offset(
+            U, V, params.lambda_xi, params.lambda_psi, params.sigma, tag
+        )
+        for tag, variant in ESTIMATORS.items()
     }
     report = {
         "theta_hat": {tag: est.theta_hat_N for tag, est in thetas.items()},

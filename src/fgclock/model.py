@@ -40,6 +40,18 @@ def check_chain(U, name="U", ndim=1):
     return U
 
 
+def check_count(value, name, low=1):
+    """``value`` as an int, checked to be a whole number >= ``low`` and not a bool."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not low <= value < math.inf
+        or int(value) != value
+    ):
+        raise ParameterError(f"{name} must be a whole number >= {low}, got {value!r}")
+    return int(value)
+
+
 def sigma_squared(sigma, lam):
     """sigma**2 for a chain with delay rate ``lam``, after checking both.
 
@@ -110,15 +122,7 @@ class ClockModelParams:
             raise ParameterError(f"d0 must be finite and >= 0, got {self.d0}")
         if not math.isfinite(self.theta0):
             raise ParameterError(f"theta0 must be finite, got {self.theta0}")
-        rounds = self.rounds
-        if (
-            isinstance(rounds, bool)
-            or not isinstance(rounds, numbers.Real)
-            or not 1 <= rounds < math.inf
-            or int(rounds) != rounds
-        ):
-            raise ParameterError(f"rounds must be a positive integer, got {rounds!r}")
-        object.__setattr__(self, "rounds", int(rounds))
+        object.__setattr__(self, "rounds", check_count(self.rounds, "rounds"))
 
 
 @dataclass(frozen=True)
@@ -192,8 +196,11 @@ def random_walks(noise, params):
 
     Returns ``(..., 2, N + 1)`` values: row 0 starts at xi_0 = d0 + theta0,
     row 1 at psi_0 = d0 - theta0, and each adds the cumulative sum of the
-    N(0, sigma^2) increments ``sigma * noise`` along the last axis.
+    N(0, sigma^2) increments ``sigma * noise`` along the last axis. sigma
+    must be finite: an infinite one would make every step inf or NaN.
     """
+    if not math.isfinite(params.sigma):
+        raise ParameterError(f"sigma must be finite to draw a path, got {params.sigma}")
     start = np.array([params.d0 + params.theta0, params.d0 - params.theta0])
     walk = np.empty(noise.shape[:-1] + (noise.shape[-1] + 1,))
     walk[..., 0] = start

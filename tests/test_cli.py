@@ -43,6 +43,13 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "sigma" in err
 
+    def test_infinite_sigma_writes_nothing(self, tmp_path, capsys):
+        code, out, err = run(capsys, "simulate", "--out", str(tmp_path / "x"),
+                             "--sigma", "inf", "--rounds", "3")
+        assert code == EXIT_VALIDATION
+        assert "sigma" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -115,6 +122,13 @@ class TestEstimate:
         doc = json.loads(out)
         assert doc["estimates"]["recursive"]["theta_hat_N"] == pytest.approx(1.5)
 
+    def test_all_variants_in_table_order(self, tmp_path, capsys):
+        csv = tmp_path / "obs.csv"
+        write_obs(csv, [(1, 3.0, 1.0), (2, 2.0, 2.0), (3, 4.0, 3.0)])
+        code, out, _ = run(capsys, "estimate", "--input", str(csv), "--variant", "all")
+        assert code == EXIT_OK
+        assert list(json.loads(out)["estimates"]) == ["recursive", "paper", "ml"]
+
     def test_malformed_row_named(self, tmp_path, capsys):
         csv = tmp_path / "obs.csv"
         csv.write_text("k,U,V\n1,1.0,2.0\n2,oops,2.0\n")
@@ -175,6 +189,37 @@ class TestSweep:
             main(["sweep", "--axis", "delay", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == EXIT_USAGE
 
+    def test_rounds_values_recorded_as_ints(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, _ = run(capsys, "sweep", "--axis", "rounds", "--values", "2,4",
+                         "--trials", "5", "--out", str(out))
+        assert code == EXIT_OK
+        text = (tmp_path / "x.csv.manifest.json").read_text()
+        assert json.loads(text)["config"]["values"] == [2, 4] and "2.0" not in text
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["--axis", "rounds", "--values", "2.5"], {}),
+            (["--axis", "rounds", "--values", "2,x"], {}),
+            (["--axis", "sigma", "--values", "0.1", "--seed", "-1"], {}),
+            ([], {"axis": "rounds", "values": ["a"]}),
+            ([], {"axis": "rounds", "values": [2], "trials": "x"}),
+            ([], {"axis": "rounds", "values": [2], "trials": "100"}),
+            ([], {"axis": "rounds", "values": [2], "seed": "x"}),
+            ([], {"axis": "rounds", "values": [2], "estimators": 5}),
+        ],
+    )
+    def test_malformed_sweep_input_is_validation_error(self, tmp_path, capsys,
+                                                       argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg), *argv,
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_values(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--axis", "rounds",
                            "--out", str(tmp_path / "x.csv"))
@@ -203,6 +248,13 @@ class TestCompareOracle:
         code, _, err = run(capsys, "compare-oracle", "--rounds", "13")
         assert code == EXIT_USAGE
         assert "12" in err
+
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_non_positive_instances_is_validation_error(self, capsys, instances):
+        code, out, err = run(capsys, "compare-oracle", "--instances", instances)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "instances" in err
 
     @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
     def test_extreme_sigma_is_validation_error(self, capsys, sigma):

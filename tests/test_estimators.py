@@ -18,7 +18,7 @@ from fgclock import (
     ml_offset,
     shift_kernel,
 )
-from fgclock.estimators import _chain_shifts, chain_kernel
+from fgclock.estimators import ESTIMATORS, _chain_shifts, chain_kernel
 from fgclock.experiments import ALL_ESTIMATORS, SweepConfig, mse_vs_sigma
 
 finite_reals = st.floats(
@@ -350,6 +350,13 @@ class TestChainKernel:
         with pytest.raises(ParameterError):
             chain_kernel("bogus", 1.0, 0.1, 3)
 
+    @pytest.mark.parametrize("n", [True, "3", 2.5])
+    def test_round_count_must_be_a_whole_number(self, n):
+        with pytest.raises(ParameterError):
+            chain_kernel("paper", 1.0, 0.1, n)
+        with pytest.raises(ParameterError):
+            backward_constants(1.0, 0.1, n)
+
 
 @pytest.mark.parametrize(
     "sigma, underflows",
@@ -520,3 +527,47 @@ class TestFastRecursivePath:
         ).tobytes()
         rows = chain_kernel("recursive", lam, sigma, n)(np.array([U, V]))
         assert rows.tobytes() == np.array([want_hat[-1], want_psi[-1]]).tobytes()
+
+
+# Drawn from a small pool as well as from all finite floats, so that
+# repeated values and 0.0/-0.0 ties are common.
+chain_values = st.sampled_from([0.0, -0.0, 1.0, -1.5]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+chains = st.lists(chain_values, min_size=1, max_size=40).map(np.array)
+
+
+class TestEstimatorTable:
+    @given(U=chains, lam=st.floats(1e-3, 1e3), sigma=st.just(0.0) | st.floats(1e-4, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_series_block_rows_and_backtrack_agree_bit_for_bit(self, U, lam, sigma):
+        # 17 rows: more than any SIMD width, so vector body and scalar tail both run
+        block = np.array([np.roll(U, j) for j in range(17)])
+        final = {}
+        for tag, variant in ESTIMATORS.items():
+            estimate = variant.build(lam, sigma, len(U))
+            singles = np.array([estimate(row) for row in block])
+            assert estimate(block).tobytes() == singles.tobytes(), tag
+            final[tag] = singles[0]
+        want = backtrack_estimate(U, lam, sigma).xi_hat[-1]
+        assert final["recursive"].tobytes() == want.tobytes()
+        assert final["ml"] <= final["paper"] and final["ml"] <= final["recursive"]
+
+    @given(U=chains, lam=st.integers(1, 1000), log2_sigma=st.integers(-30, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_order_is_exact_when_shifts_are(self, U, lam, log2_sigma):
+        """ml <= paper <= recursive exactly in floating point.
+
+        With lam a small integer and sigma a power of two every shift is
+        exact, so the first shift that recursive adds to U_k equals the
+        shift (N - k) lam sigma^2 of paper, and rounding is monotone. With
+        other lam the two shifts can round apart by an ulp, and so can the
+        estimates: at lam = 1/6, sigma = 1, N = 7 and U_1 = 2**53 + 2 (all
+        other U_k = 1e300), recursive is 2**53 + 2 and paper 2**53 + 4.
+        """
+        sigma = 2.0**log2_sigma
+        final = {
+            tag: variant.build(float(lam), sigma, len(U))(U)
+            for tag, variant in ESTIMATORS.items()
+        }
+        assert final["ml"] <= final["paper"] <= final["recursive"]

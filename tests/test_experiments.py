@@ -50,6 +50,30 @@ class TestSweepConfig:
         with pytest.raises(ParameterError):
             make_config(trials=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("values", (2.5,)),
+            ("values", ("a",)),
+            ("values", (True, 3)),
+            ("values", None),
+            ("values", 5),
+            ("trials", "x"),
+            ("trials", 2.5),
+            ("seed", -1),
+            ("seed", "x"),
+            ("estimators", 5),
+        ],
+    )
+    def test_malformed_input_rejected(self, field, value):
+        with pytest.raises(ParameterError):
+            make_config(**{field: value})
+
+    def test_counts_stored_as_int(self):
+        cfg = make_config(values=[2.0, 5.0], trials=30.0, seed=np.int64(3))
+        assert cfg.values == (2, 5) and cfg.trials == 30 and cfg.seed == 3
+        assert {type(v) for v in (*cfg.values, cfg.trials, cfg.seed)} == {int}
+
     def test_unknown_estimator(self):
         with pytest.raises(ParameterError):
             make_config(estimators=("fge-recursive", "bogus"))

@@ -88,6 +88,12 @@ class TestSimulatePaths:
         var = np.var(np.diff(path.xi), ddof=1)
         assert abs(var - 1e-4) < 1e-5
 
+    def test_infinite_sigma_rejected_before_drawing(self):
+        # ClockModelParams admits sigma = inf (a sweep reports it as a failed
+        # cell); drawing a path with it would give inf and NaN values
+        with pytest.raises(ParameterError, match="sigma"):
+            simulate_paths(make_params(sigma=math.inf), seed=1)
+
     def test_negative_d_counter(self):
         path = LatentPath(xi=np.array([1.0, -2.0, 1.0]), psi=np.array([1.0, -2.0, 1.0]))
         assert path.negative_d_count == 1
