@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, FgclockError, ParameterError
+from .errors import ConvergenceError, FgclockError, ParameterError, SizeError
 from .estimators import ESTIMATORS, fge_offset
 from .experiments import (
     AXIS_ROUNDS,
@@ -25,14 +25,24 @@ from .experiments import (
     mse_vs_rounds,
     mse_vs_sigma,
 )
-from .model import ClockModelParams, simulate_observations, simulate_paths
-from .oracle import MAX_ENUM_ROUNDS, exact_map_active_set
+from .model import ClockModelParams, check_count, simulate_observations, simulate_paths
+from .oracle import check_enumerable, exact_map_active_set
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_CONVERGENCE = 4
 EXIT_IO = 5
+
+#: Exit code of each error; the first matching row wins.
+EXIT_CODES = (
+    (ConvergenceError, EXIT_CONVERGENCE),
+    (SizeError, EXIT_USAGE),
+    (FgclockError, EXIT_VALIDATION),
+    (OSError, EXIT_IO),
+    (json.JSONDecodeError, EXIT_IO),
+    (UnicodeDecodeError, EXIT_IO),
+)
 
 _MODEL_DEFAULTS = {
     "lambda_xi": 10.0,
@@ -68,7 +78,6 @@ def _resolve_model(cfg, args):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    merged["rounds"] = int(merged["rounds"])
     return ClockModelParams(**merged)
 
 
@@ -98,7 +107,8 @@ def _add_model_flags(parser, with_rounds=True):
 def cmd_simulate(args):
     cfg = _load_config(args.config)
     params = _resolve_model(cfg, args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = check_count(args.seed if args.seed is not None else cfg.get("seed", 0),
+                       "seed", low=0)
     path = simulate_paths(params, seed=[seed, 0])
     obs = simulate_observations(path, params, seed=[seed, 1])
 
@@ -209,16 +219,10 @@ def cmd_sweep(args):
 
 
 def cmd_compare_oracle(args):
-    if args.rounds > MAX_ENUM_ROUNDS:
-        print(
-            f"error: compare-oracle needs --rounds <= {MAX_ENUM_ROUNDS}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.instances < 1:
-        raise ParameterError(f"--instances must be >= 1, got {args.instances}")
+    check_enumerable(args.rounds)
+    instances = check_count(args.instances, "--instances")
+    seed = check_count(args.seed, "--seed", low=0)
     params = _resolve_model({}, args)
-    params = dataclasses.replace(params, rounds=args.rounds)
     # the factor-graph variants, each against the exact MAP
     estimators = {
         variant.oracle_key: variant.build(params.lambda_xi, params.sigma, params.rounds)
@@ -226,17 +230,17 @@ def cmd_compare_oracle(args):
         if variant.oracle_key is not None
     }
     worst = dict.fromkeys(estimators, (-1.0, None))
-    for i in range(args.instances):
-        path = simulate_paths(params, seed=[args.seed, i, 0])
-        obs = simulate_observations(path, params, seed=[args.seed, i, 1])
+    for i in range(instances):
+        path = simulate_paths(params, seed=[seed, i, 0])
+        obs = simulate_observations(path, params, seed=[seed, i, 1])
         exact = exact_map_active_set(obs.U, params.lambda_xi, params.sigma).path[-1]
         for key, estimate in estimators.items():
             dev = abs(estimate(obs.U) - exact)
             if dev > worst[key][0]:
                 worst[key] = (dev, i)
-    report = {"rounds": args.rounds, "instances": args.instances, "seed": args.seed}
+    report = {"rounds": params.rounds, "instances": instances, "seed": seed}
     for key, (value, index) in worst.items():
-        report[key] = {"value": value, "at": {"seed": args.seed, "index": index}}
+        report[key] = {"value": value, "at": {"seed": seed, "index": index}}
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -292,15 +296,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
+    except tuple(error for error, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except FgclockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for error, code in EXIT_CODES if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -19,12 +19,11 @@ import dataclasses
 import io
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FgclockError, ParameterError
+from .errors import DegenerateModelError, FgclockError, ParameterError, SizeError
 from .estimators import ESTIMATORS, chain_kernel, fge_offset
 from .model import (
     ClockModelParams,
@@ -34,10 +33,12 @@ from .model import (
     exponential_delays,
     random_walks,
 )
-from .oracle import MAX_ENUM_ROUNDS, exact_map_active_set
+from .oracle import exact_map_active_set
 
 AXIS_ROUNDS = "rounds"
 AXIS_SIGMA = "sigma"
+#: Type of each axis's values in the cell's model; an axis names its field.
+_AXIS_TYPES = {AXIS_ROUNDS: int, AXIS_SIGMA: float}
 
 #: Variant tag of each estimator label, in the table's order.
 _TAGS = {variant.label: tag for tag, variant in ESTIMATORS.items()}
@@ -67,7 +68,7 @@ class SweepConfig:
     estimators: tuple = ALL_ESTIMATORS
 
     def __post_init__(self):
-        if self.axis not in (AXIS_ROUNDS, AXIS_SIGMA):
+        if self.axis not in _AXIS_TYPES:
             raise ParameterError(f"axis must be 'rounds' or 'sigma', got {self.axis!r}")
         vals = _as_tuple(self.values)
         if not vals or not all(
@@ -192,8 +193,10 @@ def _run_cell(params, axis_index, trials, master_seed, estimators):
     return sq
 
 
-def _cell_rows(axis_value, params, axis_index, config):
+def _cell_rows(axis_value, axis_index, config):
     try:
+        value = _AXIS_TYPES[config.axis](axis_value)
+        params = dataclasses.replace(config.params, **{config.axis: value})
         sq = _run_cell(params, axis_index, config.trials, config.seed, config.estimators)
     except FgclockError as exc:
         # Tagged failure rows keep the table rectangular while flagging the cell.
@@ -214,15 +217,19 @@ def _cell_rows(axis_value, params, axis_index, config):
     return rows
 
 
+def _sweep(config, axis):
+    """The table of ``config``, one cell per axis value; its axis must be ``axis``."""
+    if config.axis != axis:
+        raise ParameterError(f"config.axis must be {axis!r}, got {config.axis!r}")
+    rows = []
+    for i, value in enumerate(config.values):
+        rows.extend(_cell_rows(value, i, config))
+    return MseTable(axis=axis, rows=tuple(rows))
+
+
 def mse_vs_rounds(config):
     """MSE of each estimator as the number of rounds N grows."""
-    if config.axis != AXIS_ROUNDS:
-        raise ParameterError(f"config.axis must be 'rounds', got {config.axis!r}")
-    rows = []
-    for i, n in enumerate(config.values):
-        params = dataclasses.replace(config.params, rounds=int(n))
-        rows.extend(_cell_rows(n, params, i, config))
-    return MseTable(axis=AXIS_ROUNDS, rows=tuple(rows))
+    return _sweep(config, AXIS_ROUNDS)
 
 
 def mse_vs_sigma(config):
@@ -232,21 +239,15 @@ def mse_vs_sigma(config):
     resampled), serving as the reference the factor-graph rows approach
     for small sigma.
     """
-    if config.axis != AXIS_SIGMA:
-        raise ParameterError(f"config.axis must be 'sigma', got {config.axis!r}")
-    rows = []
-    for i, s in enumerate(config.values):
-        params = dataclasses.replace(config.params, sigma=float(s))
-        rows.extend(_cell_rows(s, params, i, config))
-    return MseTable(axis=AXIS_SIGMA, rows=tuple(rows))
+    return _sweep(config, AXIS_SIGMA)
 
 
 def compare_estimators(U, V, params):
     """Side-by-side report of all three estimators on one instance.
 
-    Includes the exact-MAP oracle coordinates when N is small enough for
-    enumeration and sigma**2 is in the normal range (the oracle's domain),
-    plus absolute deviations between every estimator pair.
+    Includes the exact-MAP oracle coordinates unless the oracle refuses the
+    instance (N above its enumeration cap, or a degenerate sigma**2), plus
+    absolute deviations between every estimator pair.
     """
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -269,12 +270,14 @@ def compare_estimators(U, V, params):
         },
         "oracle": None,
     }
-    if len(U) <= MAX_ENUM_ROUNDS and params.sigma**2 >= sys.float_info.min:
+    try:
         xi_sol = exact_map_active_set(U, params.lambda_xi, params.sigma)
         psi_sol = exact_map_active_set(V, params.lambda_psi, params.sigma)
-        report["oracle"] = {
-            "xi_hat_N": float(xi_sol.path[-1]),
-            "psi_hat_N": float(psi_sol.path[-1]),
-            "theta_hat_N": float(xi_sol.path[-1] - psi_sol.path[-1]) / 2.0,
-        }
+    except (SizeError, DegenerateModelError):
+        return report
+    report["oracle"] = {
+        "xi_hat_N": float(xi_sol.path[-1]),
+        "psi_hat_N": float(psi_sol.path[-1]),
+        "theta_hat_N": float(xi_sol.path[-1] - psi_sol.path[-1]) / 2.0,
+    }
     return report

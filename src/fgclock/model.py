@@ -116,8 +116,7 @@ class ClockModelParams:
     def __post_init__(self):
         check_rate(self.lambda_xi, "lambda_xi")
         check_rate(self.lambda_psi, "lambda_psi")
-        if not self.sigma >= 0:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        sigma_squared(self.sigma, max(self.lambda_xi, self.lambda_psi))
         if not 0 <= self.d0 < math.inf:
             raise ParameterError(f"d0 must be finite and >= 0, got {self.d0}")
         if not math.isfinite(self.theta0):
@@ -196,11 +195,8 @@ def random_walks(noise, params):
 
     Returns ``(..., 2, N + 1)`` values: row 0 starts at xi_0 = d0 + theta0,
     row 1 at psi_0 = d0 - theta0, and each adds the cumulative sum of the
-    N(0, sigma^2) increments ``sigma * noise`` along the last axis. sigma
-    must be finite: an infinite one would make every step inf or NaN.
+    N(0, sigma^2) increments ``sigma * noise`` along the last axis.
     """
-    if not math.isfinite(params.sigma):
-        raise ParameterError(f"sigma must be finite to draw a path, got {params.sigma}")
     start = np.array([params.d0 + params.theta0, params.d0 - params.theta0])
     walk = np.empty(noise.shape[:-1] + (noise.shape[-1] + 1,))
     walk[..., 0] = start

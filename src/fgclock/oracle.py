@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridCoverageError, ParameterError, SizeError
-from .model import chain_log_posterior, check_chain, density_sigma_squared
+from .model import chain_log_posterior, check_chain, check_count, density_sigma_squared
 
 #: Active-set enumeration is 2^N; keep desk-scale.
 MAX_ENUM_ROUNDS = 12
@@ -43,6 +43,12 @@ def _validate_chain_args(U, lam, sigma):
     """Checked ``U``; the MAP objective divides by sigma**2, so it must be normal."""
     density_sigma_squared(sigma, lam)
     return check_chain(U)
+
+
+def check_enumerable(n):
+    """Raise SizeError unless active-set enumeration supports ``n`` rounds."""
+    if n > MAX_ENUM_ROUNDS:
+        raise SizeError(f"active-set enumeration supports N <= {MAX_ENUM_ROUNDS}, got {n}")
 
 
 def _objective(path, U, lam, sigma):
@@ -110,10 +116,7 @@ def exact_map_active_set(U, lam, sigma):
     """
     U = _validate_chain_args(U, lam, sigma)
     n = len(U)
-    if n > MAX_ENUM_ROUNDS:
-        raise SizeError(
-            f"active-set enumeration supports N <= {MAX_ENUM_ROUNDS}, got {n}"
-        )
+    check_enumerable(n)
     lam_s2 = lam * sigma**2
     feas_tol = 1e-9 * max(1.0, float(np.max(np.abs(U))))
     best = None
@@ -150,6 +153,7 @@ def coordinate_ascent_map(U, lam, sigma, tol=1e-12, max_iters=200_000):
     U = _validate_chain_args(U, lam, sigma)
     if not tol > 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
+    max_iters = check_count(max_iters, "max_iters")
     n = len(U)
     lam_s2 = lam * sigma**2
     x = U.astype(float).copy()
@@ -229,11 +233,9 @@ def grid_max_marginal(U, lam, sigma, lo, hi, points):
     on a grid boundary or the grid misses the feasible region entirely.
     """
     U = _validate_chain_args(U, lam, sigma)
-    if not lo < hi:
-        raise ParameterError(f"need lo < hi, got {lo} >= {hi}")
-    if int(points) != points or points < 2:
-        raise ParameterError(f"points must be an integer >= 2, got {points}")
-    points = int(points)
+    if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+        raise ParameterError(f"need lo < hi with hi - lo finite, got lo={lo}, hi={hi}")
+    points = check_count(points, "points", low=2)
     grid = np.linspace(lo, hi, points)
     h = grid[1] - grid[0]
     c = h * h / (2.0 * sigma**2)

@@ -87,6 +87,36 @@ class TestSimulate:
                          "--out", str(tmp_path / "x"))
         assert code == EXIT_IO
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"rounds": "\xff\xfe"}')
+        code, out, _ = run(capsys, "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path / "x"))
+        assert code == EXIT_IO
+        assert out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["--sigma", "1e200"], {}),
+            (["--sigma", "5e153"], {}),  # lambda * sigma**2 overflows at lambda = 10
+            (["--seed", "-1"], {}),
+            ([], {"rounds": 2.5}),
+            ([], {"rounds": "3"}),
+            ([], {"seed": 1.7}),
+            ([], {"seed": "1"}),
+        ],
+    )
+    def test_malformed_input_is_validation_error(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run(capsys, "simulate", "--config", str(cfg), *argv,
+                           "--out", str(tmp_path / "x"))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 def write_obs(path, rows):
     lines = ["k,U,V"] + [f"{k},{u},{v}" for k, u, v in rows]
@@ -154,6 +184,13 @@ class TestEstimate:
         assert code == EXIT_VALIDATION
         assert "k,U,V" in err
 
+    def test_undecodable_input(self, tmp_path, capsys):
+        csv = tmp_path / "obs.csv"
+        csv.write_bytes(b"k,U,V\n1,\xff\xfe,2.0\n")
+        code, out, _ = run(capsys, "estimate", "--input", str(csv))
+        assert code == EXIT_IO
+        assert out == ""
+
 
 class TestSweep:
     def test_deterministic_csv(self, tmp_path, capsys):
@@ -208,6 +245,9 @@ class TestSweep:
             ([], {"axis": "rounds", "values": [2], "trials": "100"}),
             ([], {"axis": "rounds", "values": [2], "seed": "x"}),
             ([], {"axis": "rounds", "values": [2], "estimators": 5}),
+            (["--axis", "sigma", "--values", "0.1"], {"rounds": 2.5}),
+            (["--axis", "sigma", "--values", "0.1"], {"rounds": "3"}),
+            (["--axis", "rounds", "--values", "2", "--sigma", "1e200"], {}),
         ],
     )
     def test_malformed_sweep_input_is_validation_error(self, tmp_path, capsys,
@@ -255,6 +295,13 @@ class TestCompareOracle:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "instances" in err
+
+    def test_negative_seed_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "compare-oracle", "--seed", "-1",
+                             "--instances", "2")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "seed" in err
 
     @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
     def test_extreme_sigma_is_validation_error(self, capsys, sigma):

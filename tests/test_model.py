@@ -44,6 +44,9 @@ class TestParams:
             ("rounds", math.nan),
             ("rounds", math.inf),
             ("rounds", "3"),
+            ("sigma", 1e200),
+            ("sigma", math.inf),
+            ("sigma", 5e153),  # lambda * sigma**2 overflows at lambda = 10
         ],
     )
     def test_invalid_params_rejected(self, field, value):
@@ -89,8 +92,8 @@ class TestSimulatePaths:
         assert abs(var - 1e-4) < 1e-5
 
     def test_infinite_sigma_rejected_before_drawing(self):
-        # ClockModelParams admits sigma = inf (a sweep reports it as a failed
-        # cell); drawing a path with it would give inf and NaN values
+        # ClockModelParams refuses sigma = inf (a sweep reports it as a failed
+        # cell), so no path is drawn with inf and NaN values
         with pytest.raises(ParameterError, match="sigma"):
             simulate_paths(make_params(sigma=math.inf), seed=1)
 

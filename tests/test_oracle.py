@@ -121,6 +121,11 @@ class TestCoordinateAscent:
         with pytest.raises(ParameterError):
             coordinate_ascent_map([1.0], 1.0, 0.1, tol=0.0)
 
+    @pytest.mark.parametrize("max_iters", [2.5, "5", 0])
+    def test_max_iters_must_be_a_whole_number(self, max_iters):
+        with pytest.raises(ParameterError, match="max_iters"):
+            coordinate_ascent_map([1.0, 2.0], 1.0, 0.1, max_iters=max_iters)
+
 
 class TestOracleNeverBeaten:
     def test_backtracked_path_never_exceeds_oracle(self):
@@ -169,6 +174,20 @@ class TestGridMaxMarginal:
     def test_bad_bounds(self):
         with pytest.raises(ParameterError):
             grid_max_marginal([1.0], 1.0, 0.1, lo=2.0, hi=1.0, points=512)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-math.inf, 5.0), (0.0, math.inf), (-1e308, 1e308),
+         (np.float64(-1e308), np.float64(1e308))],
+    )
+    def test_bounds_must_span_a_finite_range(self, lo, hi):
+        with pytest.raises(ParameterError, match="lo < hi"):
+            grid_max_marginal([1.0], 1.0, 0.1, lo=lo, hi=hi, points=512)
+
+    @pytest.mark.parametrize("points", [math.nan, math.inf])
+    def test_points_must_be_a_whole_number(self, points):
+        with pytest.raises(ParameterError, match="points"):
+            grid_max_marginal([1.0], 1.0, 0.1, lo=0.0, hi=2.0, points=points)
 
 
 class TestOraclesConsistent:
