@@ -111,6 +111,7 @@ def cmd_simulate(args):
                        "seed", low=0)
     path = simulate_paths(params, seed=[seed, 0])
     obs = simulate_observations(path, params, seed=[seed, 1])
+    theta, d = path.theta, path.d
 
     obs_file = f"{args.out}_observations.csv"
     latent_file = f"{args.out}_latent.csv"
@@ -123,7 +124,6 @@ def cmd_simulate(args):
     with open(latent_file, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["k", "xi", "psi", "theta", "d"])
-        theta, d = path.theta, path.d
         for k in range(params.rounds + 1):
             writer.writerow(
                 [k, repr(float(path.xi[k])), repr(float(path.psi[k])),

@@ -18,7 +18,6 @@ import csv
 import dataclasses
 import io
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .estimators import ESTIMATORS, chain_kernel, fge_offset
 from .model import (
     ClockModelParams,
     check_count,
+    check_real,
     draw_delay_uniforms,
     draw_path_noise,
     exponential_delays,
@@ -68,20 +68,18 @@ class SweepConfig:
     estimators: tuple = ALL_ESTIMATORS
 
     def __post_init__(self):
-        if self.axis not in _AXIS_TYPES:
+        if self.axis not in (AXIS_ROUNDS, AXIS_SIGMA):
             raise ParameterError(f"axis must be 'rounds' or 'sigma', got {self.axis!r}")
         vals = _as_tuple(self.values)
-        if not vals or not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals
-        ):
+        if not vals:
             raise ParameterError(
                 f"sweep values must be a nonempty list of numbers, got {self.values!r}"
             )
         if self.axis == AXIS_ROUNDS:
             # ints, so that a manifest records rounds 2, not 2.0
             vals = tuple(check_count(v, "rounds values") for v in vals)
-        elif not all(v >= 0 for v in vals):
-            raise ParameterError("sigma values must be >= 0")
+        else:
+            vals = tuple(check_real(v, "sigma values", 0.0) for v in vals)
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ParameterError("sweep values must be strictly increasing")
         object.__setattr__(self, "values", vals)
@@ -97,9 +95,9 @@ class SweepConfig:
 
 
 def _as_tuple(value):
-    """``value`` as a tuple, or () if it is not iterable (None, a number)."""
+    """``value`` as a tuple, or () for a string or a non-iterable (None, a number)."""
     try:
-        return tuple(value)
+        return () if isinstance(value, str) else tuple(value)
     except TypeError:
         return ()
 
@@ -194,10 +192,21 @@ def _run_cell(params, axis_index, trials, master_seed, estimators):
 
 
 def _cell_rows(axis_value, axis_index, config):
+    trials = config.trials
+    rows = []
     try:
         value = _AXIS_TYPES[config.axis](axis_value)
         params = dataclasses.replace(config.params, **{config.axis: value})
-        sq = _run_cell(params, axis_index, config.trials, config.seed, config.estimators)
+        # near the float limit errors overflow: the cell fails, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = _run_cell(params, axis_index, trials, config.seed, config.estimators)
+            for tag in config.estimators:
+                mse = float(np.mean(sq[tag]))
+                stderr = (float(np.std(sq[tag], ddof=1) / math.sqrt(trials))
+                          if trials > 1 else math.nan)
+                if not math.isfinite(mse) or math.isinf(stderr):
+                    raise ParameterError(f"the squared errors of {tag} overflow")
+                rows.append(MseRow(float(axis_value), tag, mse, stderr, trials))
     except FgclockError as exc:
         # Tagged failure rows keep the table rectangular while flagging the cell.
         return [
@@ -205,15 +214,6 @@ def _cell_rows(axis_value, axis_index, config):
                    math.nan, math.nan, 0)
             for tag in config.estimators
         ]
-    rows = []
-    for tag in config.estimators:
-        errors = sq[tag]
-        mse = float(np.mean(errors))
-        if config.trials > 1:
-            stderr = float(np.std(errors, ddof=1) / math.sqrt(config.trials))
-        else:
-            stderr = math.nan
-        rows.append(MseRow(float(axis_value), tag, mse, stderr, config.trials))
     return rows
 
 

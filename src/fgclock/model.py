@@ -20,14 +20,30 @@ import numpy as np
 
 from .errors import DegenerateModelError, ParameterError, ShapeError
 
+FLOAT_MAX = sys.float_info.max
 #: Largest sigma whose square is still finite.
-SIGMA_MAX = math.sqrt(sys.float_info.max)
+SIGMA_MAX = math.sqrt(FLOAT_MAX)
+
+
+def check_real(value, name, low=-math.inf, high=math.inf):
+    """``value``, unchanged, if it is a real number in [``low``, ``high``].
+
+    ParameterError refuses bools, strings, None, NaN and ints too large for a float."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ParameterError(f"{name} must be a number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ParameterError(f"{name} must fit in a float, got {value!r}") from None
+    if not low <= value <= high:
+        raise ParameterError(f"{name} must be in [{low:.4g}, {high:.4g}], got {value!r}")
+    return value
 
 
 def check_rate(lam, name="lam"):
     """Raise ParameterError unless ``lam`` is a finite delay rate > 0."""
-    if not 0 < lam < math.inf:
-        raise ParameterError(f"{name} must be finite and > 0, got {lam}")
+    check_real(lam, name, math.ulp(0.0), FLOAT_MAX)
 
 
 def check_chain(U, name="U", ndim=1):
@@ -41,13 +57,8 @@ def check_chain(U, name="U", ndim=1):
 
 
 def check_count(value, name, low=1):
-    """``value`` as an int, checked to be a whole number >= ``low`` and not a bool."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not low <= value < math.inf
-        or int(value) != value
-    ):
+    """``value`` as an int, checked to be a whole number >= ``low``."""
+    if int(check_real(value, name, low, FLOAT_MAX)) != value:
         raise ParameterError(f"{name} must be a whole number >= {low}, got {value!r}")
     return int(value)
 
@@ -60,11 +71,7 @@ def sigma_squared(sigma, lam):
     a zero-distance term would be inf * 0 = NaN.
     """
     check_rate(lam)
-    if not 0 <= sigma <= SIGMA_MAX:
-        raise ParameterError(
-            f"sigma must be >= 0 with a finite square (<= {SIGMA_MAX:.4g}), got {sigma}"
-        )
-    s2 = sigma**2
+    s2 = check_real(sigma, "sigma", 0.0, SIGMA_MAX) ** 2
     # Python floats: an overflowing product is inf, without a numpy warning
     if math.isinf(float(lam) * float(s2)):
         raise ParameterError(f"lam * sigma**2 overflows (lam={lam}, sigma={sigma})")
@@ -117,10 +124,8 @@ class ClockModelParams:
         check_rate(self.lambda_xi, "lambda_xi")
         check_rate(self.lambda_psi, "lambda_psi")
         sigma_squared(self.sigma, max(self.lambda_xi, self.lambda_psi))
-        if not 0 <= self.d0 < math.inf:
-            raise ParameterError(f"d0 must be finite and >= 0, got {self.d0}")
-        if not math.isfinite(self.theta0):
-            raise ParameterError(f"theta0 must be finite, got {self.theta0}")
+        check_real(self.d0, "d0", 0.0, FLOAT_MAX)
+        check_real(self.theta0, "theta0", -FLOAT_MAX, FLOAT_MAX)
         object.__setattr__(self, "rounds", check_count(self.rounds, "rounds"))
 
 
@@ -141,13 +146,15 @@ class LatentPath:
 
     @property
     def theta(self):
-        """Per-index clock offset theta_k = (xi_k - psi_k) / 2."""
-        return (self.xi - self.psi) / 2.0
+        """Per-index clock offset theta_k = (xi_k - psi_k) / 2, checked finite."""
+        with np.errstate(over="ignore"):
+            return check_chain((self.xi - self.psi) / 2.0, "simulated theta")
 
     @property
     def d(self):
-        """Per-index propagation delay d_k = (xi_k + psi_k) / 2."""
-        return (self.xi + self.psi) / 2.0
+        """Per-index propagation delay d_k = (xi_k + psi_k) / 2, checked finite."""
+        with np.errstate(over="ignore"):
+            return check_chain((self.xi + self.psi) / 2.0, "simulated d")
 
     @property
     def negative_d_count(self):
@@ -211,7 +218,8 @@ def exponential_delays(uniforms, params):
     """Network delays from ``(..., 2, N)`` uniforms on [0, 1).
 
     Inverse-CDF transform: row 0 becomes Exp(lambda_xi) delays (the U side)
-    and row 1 Exp(lambda_psi) delays (the V side).
+    and row 1 Exp(lambda_psi) delays (the V side). A rate near 0 gives inf
+    delays: callers silence the overflow warning, and refuse or fail on inf.
     """
     delays = np.log1p(-uniforms)
     np.negative(delays, out=delays)
@@ -238,6 +246,7 @@ def simulate_observations(path, params, seed):
 
     The exponential delays are the inverse-CDF transform of the uniforms
     drawn by :func:`draw_delay_uniforms` (U-side draws first, then V-side).
+    ParameterError refuses a U or V that overflows.
     """
     if path.rounds != params.rounds:
         raise ShapeError(
@@ -245,8 +254,11 @@ def simulate_observations(path, params, seed):
         )
     uniforms = np.empty((2, params.rounds))
     draw_delay_uniforms(seed, uniforms)
-    x, y = exponential_delays(uniforms, params)
-    return ObservationSeries(U=path.xi[1:] + x, V=path.psi[1:] + y)
+    with np.errstate(over="ignore"):
+        obs = exponential_delays(uniforms, params)
+        obs[0] += path.xi[1:]
+        obs[1] += path.psi[1:]
+    return ObservationSeries(*check_chain(obs, "simulated U and V", ndim=2))
 
 
 def chain_log_posterior(candidate, obs, lam, sigma):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridCoverageError, ParameterError, SizeError
-from .model import chain_log_posterior, check_chain, check_count, density_sigma_squared
+from .model import (FLOAT_MAX, chain_log_posterior, check_chain, check_count, check_real,
+                    density_sigma_squared)
 
 #: Active-set enumeration is 2^N; keep desk-scale.
 MAX_ENUM_ROUNDS = 12
@@ -151,8 +152,7 @@ def coordinate_ascent_map(U, lam, sigma, tol=1e-12, max_iters=200_000):
     largest coordinate change in a sweep drops below ``tol``.
     """
     U = _validate_chain_args(U, lam, sigma)
-    if not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    check_real(tol, "tol", math.ulp(0.0))
     max_iters = check_count(max_iters, "max_iters")
     n = len(U)
     lam_s2 = lam * sigma**2
@@ -233,12 +233,15 @@ def grid_max_marginal(U, lam, sigma, lo, hi, points):
     on a grid boundary or the grid misses the feasible region entirely.
     """
     U = _validate_chain_args(U, lam, sigma)
-    if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+    if not (check_real(lo, "lo") < check_real(hi, "hi")
+            and math.isfinite(float(hi) - float(lo))):
         raise ParameterError(f"need lo < hi with hi - lo finite, got lo={lo}, hi={hi}")
     points = check_count(points, "points", low=2)
     grid = np.linspace(lo, hi, points)
-    h = grid[1] - grid[0]
-    c = h * h / (2.0 * sigma**2)
+    # squared in Python floats, so that an overflow is refused without a warning
+    h = float(grid[1] - grid[0])
+    c = check_real(h * h / (2.0 * float(sigma) ** 2), "grid step**2 / (2 sigma**2)",
+                   math.ulp(0.0), FLOAT_MAX)
     linear = lam * grid
     # round each constraint boundary to the nearest grid point; flooring it
     # would bias every level's cut downward by up to a full step

@@ -1,8 +1,19 @@
+import contextlib
+import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fgclock import cli
 from fgclock.cli import (
+    _MODEL_KEYS,
+    _SWEEP_KEYS,
     EXIT_CONVERGENCE,
     EXIT_IO,
     EXIT_OK,
@@ -10,6 +21,8 @@ from fgclock.cli import (
     EXIT_VALIDATION,
     main,
 )
+from fgclock.errors import ConvergenceError
+from fgclock.experiments import ALL_ESTIMATORS
 
 
 def run(capsys, *argv):
@@ -106,6 +119,16 @@ class TestSimulate:
             ([], {"rounds": "3"}),
             ([], {"seed": 1.7}),
             ([], {"seed": "1"}),
+            ([], {"sigma": "0.1"}),
+            ([], {"lambda_xi": "x"}),
+            ([], {"d0": "1"}),
+            ([], {"theta0": None}),
+            ([], {"sigma": None}),
+            ([], {"lambda_psi": True}),
+            ([], {"rounds": 10**400}),
+            ([], {"lambda_xi": 1e-320}),  # the delays overflow
+            ([], {"d0": 1e308, "theta0": 1e308}),  # xi = d0 + theta0 overflows
+            ([], {"d0": 1.7e308, "theta0": 0}),  # d = (xi + psi) / 2 overflows
         ],
     )
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, argv, config):
@@ -248,6 +271,9 @@ class TestSweep:
             (["--axis", "sigma", "--values", "0.1"], {"rounds": 2.5}),
             (["--axis", "sigma", "--values", "0.1"], {"rounds": "3"}),
             (["--axis", "rounds", "--values", "2", "--sigma", "1e200"], {}),
+            ([], {"axis": ["rounds"], "values": [2]}),
+            ([], {"axis": "sigma", "values": [10**400]}),
+            ([], {"axis": "rounds", "values": [10**400]}),
         ],
     )
     def test_malformed_sweep_input_is_validation_error(self, tmp_path, capsys,
@@ -259,6 +285,25 @@ class TestSweep:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"lambda_xi": 1e-320},  # the delays overflow
+            {"d0": 0.0, "theta0": 1.7e308},  # xi - psi overflows
+            {"sigma": 1e154, "lambda_xi": 1, "lambda_psi": 1},  # mse overflows
+        ],
+    )
+    def test_overflowing_cells_fail_without_warning(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"axis": "rounds", "values": [2, 5], "trials": 20,
+                                   **config}))
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+        assert code == EXIT_OK and err == ""
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 6
+        assert all(r["estimator"].endswith(":failed[ParameterError]") for r in rows)
 
     def test_missing_values(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--axis", "rounds",
@@ -310,3 +355,71 @@ class TestCompareOracle:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "sigma" in err
+
+
+# A valid config with up to three known keys set to any JSON value. Counts are
+# drawn from 1..50, or from values every count refuses, so that no example
+# allocates more than a few MB.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.floats() | st.integers()
+    | st.integers(2**1024, 2**1100) | st.sampled_from(["rounds", "sigma", "ml"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+COUNT_SCALARS = (
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-50, 50)
+    | st.floats(-50, 50) | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.integers(2**1024, 2**1100)
+)
+COUNTS = (COUNT_SCALARS | st.lists(COUNT_SCALARS, max_size=4)
+          | st.dictionaries(st.text(max_size=3), COUNT_SCALARS, max_size=2))
+COUNT_KEYS = ("rounds", "trials", "seed", "values")
+VALID_CONFIGS = st.fixed_dictionaries({
+    **dict.fromkeys(("lambda_xi", "lambda_psi", "sigma", "d0"), st.floats(1e-3, 1e3)),
+    "theta0": st.floats(-1e3, 1e3),
+    **dict.fromkeys(("rounds", "trials", "seed"), st.integers(1, 50)),
+    "values": st.sets(st.integers(1, 50), min_size=1, max_size=4).map(sorted),
+    "axis": st.sampled_from(["rounds", "sigma"]),
+    "estimators": st.lists(st.sampled_from(ALL_ESTIMATORS), min_size=1, max_size=3),
+})
+CONFIGS = st.builds(
+    lambda valid, replaced: {**valid, **replaced},
+    VALID_CONFIGS,
+    st.lists(st.sampled_from([*_MODEL_KEYS, *_SWEEP_KEYS]), max_size=3, unique=True)
+    .flatmap(lambda keys: st.fixed_dictionaries(
+        {key: COUNTS if key in COUNT_KEYS else ANY_JSON for key in keys})),
+)
+
+
+class TestErrorContract:
+    def test_convergence_error_exits_4(self, monkeypatch, capsys):
+        # no subcommand raises ConvergenceError today; the table still maps it
+        def stalled(args):
+            raise ConvergenceError("did not converge", last_path=None)
+
+        monkeypatch.setattr(cli, "cmd_compare_oracle", stalled)
+        code, out, err = run(capsys, "compare-oracle")
+        assert code == EXIT_CONVERGENCE
+        assert out == "" and err.splitlines() == ["error: did not converge"]
+
+    @given(command=st.sampled_from(["simulate", "sweep"]), config=CONFIGS)
+    @settings(max_examples=300, deadline=None)
+    def test_generated_configs(self, command, config):
+        # exit 0, or one error line, a documented code and no file written
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--out", f"{tmp}/o"])
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_IO)
+            if code != EXIT_OK:
+                assert err.getvalue().startswith("error: ")
+                assert len(err.getvalue().splitlines()) == 1
+                assert out.getvalue() == ""
+                assert list(Path(tmp).iterdir()) == [cfg]
+            elif command == "simulate":
+                with open(f"{tmp}/o_observations.csv") as fh:
+                    rows = list(csv.DictReader(fh))
+                assert all(math.isfinite(float(r[c])) for r in rows for c in "UV")

@@ -63,6 +63,8 @@ class TestSweepConfig:
             ("seed", -1),
             ("seed", "x"),
             ("estimators", 5),
+            ("axis", ["rounds"]),
+            pytest.param("values", (10**400,), id="values-10**400"),
         ],
     )
     def test_malformed_input_rejected(self, field, value):

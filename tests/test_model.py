@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fgclock import (
     simulate_observations,
     simulate_paths,
 )
+from fgclock.model import check_real
 
 
 def make_params(**kw):
@@ -47,6 +49,14 @@ class TestParams:
             ("sigma", 1e200),
             ("sigma", math.inf),
             ("sigma", 5e153),  # lambda * sigma**2 overflows at lambda = 10
+            ("sigma", "0.1"),
+            ("lambda_xi", "x"),
+            ("d0", "1"),
+            ("theta0", None),
+            ("sigma", None),
+            ("lambda_psi", True),
+            pytest.param("rounds", 10**400, id="rounds-10**400"),
+            pytest.param("theta0", -(10**400), id="theta0--10**400"),
         ],
     )
     def test_invalid_params_rejected(self, field, value):
@@ -60,6 +70,30 @@ class TestParams:
 
     def test_theta0_may_be_negative(self):
         make_params(theta0=-0.3)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize(
+        "value", [10, 2.5, -0.0, np.float64(0.5), np.int64(3), Fraction(1, 3), math.inf]
+    )
+    def test_returns_value_unchanged(self, value):
+        assert check_real(value, "x") is value
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, "1", None, math.nan, np.float64(math.nan), [1.0], 1j,
+         pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
+    )
+    def test_refused(self, value):
+        with pytest.raises(ParameterError, match="x"):
+            check_real(value, "x")
+
+    def test_bounds_are_inclusive(self):
+        assert check_real(0.0, "x", 0.0, 1) == 0.0
+        assert check_real(1, "x", 0.0, 1) == 1
+        for value in (-5e-324, 1.0000000000000002, math.inf):
+            with pytest.raises(ParameterError, match=r"x must be in \[0, 1\]"):
+                check_real(value, "x", 0.0, 1)
 
 
 class TestSimulatePaths:
@@ -97,6 +131,15 @@ class TestSimulatePaths:
         with pytest.raises(ParameterError, match="sigma"):
             simulate_paths(make_params(sigma=math.inf), seed=1)
 
+    def test_overflowing_theta_and_d_refused(self):
+        # xi - psi and xi + psi overflow, although xi and psi are finite
+        path = LatentPath(xi=np.array([1.7e308, 1.7e308]),
+                          psi=np.array([-1.7e308, 1.7e308]))
+        with pytest.raises(ParameterError, match="simulated theta"):
+            path.theta
+        with pytest.raises(ParameterError, match="simulated d"):
+            path.d
+
     def test_negative_d_counter(self):
         path = LatentPath(xi=np.array([1.0, -2.0, 1.0]), psi=np.array([1.0, -2.0, 1.0]))
         assert path.negative_d_count == 1
@@ -126,6 +169,18 @@ class TestSimulateObservations:
         b = simulate_observations(path, params, seed=12)
         np.testing.assert_array_equal(a.U, b.U)
         np.testing.assert_array_equal(a.V, b.V)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(lambda_xi=1e-320), dict(lambda_psi=5e-324), dict(d0=1e308, theta0=1e308)],
+    )
+    def test_overflowing_values_refused(self, fields):
+        # a rate near 0 overflows a delay, d0 + theta0 overflows xi: the
+        # simulation refuses, without a RuntimeWarning
+        params = make_params(**fields)
+        path = simulate_paths(params, seed=1)
+        with pytest.raises(ParameterError, match="simulated U and V"):
+            simulate_observations(path, params, seed=2)
 
     def test_length_mismatch_rejected(self):
         params = make_params(rounds=5)

@@ -5,6 +5,7 @@ import pytest
 
 from fgclock import (
     ClockModelParams,
+    ConvergenceError,
     DegenerateModelError,
     GridCoverageError,
     ParameterError,
@@ -121,6 +122,18 @@ class TestCoordinateAscent:
         with pytest.raises(ParameterError):
             coordinate_ascent_map([1.0], 1.0, 0.1, tol=0.0)
 
+    @pytest.mark.parametrize("tol", ["1e-3", None, True])
+    def test_tol_must_be_a_positive_number(self, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            coordinate_ascent_map([1.0, 2.0], 1.0, 0.1, tol=tol)
+
+    def test_convergence_error_carries_last_path(self):
+        U = random_instance(4, n=8)
+        with pytest.raises(ConvergenceError) as exc:
+            coordinate_ascent_map(U, 1.0, 0.1, max_iters=1)
+        path = exc.value.last_path
+        assert path.shape == (8,) and np.isfinite(path).all()
+
     @pytest.mark.parametrize("max_iters", [2.5, "5", 0])
     def test_max_iters_must_be_a_whole_number(self, max_iters):
         with pytest.raises(ParameterError, match="max_iters"):
@@ -182,6 +195,22 @@ class TestGridMaxMarginal:
     )
     def test_bounds_must_span_a_finite_range(self, lo, hi):
         with pytest.raises(ParameterError, match="lo < hi"):
+            grid_max_marginal([1.0], 1.0, 0.1, lo=lo, hi=hi, points=512)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [("0", 5.0), (0.0, None), (True, 5.0), pytest.param(0.0, 10**400, id="0.0-10**400")],
+    )
+    def test_bounds_must_be_numbers(self, lo, hi):
+        with pytest.raises(ParameterError, match="lo|hi"):
+            grid_max_marginal([1.0], 1.0, 0.1, lo=lo, hi=hi, points=512)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(-1e200, 1e200), (1.0, math.nextafter(1.0, 2.0))]
+    )
+    def test_grid_step_square_must_be_finite_and_positive(self, lo, hi):
+        # the step squared overflows, or the step rounds to 0
+        with pytest.raises(ParameterError, match="grid step"):
             grid_max_marginal([1.0], 1.0, 0.1, lo=lo, hi=hi, points=512)
 
     @pytest.mark.parametrize("points", [math.nan, math.inf])
