@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, FgclockError, ParameterError, SizeError
-from .estimators import ESTIMATORS, fge_offset
+from .estimators import ESTIMATORS, chain_kernel, fge_offset
 from .experiments import (
     AXIS_ROUNDS,
     AXIS_SIGMA,
@@ -38,6 +38,7 @@ EXIT_IO = 5
 EXIT_CODES = (
     (ConvergenceError, EXIT_CONVERGENCE),
     (SizeError, EXIT_USAGE),
+    (MemoryError, EXIT_USAGE),
     (FgclockError, EXIT_VALIDATION),
     (OSError, EXIT_IO),
     (json.JSONDecodeError, EXIT_IO),
@@ -225,8 +226,8 @@ def cmd_compare_oracle(args):
     params = _resolve_model({}, args)
     # the factor-graph variants, each against the exact MAP
     estimators = {
-        variant.oracle_key: variant.build(params.lambda_xi, params.sigma, params.rounds)
-        for variant in ESTIMATORS.values()
+        variant.oracle_key: chain_kernel(tag, params.lambda_xi, params.sigma, params.rounds)
+        for tag, variant in ESTIMATORS.items()
         if variant.oracle_key is not None
     }
     worst = dict.fromkeys(estimators, (-1.0, None))

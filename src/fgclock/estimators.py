@@ -10,8 +10,9 @@ per-level clipping at U_k yields the chain estimate, and the offset
 estimate is theta_hat = (xi_hat_N - psi_hat_N) / 2.
 
 The table :data:`ESTIMATORS` holds every estimator of xi_hat_N, keyed by
-variant tag; the offset estimators, the batched Monte Carlo kernels, the
-experiments and the CLI all dispatch through it:
+variant tag. :func:`chain_kernel` is the one checked way to get one: the
+offset estimators, the experiments and the CLI all go through it, and
+``Variant.build`` is its unchecked internal. The variants are:
 
 * ``recursive`` — forward backtracking with the D-constants produced by
   the backward recursion (D_{N-i} = (i+1) * lam), i.e. cumulative shifts
@@ -255,12 +256,11 @@ Variant = namedtuple("Variant", "build label oracle_key")
 
 #: The estimator table, keyed by variant tag, in report order: every variant
 #: dispatch is a lookup here. ``build(lam, sigma, n)`` checks lam and sigma,
-#: computes the shifts once and returns the estimator of xi_hat_N for one
-#: chain of n rounds. It maps a checked 1-D series to a float and a
-#: ``(trials, n)`` block to ``(trials,)`` estimates, each row bit for bit the
-#: 1-D result. ``label`` names the variant's rows in sweep tables and
-#: comparison reports; ``oracle_key`` names its deviation from the exact MAP
-#: in the compare-oracle report (None for ML, not a factor-graph estimate).
+#: computes the shifts once and returns the unchecked estimator of xi_hat_N
+#: for one chain of n rounds; only :func:`chain_kernel` calls it. ``label``
+#: names the variant's rows in sweep tables and comparison reports;
+#: ``oracle_key`` names its deviation from the exact MAP in the
+#: compare-oracle report (None for ML, not a factor-graph estimate).
 ESTIMATORS = {
     "recursive": Variant(_recursive_estimator, "fge-recursive", "max_abs_dev_backtrack"),
     "paper": Variant(_paper_estimator, "fge-paper", "max_abs_dev_paper_closed_form"),
@@ -268,11 +268,38 @@ ESTIMATORS = {
 }
 
 
-def _variant(tag):
+def chain_kernel(variant, lam, sigma, n):
+    """The checked estimator of ``variant`` for one chain of ``n`` rounds.
+
+    Returns a function that checks its observations once, finite values
+    as a 1-D series of ``n`` rounds or a ``(trials, n)`` block, and maps
+    a series to xi_hat_N and a block to the ``(trials,)`` estimates, each
+    row bit for bit the series result. Shifts are computed here, once, so
+    one kernel serves every block of a Monte Carlo cell.
+    """
     try:
-        return ESTIMATORS[tag]
+        build = ESTIMATORS[variant].build
     except (KeyError, TypeError):
-        raise ParameterError(f"unknown variant {tag!r}") from None
+        raise ParameterError(f"unknown variant {variant!r}") from None
+    n = check_count(n, "n")
+    estimate = build(lam, sigma, n)
+
+    def kernel(U):
+        U = check_chain(U, "observations", ndims=(1, 2))
+        if U.shape[-1] != n:
+            raise ShapeError(f"expected {n} rounds, got {U.shape[-1]}")
+        # a shifted value that overflows is +inf and loses the min to U_k
+        with np.errstate(over="ignore"):
+            return estimate(U)
+
+    return kernel
+
+
+def _series_estimate(variant, lam, sigma, U):
+    shape = np.shape(U)
+    if len(shape) != 1 or not shape[0]:
+        raise ShapeError(f"a series must be a nonempty 1-D sequence, got shape {shape}")
+    return float(chain_kernel(variant, lam, sigma, shape[0])(U))
 
 
 def closed_form_estimate_paper(U, lam, sigma):
@@ -280,19 +307,16 @@ def closed_form_estimate_paper(U, lam, sigma):
 
     Returns min over k = 1..N of U_k + (N - k) * lam * sigma^2.
     """
-    U = check_chain(U)
-    return float(ESTIMATORS["paper"].build(lam, sigma, len(U))(U))
+    return _series_estimate("paper", lam, sigma, U)
 
 
 def _offset(U, V, variant, lambda_xi, lambda_psi, sigma):
-    U = check_chain(U, "U")
-    V = check_chain(V, "V")
-    if U.shape != V.shape:
-        raise ShapeError(f"U and V must have equal length, got {U.shape} vs {V.shape}")
-    build = _variant(variant).build
-    xi_n = float(build(lambda_xi, sigma, len(U))(U))
-    psi_n = float(build(lambda_psi, sigma, len(V))(V))
-    return OffsetEstimate(xi_n, psi_n, (xi_n - psi_n) / 2.0, variant)
+    if np.shape(U) != np.shape(V):
+        raise ShapeError(f"U and V shapes differ: {np.shape(U)} vs {np.shape(V)}")
+    xi_n = _series_estimate(variant, lambda_xi, sigma, U)
+    psi_n = _series_estimate(variant, lambda_psi, sigma, V)
+    # halved first, so that estimates near the float limit give a finite offset
+    return OffsetEstimate(xi_n, psi_n, xi_n / 2.0 - psi_n / 2.0, variant)
 
 
 def fge_offset(U, V, lambda_xi, lambda_psi, sigma, variant="recursive"):
@@ -311,23 +335,3 @@ def ml_offset(U, V):
     the sigma -> 0 limit.
     """
     return _offset(U, V, "ml", None, None, None)
-
-
-def chain_kernel(variant, lam, sigma, n):
-    """The estimator of ``variant`` for ``(trials, n)`` blocks of one chain.
-
-    Returns a function that checks a block of observations and maps it
-    to the ``(trials,)`` estimates xi_hat_N, equal bit for bit, row by
-    row, to the single-series estimator. Shifts are computed here, once,
-    so one kernel serves every block of a Monte Carlo cell.
-    """
-    n = check_count(n, "n")
-    estimate = _variant(variant).build(lam, sigma, n)
-
-    def kernel(U):
-        U = check_chain(U, ndim=2)
-        if U.shape[1] != n:
-            raise ShapeError(f"expected {n} rounds per row, got {U.shape[1]}")
-        return estimate(U)
-
-    return kernel

@@ -249,8 +249,6 @@ def compare_estimators(U, V, params):
     instance (N above its enumeration cap, or a degenerate sigma**2), plus
     absolute deviations between every estimator pair.
     """
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
     thetas = {
         variant.label: fge_offset(
             U, V, params.lambda_xi, params.lambda_psi, params.sigma, tag

@@ -23,6 +23,9 @@ from .errors import DegenerateModelError, ParameterError, ShapeError
 FLOAT_MAX = sys.float_info.max
 #: Largest sigma whose square is still finite.
 SIGMA_MAX = math.sqrt(FLOAT_MAX)
+#: Largest count: a float holds every whole number up to it, and an array of
+#: that many values is refused by the allocator (MemoryError), not by numpy.
+COUNT_MAX = 2**53
 
 
 def check_real(value, name, low=-math.inf, high=math.inf):
@@ -46,19 +49,20 @@ def check_rate(lam, name="lam"):
     check_real(lam, name, math.ulp(0.0), FLOAT_MAX)
 
 
-def check_chain(U, name="U", ndim=1):
-    """``U`` as a float array, checked to be ``ndim``-D, nonempty and all finite."""
-    U = np.asarray(U, dtype=float)
-    if U.ndim != ndim or U.size == 0:
-        raise ShapeError(f"{name} must be a nonempty {ndim}-D sequence")
-    if not np.isfinite(U).all():
-        raise ParameterError(f"{name} must hold finite values only")
-    return U
+def check_chain(U, name="U", ndims=(1,)):
+    """``U`` as a float array of finite numbers, nonempty, ``U.ndim`` in ``ndims``."""
+    U = np.asarray(U)
+    if U.ndim not in ndims or U.size == 0:
+        dims = " or ".join(f"{d}-D" for d in ndims)
+        raise ShapeError(f"{name} must be a nonempty {dims} sequence")
+    if U.dtype.kind not in "iuf" or not np.isfinite(U).all():
+        raise ParameterError(f"{name} must hold finite numbers only")
+    return U.astype(float, copy=False)
 
 
 def check_count(value, name, low=1):
-    """``value`` as an int, checked to be a whole number >= ``low``."""
-    if int(check_real(value, name, low, FLOAT_MAX)) != value:
+    """``value`` as an int, checked to be a whole number in [``low``, COUNT_MAX]."""
+    if int(check_real(value, name, low, COUNT_MAX)) != value:
         raise ParameterError(f"{name} must be a whole number >= {low}, got {value!r}")
     return int(value)
 
@@ -258,7 +262,7 @@ def simulate_observations(path, params, seed):
         obs = exponential_delays(uniforms, params)
         obs[0] += path.xi[1:]
         obs[1] += path.psi[1:]
-    return ObservationSeries(*check_chain(obs, "simulated U and V", ndim=2))
+    return ObservationSeries(*check_chain(obs, "simulated U and V", ndims=(2,)))
 
 
 def chain_log_posterior(candidate, obs, lam, sigma):
@@ -270,7 +274,8 @@ def chain_log_posterior(candidate, obs, lam, sigma):
         sum_k [ -(xi_k - xi_{k-1})^2 / (2 sigma^2) + lam * xi_k ]
 
     and -inf whenever any xi_k > U_k (a delay would have to be negative).
-    The flat prior on xi_0 contributes nothing.
+    The flat prior on xi_0 contributes nothing. ParameterError refuses a
+    value that overflows.
     """
     s2 = density_sigma_squared(sigma, lam)
     candidate = check_chain(candidate, "candidate")
@@ -281,8 +286,11 @@ def chain_log_posterior(candidate, obs, lam, sigma):
         )
     if np.any(candidate[1:] > obs):
         return -np.inf
-    incr = np.diff(candidate)
-    return float(-np.dot(incr, incr) / (2.0 * s2) + lam * candidate[1:].sum())
+    # finite values near the float limit can overflow it: refused, not ranked
+    with np.errstate(over="ignore", invalid="ignore"):
+        incr = np.diff(candidate)
+        value = float(-np.dot(incr, incr) / (2.0 * s2) + lam * candidate[1:].sum())
+    return check_real(value, "the chain log posterior", -FLOAT_MAX, FLOAT_MAX)
 
 
 def log_posterior(candidate_xi, U, params):

@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fgclock import cli
@@ -392,6 +392,40 @@ CONFIGS = st.builds(
 )
 
 
+# Flag values for every subcommand. Counts come from 1..50, from values every
+# count refuses, or are >= 10**15, so that an example either runs in a few MB
+# or fails its first allocation at once; compare-oracle keeps rounds <= 6 and
+# a loop count (--instances) small or refused.
+REFUSED_COUNTS = st.integers(-50, 0) | st.integers(2**53 + 1, 10**25)
+FLAG_COUNTS = st.integers(1, 50) | REFUSED_COUNTS | st.integers(10**15, 2**53)
+FLAG_REALS = st.floats(1e-3, 1e3) | st.floats()
+MODEL_FLAGS = dict.fromkeys(("--lambda-xi", "--lambda-psi", "--sigma", "--d0", "--theta0"),
+                            FLAG_REALS)
+SWEEP_VALUES = st.text(max_size=5) | st.lists(
+    st.integers(1, 50) | st.integers(10**15, 10**25) | st.floats(), min_size=1, max_size=4
+).map(lambda values: ",".join(map(repr, sorted(values, key=float))))
+OBSERVATIONS = st.lists(st.tuples(FLAG_REALS, FLAG_REALS), min_size=1, max_size=6)
+FLAGS = {
+    "simulate": ({}, {"--rounds": FLAG_COUNTS, "--seed": FLAG_COUNTS, **MODEL_FLAGS}),
+    "sweep": (
+        {"--axis": st.sampled_from(["rounds", "sigma"]), "--values": SWEEP_VALUES,
+         "--trials": FLAG_COUNTS},
+        {"--rounds": FLAG_COUNTS, "--seed": FLAG_COUNTS, **MODEL_FLAGS},
+    ),
+    "estimate": ({}, {"--variant": st.sampled_from(["recursive", "paper", "ml", "all"]),
+                      **MODEL_FLAGS}),
+    "compare-oracle": (
+        {"--rounds": st.integers(1, 6) | REFUSED_COUNTS | st.integers(10**15, 2**53),
+         "--instances": st.integers(1, 50) | REFUSED_COUNTS},
+        {"--seed": FLAG_COUNTS, **MODEL_FLAGS},
+    ),
+}
+COMMAND_FLAGS = st.sampled_from(sorted(FLAGS)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.fixed_dictionaries(FLAGS[command][0], optional=FLAGS[command][1]),
+))
+
+
 class TestErrorContract:
     def test_convergence_error_exits_4(self, monkeypatch, capsys):
         # no subcommand raises ConvergenceError today; the table still maps it
@@ -423,3 +457,40 @@ class TestErrorContract:
                 with open(f"{tmp}/o_observations.csv") as fh:
                     rows = list(csv.DictReader(fh))
                 assert all(math.isfinite(float(r[c])) for r in rows for c in "UV")
+
+    @given(command_flags=COMMAND_FLAGS, observations=OBSERVATIONS)
+    @example(("compare-oracle", {"--theta0": 1e300, "--rounds": 4, "--instances": 2}), [])
+    @example(("compare-oracle", {"--d0": 1e300, "--rounds": 4, "--instances": 2}), [])
+    @example(("estimate", {"--sigma": 1e153}), [(1.7e308, -1.7e308)] * 2)
+    @example(("simulate", {"--rounds": 10**15}), [])
+    @example(("sweep", {"--axis": "rounds", "--values": "2", "--trials": 10**15}), [])
+    @settings(max_examples=300, deadline=None)
+    def test_generated_flags(self, command_flags, observations):
+        # exit 0 with finite results, or one error line, a documented code and
+        # no file written
+        command, flags = command_flags
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+            if command == "estimate":
+                obs = Path(tmp) / "obs.csv"
+                obs.write_text("k,U,V\n" + "".join(
+                    f"{k},{u!r},{v!r}\n" for k, (u, v) in enumerate(observations, 1)))
+                argv.append(f"--input={obs}")
+            elif command != "compare-oracle":
+                argv.append(f"--out={tmp}/o")
+            before = sorted(Path(tmp).iterdir())
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_IO)
+            if code != EXIT_OK:
+                assert err.getvalue().startswith("error: ")
+                assert len(err.getvalue().splitlines()) == 1
+                assert out.getvalue() == ""
+                assert sorted(Path(tmp).iterdir()) == before
+            elif command in ("estimate", "compare-oracle"):
+                report = json.loads(out.getvalue())
+                values = (report["estimates"].values() if command == "estimate" else
+                          [v for v in report.values() if isinstance(v, dict)])
+                assert all(math.isfinite(x) for v in values for x in v.values()
+                           if isinstance(x, float))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fgclock import (
     ClockModelParams,
     DegenerateModelError,
+    FgclockError,
     ParameterError,
     ShapeError,
     backtrack_estimate,
@@ -311,6 +312,7 @@ CHAIN_ESTIMATORS = {
     "ml": lambda U: ml_offset(U, [1.0, 1.0, 1.0]),
     "ml-v": lambda U: ml_offset([1.0, 1.0, 1.0], U),
     "kernel": lambda U: chain_kernel("recursive", 2.0, 0.1, 3)(np.array([U])),
+    "kernel-series": lambda U: chain_kernel("ml", 2.0, 0.1, 3)(U),
 }
 
 
@@ -324,10 +326,15 @@ class TestNonFiniteObservations:
 
     def test_kernel_checks_shape(self):
         kernel = chain_kernel("paper", 2.0, 0.1, 3)
-        with pytest.raises(ShapeError):
-            kernel(np.ones(3))
+        U = np.array([0.4, 1.0, 0.7])
+        want = np.float64(closed_form_estimate_paper(U, 2.0, 0.1))
+        assert kernel(U).tobytes() == want.tobytes()
         with pytest.raises(ShapeError):
             kernel(np.ones((2, 4)))
+        with pytest.raises(ShapeError):
+            kernel(np.ones(4))
+        with pytest.raises(ShapeError):
+            kernel(np.ones((2, 1, 3)))
 
 
 class TestChainKernel:
@@ -349,6 +356,17 @@ class TestChainKernel:
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
             chain_kernel("bogus", 1.0, 0.1, 3)
+
+    @pytest.mark.parametrize("variant", ["recursive", "paper", "ml"])
+    @pytest.mark.parametrize("bad", [
+        np.array([1.0, 2.0]), [1.0, math.nan, 2.0, 3.0, 4.0], [math.inf] * 5,
+        np.full((2, 5), -math.inf), np.float64(1.0), np.ones((1, 2, 5)), list("abcde"),
+        ["1", "2", "3", "4", "5"], [None] * 5, [True] * 5, np.ones((0, 5)),
+    ])
+    def test_malformed_observations_refused(self, variant, bad):
+        # an unchecked builder estimates a 2-round series with the shifts of 5 rounds
+        with pytest.raises(FgclockError):
+            chain_kernel(variant, 10.0, 0.1, 5)(bad)
 
     @pytest.mark.parametrize("n", [True, "3", 2.5])
     def test_round_count_must_be_a_whole_number(self, n):
@@ -412,6 +430,7 @@ SHIFTED_ESTIMATORS = {
     "fge-paper": lambda lam, s: fge_offset([1.0, 0.4], [0.9, 1.1], 1.0, lam, s, "paper"),
     "kernel-recursive": lambda lam, s: chain_kernel("recursive", lam, s, 3),
     "kernel-paper": lambda lam, s: chain_kernel("paper", lam, s, 3),
+    "kernel-series": lambda lam, s: chain_kernel("recursive", lam, s, 3)([1.0, 0.4, 0.8]),
     "backward_constants": lambda lam, s: backward_constants(lam, s, 3),
 }
 
@@ -549,6 +568,9 @@ class TestEstimatorTable:
             singles = np.array([estimate(row) for row in block])
             assert estimate(block).tobytes() == singles.tobytes(), tag
             final[tag] = singles[0]
+            series = chain_kernel(tag, lam, sigma, len(U))(U)
+            offset = fge_offset(U, U[::-1], lam, lam, sigma, tag).xi_hat_N
+            assert np.float64(series).tobytes() == np.float64(offset).tobytes(), tag
         want = backtrack_estimate(U, lam, sigma).xi_hat[-1]
         assert final["recursive"].tobytes() == want.tobytes()
         assert final["ml"] <= final["paper"] and final["ml"] <= final["recursive"]
