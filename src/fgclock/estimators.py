@@ -20,7 +20,9 @@ offset estimators, the experiments and the CLI all go through it, and
   point the recursion reduces to a running sum of lam (see
   :func:`_chain_shifts`), so the estimators compute the shifts as a
   cumulative sum; :func:`backward_constants` evaluates the literal A/B/C/D
-  recursion and is kept as the check of that lemma, not run by them;
+  recursion and is kept as the check of that lemma, not run by them. A
+  series skips the rounds before its last certain reset, where the
+  running minimum of U plus the shift already lies above U_k;
 * ``paper`` — the simplified closed form
   min(U_N, U_{N-1} + lam sigma^2, ..., U_1 + (N-1) lam sigma^2)
   whose shifts grow linearly;
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .model import check_chain, check_count, density_sigma_squared, sigma_squared
+from .model import as_array, check_chain, check_count, density_sigma_squared, sigma_squared
 
 
 @dataclass(frozen=True)
@@ -210,9 +212,14 @@ def backtrack_estimate(U, lam, sigma):
 def _recursive_estimator(lam, sigma, n):
     """xi_hat_N of :func:`backtrack_estimate`, without keeping the levels.
 
-    A 1-D series runs the forward pass on Python floats through
-    memoryviews, with no numpy scalar per round: 2.6x faster at
-    N = 28 800 than taking ``xi_hat[-1]`` from :func:`backtrack_estimate`.
+    A 1-D series starts the forward pass at its last certain reset. The
+    shifts s_k are >= 0 and rounded addition is monotone, so prev_{k-1} is
+    at least m_{k-1} = min(U_1..U_{k-1}) and bar_k = fl(prev_{k-1} + s_k)
+    is at least fl(m_{k-1} + s_k). Wherever U_k < fl(m_{k-1} + s_k), the
+    pass sets prev_k = U_k whatever came before; the test is strict, so a
+    0.0/-0.0 tie still keeps bar. One vector pass finds the last such
+    round j, and the pass runs on Python floats through memoryviews from
+    there (from +inf, which U_j replaces), bit for bit the full pass.
     A ``(trials, n)`` block runs it across all rows at once, one column
     per round, where the per-row loop would cost a Python loop per trial.
     """
@@ -220,8 +227,16 @@ def _recursive_estimator(lam, sigma, n):
 
     def estimate(U):
         if U.ndim == 1:
+            bound = np.minimum.accumulate(U[:-1])
+            # a bound that overflows is +inf, and every finite U_k resets below it
+            with np.errstate(over="ignore"):
+                bound += shifts[1:]
+            certain = U[1:] < bound
+            # the round of the last certain reset, found from the end without an
+            # index array; with none, round 0 resets from +inf
+            j = len(certain) - certain[::-1].argmax() if certain.any() else 0
             prev = math.inf
-            for shift, u in zip(memoryview(shifts), memoryview(U)):
+            for shift, u in zip(memoryview(shifts[j:]), memoryview(U[j:])):
                 bar = prev + shift
                 prev = u if u < bar else bar
             return prev
@@ -295,11 +310,11 @@ def chain_kernel(variant, lam, sigma, n):
     return kernel
 
 
-def _series_estimate(variant, lam, sigma, U):
-    shape = np.shape(U)
+def _series_length(U):
+    shape = U.shape
     if len(shape) != 1 or not shape[0]:
         raise ShapeError(f"a series must be a nonempty 1-D sequence, got shape {shape}")
-    return float(chain_kernel(variant, lam, sigma, shape[0])(U))
+    return shape[0]
 
 
 def closed_form_estimate_paper(U, lam, sigma):
@@ -307,14 +322,23 @@ def closed_form_estimate_paper(U, lam, sigma):
 
     Returns min over k = 1..N of U_k + (N - k) * lam * sigma^2.
     """
-    return _series_estimate("paper", lam, sigma, U)
+    U = as_array(U, "U")
+    return float(chain_kernel("paper", lam, sigma, _series_length(U))(U))
 
 
 def _offset(U, V, variant, lambda_xi, lambda_psi, sigma):
-    if np.shape(U) != np.shape(V):
-        raise ShapeError(f"U and V shapes differ: {np.shape(U)} vs {np.shape(V)}")
-    xi_n = _series_estimate(variant, lambda_xi, sigma, U)
-    psi_n = _series_estimate(variant, lambda_psi, sigma, V)
+    U, V = as_array(U, "U"), as_array(V, "V")
+    if U.shape != V.shape:
+        raise ShapeError(f"U and V shapes differ: {U.shape} vs {V.shape}")
+    n = _series_length(U)
+    kernel = chain_kernel(variant, lambda_xi, sigma, n)
+    xi_n = float(kernel(U))
+    # a kernel holds no state, and equal float rates pass the same checks and
+    # give the same shifts, so both chains share one; equality alone would
+    # let True through as 1.0
+    if not (type(lambda_psi) is type(lambda_xi) is float and lambda_psi == lambda_xi):
+        kernel = chain_kernel(variant, lambda_psi, sigma, n)
+    psi_n = float(kernel(V))
     # halved first, so that estimates near the float limit give a finite offset
     return OffsetEstimate(xi_n, psi_n, xi_n / 2.0 - psi_n / 2.0, variant)
 

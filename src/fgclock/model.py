@@ -49,9 +49,17 @@ def check_rate(lam, name="lam"):
     check_real(lam, name, math.ulp(0.0), FLOAT_MAX)
 
 
+def as_array(U, name):
+    """``np.asarray(U)``, refusing a ragged nested sequence with ShapeError."""
+    try:
+        return np.asarray(U)
+    except ValueError:
+        raise ShapeError(f"{name} must be a rectangular sequence, not a ragged one") from None
+
+
 def check_chain(U, name="U", ndims=(1,)):
     """``U`` as a float array of finite numbers, nonempty, ``U.ndim`` in ``ndims``."""
-    U = np.asarray(U)
+    U = as_array(U, name)
     if U.ndim not in ndims or U.size == 0:
         dims = " or ".join(f"{d}-D" for d in ndims)
         raise ShapeError(f"{name} must be a nonempty {dims} sequence")

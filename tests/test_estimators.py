@@ -15,10 +15,14 @@ from fgclock import (
     backward_constants,
     closed_form_estimate_paper,
     compose_shift,
+    exact_map_active_set,
     fge_offset,
     ml_offset,
     shift_kernel,
+    simulate_observations,
+    simulate_paths,
 )
+from fgclock import estimators
 from fgclock.estimators import ESTIMATORS, _chain_shifts, chain_kernel
 from fgclock.experiments import ALL_ESTIMATORS, SweepConfig, mse_vs_sigma
 
@@ -244,6 +248,43 @@ class TestOffsets:
         with pytest.raises(ParameterError):
             fge_offset([1.0], [1.0], 1.0, 1.0, 0.1, variant="bogus")
 
+    @pytest.mark.parametrize("call", [
+        lambda: fge_offset([[1.0, 2.0], [3.0]], [[1.0, 2.0], [3.0]], 10, 10, 0.1),
+        lambda: fge_offset([1.0, 2.0], [[1.0], [2.0, 3.0]], 1.0, 1.0, 0.1),
+        lambda: closed_form_estimate_paper([[1.0, 2.0], [3.0]], 1.0, 0.1),
+        lambda: chain_kernel("ml", 1.0, 0.1, 2)([[1.0, 2.0], [3.0]]),
+        lambda: exact_map_active_set([[1.0], [2.0, 3.0]], 10, 0.1),
+    ])
+    def test_ragged_nested_lists_are_shape_errors(self, call):
+        with pytest.raises(ShapeError, match="ragged"):
+            call()
+
+    @pytest.mark.parametrize("variant", ["recursive", "paper"])
+    @pytest.mark.parametrize("lambda_psi, kernels", [(2.5, 1), (3.0, 2), (2.5000000000000004, 2)])
+    def test_equal_float_rates_share_one_kernel(self, monkeypatch, variant, lambda_psi,
+                                                kernels):
+        rng = np.random.default_rng(8)
+        U, V = rng.uniform(0.0, 2.0, (2, 30))
+        built = []
+
+        def counting_kernel(*args):
+            built.append(args)
+            return chain_kernel(*args)
+
+        monkeypatch.setattr(estimators, "chain_kernel", counting_kernel)
+        est = fge_offset(U, V, 2.5, lambda_psi, 0.3, variant)
+        assert len(built) == kernels
+        want = [chain_kernel(variant, lam, 0.3, 30)(X) for lam, X in ((2.5, U), (lambda_psi, V))]
+        assert np.array([est.xi_hat_N, est.psi_hat_N]).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("lambda_psi", [True, np.True_])
+    def test_equal_but_invalid_rate_still_refused(self, lambda_psi):
+        # True == 1.0, so a check shared on equality alone would let it through
+        with pytest.raises(ParameterError):
+            fge_offset([1.0, 2.0], [2.0, 1.0], 1.0, lambda_psi, 0.1)
+        with pytest.raises(ParameterError):
+            fge_offset([1.0, 2.0], [2.0, 1.0], lambda_psi, 1.0, 0.1)
+
 
 class TestEquivariance:
     def test_translation(self):
@@ -460,6 +501,14 @@ def literal_backtrack(U, shifts):
     return xi_hat, xi_bar
 
 
+def last_certain_reset(U, shifts):
+    """The last 0-based round k where U_k < min(U_0..U_{k-1}) + s_k, else 0."""
+    with np.errstate(over="ignore"):
+        bounds = np.minimum.accumulate(U[:-1]) + shifts[1:]
+    resets = np.flatnonzero(U[1:] < bounds)
+    return int(resets[-1]) + 1 if resets.size else 0
+
+
 def recursion_shifts(lam, sigma, n):
     """Shifts from the literal A/B/C/D recursion; zeros at sigma = 0."""
     if sigma == 0:
@@ -530,6 +579,59 @@ class TestFastRecursivePath:
         assert chain_kernel("paper", lam, sigma, n)(U[None, :]).tolist() == [
             np.min(U + paper_shifts)
         ]
+
+    @pytest.mark.parametrize("n", [1000, 28_800])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_model_shaped_chains(self, n, seed):
+        # a random walk plus exponential delays, as the model draws them:
+        # almost every round is a certain reset, so the pass starts late
+        params = ClockModelParams(10.0, 4.0, 1e-2, 1.0, 0.5, n)
+        obs = simulate_observations(simulate_paths(params, [seed, 0]), params, [seed, 1])
+        assert last_certain_reset(obs.U, _chain_shifts(10.0, 1e-2, n)) > n // 2
+        self.assert_all_equal_reference(obs.U, obs.V, 10.0, 1e-2)
+        # the two chains at their own rates, as the offset estimators take them
+        est = fge_offset(obs.U, obs.V, 10.0, 4.0, 1e-2)
+        want = [literal_backtrack(X, recursion_shifts(lam, 1e-2, n))[0][-1]
+                for X, lam in ((obs.U, 10.0), (obs.V, 4.0))]
+        assert np.array([est.xi_hat_N, est.psi_hat_N]).tobytes() == np.array(want).tobytes()
+
+    def test_chain_without_a_certain_reset(self):
+        # sigma = 0 and strictly increasing U: no U_k lies below the running
+        # minimum, so the pass runs from round 1
+        U = np.arange(1.0, 3001.0)
+        assert last_certain_reset(U, np.zeros(len(U))) == 0
+        self.assert_all_equal_reference(U, U + 0.5, 3.0, 0.0)
+
+    def test_chain_where_every_round_resets(self):
+        U = np.linspace(5.0, -5.0, 2000)
+        shifts = _chain_shifts(3.0, 0.1, len(U))
+        assert (U[1:] < np.minimum.accumulate(U[:-1]) + shifts[1:]).all()
+        self.assert_all_equal_reference(U, U[::-1].copy(), 3.0, 0.1)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-150, 1e-3])
+    def test_signed_zeros_around_certain_resets(self, sigma):
+        # -0.0 < 0.0 is false: at sigma = 0 a zero never resets for certain,
+        # and with shifts > 0 the reset keeps the sign of the observation
+        rng = np.random.default_rng(9)
+        U = rng.choice([-0.0, 0.0, 1.0], size=500)
+        U[-40:] = rng.choice([-0.0, 0.0], size=40)
+        self.assert_all_equal_reference(U, -U, 2.0, sigma)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_bounds_do_not_warn(self, sign):
+        # the table's estimator called directly, outside the kernel's errstate:
+        # near 1.7e308 the running minimum plus a finite shift overflows, and
+        # distant shifts are inf; pytest makes an overflow warning an error
+        lam, sigma, n = 10.0, 1e153, 60
+        rng = np.random.default_rng(10)
+        U = sign * 1.7e308 - rng.uniform(0.0, 1e306, n)
+        U[::7] = 1.79e308
+        shifts = recursion_shifts(lam, sigma, n)
+        assert np.isinf(shifts[0]) and np.isfinite(shifts[-2]) and shifts[-2] > 1e307
+        got = ESTIMATORS["recursive"].build(lam, sigma, n)(U)
+        with np.errstate(over="ignore"):
+            want = literal_backtrack(U, shifts)[0][-1]
+        assert np.float64(got).tobytes() == want.tobytes()
 
     @staticmethod
     def assert_all_equal_reference(U, V, lam, sigma):
