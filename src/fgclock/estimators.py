@@ -20,9 +20,7 @@ offset estimators, the experiments and the CLI all go through it, and
   point the recursion reduces to a running sum of lam (see
   :func:`_chain_shifts`), so the estimators compute the shifts as a
   cumulative sum; :func:`backward_constants` evaluates the literal A/B/C/D
-  recursion and is kept as the check of that lemma, not run by them. A
-  series skips the rounds before its last certain reset, where the
-  running minimum of U plus the shift already lies above U_k;
+  recursion and is kept as the check of that lemma, not run by them;
 * ``paper`` — the simplified closed form
   min(U_N, U_{N-1} + lam sigma^2, ..., U_1 + (N-1) lam sigma^2)
   whose shifts grow linearly;
@@ -31,6 +29,14 @@ offset estimators, the experiments and the CLI all go through it, and
 
 The two factor-graph variants differ for sigma > 0; the exact-MAP oracles
 in :mod:`fgclock.oracle` arbitrate between them.
+
+In a long series only the last rounds can bind xi_hat_N of either
+factor-graph variant, because each round's shift grows with its distance
+from round N. A 1-D series therefore reads a window of its last rounds,
+sized from its own data (its min, max or last value and the unit shift
+lam sigma^2, see :func:`_window`), and computes shifts only there; the
+result is bit for bit that of the whole chain. Beyond the check of its
+finite values, the whole chain is read by one or two reductions.
 """
 
 import math
@@ -179,7 +185,7 @@ def _chain_shifts(lam, sigma, n):
     # a shift that overflows rounds to +inf, as in the literal recursion;
     # min then keeps the observation at that level
     with np.errstate(over="ignore"):
-        np.cumsum(from_last, out=from_last)
+        np.add.accumulate(from_last, out=from_last)
         shifts *= s2
     return shifts
 
@@ -209,57 +215,145 @@ def backtrack_estimate(U, lam, sigma):
     return BacktrackResult(xi_hat=xi_hat, xi_bar=xi_bar)
 
 
+def _suffixes(shifts_of):
+    """``last(m)``: the shifts of the last m rounds, from one array grown on demand.
+
+    Exact because the shifts of both variants depend on the distance from
+    the last round alone, so ``shifts_of(m)`` is the last m entries of
+    ``shifts_of(n)`` bit for bit: the running sum of :func:`_chain_shifts`
+    starts at the last level, and the paper's shift of distance d is
+    unit * d.
+    """
+    held = np.empty(0)
+
+    def last(m):
+        nonlocal held
+        # one read of held, so a call that another thread's growth overtakes
+        # still slices the array it measured
+        shifts = held
+        if m > len(shifts):
+            shifts = held = shifts_of(m)
+        return shifts[len(shifts) - m:]
+
+    return last
+
+
+def _window(n, low, high, unit, last):
+    """The shifts of the last rounds of an n-round series that can bind it.
+
+    Returns ``last(m)`` for a window of m rounds whose first round has a
+    shift s with fl(low + s) > high, checked with the exact rounded shift;
+    the two estimators say why such a round, and every earlier one, cannot
+    change the result. Shifts grow by about ``unit`` per round of distance,
+    so m is about (high - low) / unit; the ulp of high is added because
+    fl(low + s) rounds down to high until s exceeds high - low by about an
+    ulp. The whole chain when the quotient overflows, when unit is 0 or
+    subnormal, when the window would reach N, or when the first round
+    fails its check.
+    """
+    if unit >= sys.float_info.min:
+        span = (high - low + math.ulp(high)) / unit
+        if span < n - 2:
+            # the first round's shift is about m (recursive) or m - 1 (paper)
+            # unit shifts, and m - 1 > span
+            shifts = last(int(span) + 2)
+            if low + float(shifts[0]) > high:
+                return shifts
+    return last(n)
+
+
 def _recursive_estimator(lam, sigma, n):
     """xi_hat_N of :func:`backtrack_estimate`, without keeping the levels.
 
-    A 1-D series starts the forward pass at its last certain reset. The
-    shifts s_k are >= 0 and rounded addition is monotone, so prev_{k-1} is
-    at least m_{k-1} = min(U_1..U_{k-1}) and bar_k = fl(prev_{k-1} + s_k)
-    is at least fl(m_{k-1} + s_k). Wherever U_k < fl(m_{k-1} + s_k), the
-    pass sets prev_k = U_k whatever came before; the test is strict, so a
-    0.0/-0.0 tie still keeps bar. One vector pass finds the last such
-    round j, and the pass runs on Python floats through memoryviews from
-    there (from +inf, which U_j replaces), bit for bit the full pass.
-    A ``(trials, n)`` block runs it across all rows at once, one column
-    per round, where the per-row loop would cost a Python loop per trial.
+    A 1-D series runs the pass only from its last certain reset, a round
+    where prev_k = U_k whatever came before. The shifts s_k are >= 0 and
+    rounded addition is monotone, so from a certain reset i on, prev_{k-1}
+    is at least m_{k-1} = min(U_i..U_{k-1}) and bar_k = fl(prev_{k-1} + s_k)
+    is at least fl(m_{k-1} + s_k); wherever U_k < fl(m_{k-1} + s_k), round
+    k resets for certain. The test is strict, so a 0.0/-0.0 tie still
+    keeps bar.
+
+    Two steps find the last such round. First the window: with
+    M = min(U) and X = max(U), every round k with fl(M + s_k) > X resets
+    for certain, since prev_{k-1} >= M, s_k >= 0, rounding is monotone and
+    U_k <= X. The shifts shrink toward round N, so these rounds form a
+    prefix of the chain, and the window starts at one of them (see
+    :func:`_window`); it spans about (X - M) / (lam sigma^2) rounds. Then,
+    inside the window, one vector pass over the running minimum from its
+    first round finds the last certain reset j, and the pass runs on Python
+    floats through memoryviews from there (from +inf, which U_j replaces),
+    bit for bit the full pass.
+
+    A ``(trials, n)`` block runs the full pass across all rows at once, one
+    column per round, where the per-row loop would cost a Python loop per
+    trial.
     """
-    shifts = _chain_shifts(lam, sigma, n)
+    unit = float(lam) * float(sigma_squared(sigma, lam))
+    last = _suffixes(lambda m: _chain_shifts(lam, sigma, m))
 
     def estimate(U):
-        if U.ndim == 1:
-            bound = np.minimum.accumulate(U[:-1])
-            # a bound that overflows is +inf, and every finite U_k resets below it
-            with np.errstate(over="ignore"):
-                bound += shifts[1:]
-            certain = U[1:] < bound
-            # the round of the last certain reset, found from the end without an
-            # index array; with none, round 0 resets from +inf
-            j = len(certain) - certain[::-1].argmax() if certain.any() else 0
-            prev = math.inf
-            for shift, u in zip(memoryview(shifts[j:]), memoryview(U[j:])):
-                bar = prev + shift
-                prev = u if u < bar else bar
+        # a shifted value that overflows is +inf and loses the min to U_k
+        with np.errstate(over="ignore"):
+            if U.ndim == 1:
+                low, high = float(np.minimum.reduce(U)), float(np.maximum.reduce(U))
+                shifts = _window(n, low, high, unit, last)
+                U = U[n - len(shifts):]
+                # bound_k = fl(min(U_first..U_{k-1}) + s_k), +inf at the first round
+                bound = np.empty(len(U))
+                bound[0] = math.inf
+                np.minimum.accumulate(U[:-1], out=bound[1:])
+                bound += shifts
+                # the last certain reset, found from the end without an index array
+                j = len(U) - 1 - (U < bound)[::-1].argmax()
+                prev = math.inf
+                for shift, u in zip(memoryview(shifts[j:]), memoryview(U[j:])):
+                    bar = prev + shift
+                    prev = u if u < bar else bar
+                return prev
+            shifts = last(n)
+            prev = U[:, 0].copy()
+            smaller = np.empty(len(prev), dtype=bool)
+            for k in range(1, n):
+                np.add(prev, shifts[k], out=prev)
+                # u replaces bar only where strictly smaller, as in min(bar, u):
+                # a 0.0/-0.0 tie keeps bar
+                np.less(U[:, k], prev, out=smaller)
+                np.copyto(prev, U[:, k], where=smaller)
             return prev
-        prev = U[:, 0].copy()
-        smaller = np.empty(len(prev), dtype=bool)
-        for k in range(1, n):
-            np.add(prev, shifts[k], out=prev)
-            # u replaces bar only where strictly smaller, as in min(bar, u):
-            # a 0.0/-0.0 tie keeps bar
-            np.less(U[:, k], prev, out=smaller)
-            np.copyto(prev, U[:, k], where=smaller)
-        return prev
 
     return estimate
 
 
 def _paper_estimator(lam, sigma, n):
-    """min over k of U_k + (N - k) * lam * sigma^2, along the last axis."""
+    """min over k of U_k + (N - k) * lam * sigma^2, along the last axis.
+
+    A 1-D series takes the min over a window of its last rounds. With
+    M = min(U), a round k with fl(M + s_k) > U_N has a candidate
+    fl(U_k + s_k) >= fl(M + s_k), since rounding is monotone, so it lies
+    strictly above U_N + 0.0, the candidate of round N, and cannot be the
+    min. The shifts shrink toward round N, so these rounds form a prefix of
+    the chain, and the window starts at one of them (see :func:`_window`);
+    it spans about (U_N - M) / (lam sigma^2) rounds. The shifts are never
+    -0.0, so every zero candidate is +0.0, and the min over the window
+    equals the min over all rounds bit for bit.
+    """
     unit = lam * sigma_squared(sigma, lam)
-    # unit is finite, so an overflowing shift is +inf, never inf * 0
-    with np.errstate(over="ignore"):
-        shifts = unit * np.arange(n - 1, -1, -1, dtype=float)
-    return lambda U: np.min(U + shifts, axis=-1)
+    # run under the estimate's errstate: unit is finite, so an overflowing
+    # shift is +inf, never inf * 0
+    last = _suffixes(lambda m: unit * np.arange(m - 1, -1, -1, dtype=float))
+    span_unit = float(unit)
+
+    def estimate(U):
+        # an overflowing shift or candidate is +inf and loses the min
+        with np.errstate(over="ignore"):
+            if U.ndim == 1:
+                low = float(np.minimum.reduce(U))
+                shifts = _window(n, low, float(U[-1]), span_unit, last)
+            else:
+                shifts = last(n)
+            return np.minimum.reduce(U[..., n - len(shifts):] + shifts, axis=-1)
+
+    return estimate
 
 
 def _ml_estimator(lam, sigma, n):
@@ -270,9 +364,10 @@ def _ml_estimator(lam, sigma, n):
 Variant = namedtuple("Variant", "build label oracle_key")
 
 #: The estimator table, keyed by variant tag, in report order: every variant
-#: dispatch is a lookup here. ``build(lam, sigma, n)`` checks lam and sigma,
-#: computes the shifts once and returns the unchecked estimator of xi_hat_N
-#: for one chain of n rounds; only :func:`chain_kernel` calls it. ``label``
+#: dispatch is a lookup here. ``build(lam, sigma, n)`` checks lam and sigma
+#: and returns the unchecked estimator of xi_hat_N for one chain of n rounds,
+#: which computes shifts when a call first needs them, keeps them, and lets
+#: no overflow warn; only :func:`chain_kernel` calls it. ``label``
 #: names the variant's rows in sweep tables and comparison reports;
 #: ``oracle_key`` names its deviation from the exact MAP in the
 #: compare-oracle report (None for ML, not a factor-graph estimate).
@@ -289,8 +384,10 @@ def chain_kernel(variant, lam, sigma, n):
     Returns a function that checks its observations once, finite values
     as a 1-D series of ``n`` rounds or a ``(trials, n)`` block, and maps
     a series to xi_hat_N and a block to the ``(trials,)`` estimates, each
-    row bit for bit the series result. Shifts are computed here, once, so
-    one kernel serves every block of a Monte Carlo cell.
+    row bit for bit the series result. The kernel keeps one shift array,
+    computed when a call first needs it and grown when a longer window
+    does, so one kernel serves every block of a Monte Carlo cell and both
+    chains of an offset estimate.
     """
     try:
         build = ESTIMATORS[variant].build
@@ -303,9 +400,7 @@ def chain_kernel(variant, lam, sigma, n):
         U = check_chain(U, "observations", ndims=(1, 2))
         if U.shape[-1] != n:
             raise ShapeError(f"expected {n} rounds, got {U.shape[-1]}")
-        # a shifted value that overflows is +inf and loses the min to U_k
-        with np.errstate(over="ignore"):
-            return estimate(U)
+        return estimate(U)
 
     return kernel
 
@@ -333,9 +428,9 @@ def _offset(U, V, variant, lambda_xi, lambda_psi, sigma):
     n = _series_length(U)
     kernel = chain_kernel(variant, lambda_xi, sigma, n)
     xi_n = float(kernel(U))
-    # a kernel holds no state, and equal float rates pass the same checks and
-    # give the same shifts, so both chains share one; equality alone would
-    # let True through as 1.0
+    # a kernel keeps only shifts, and equal float rates pass the same checks
+    # and give the same shifts, so both chains share one; equality alone
+    # would let True through as 1.0
     if not (type(lambda_psi) is type(lambda_xi) is float and lambda_psi == lambda_xi):
         kernel = chain_kernel(variant, lambda_psi, sigma, n)
     psi_n = float(kernel(V))

@@ -517,6 +517,33 @@ def recursion_shifts(lam, sigma, n):
         return backward_constants(lam, sigma, n).D * sigma**2
 
 
+def paper_reference(U, lam, sigma):
+    """min(U + shifts) with the shift of every round built: the paper reference."""
+    with np.errstate(over="ignore"):
+        return np.min(U + lam * sigma**2 * np.arange(len(U) - 1, -1, -1, dtype=float))
+
+
+@pytest.fixture
+def window_lengths(monkeypatch):
+    """The length of every window the series estimators read, in call order."""
+    lengths = []
+    window = estimators._window
+
+    def recording(n, low, high, unit, last):
+        shifts = window(n, low, high, unit, last)
+        lengths.append(len(shifts))
+        return shifts
+
+    monkeypatch.setattr(estimators, "_window", recording)
+    return lengths
+
+
+def model_chain(n, lam, sigma, seed):
+    """A random walk plus exponential delays, as the model draws a chain."""
+    params = ClockModelParams(lam, lam, sigma, 1.0, 0.5, n)
+    return simulate_observations(simulate_paths(params, [seed, 0]), params, [seed, 1]).U
+
+
 FAST_PATH_GRID = pytest.mark.parametrize(
     "lam, sigma, n",
     [
@@ -633,6 +660,143 @@ class TestFastRecursivePath:
             want = literal_backtrack(U, shifts)[0][-1]
         assert np.float64(got).tobytes() == want.tobytes()
 
+    @FAST_PATH_GRID
+    def test_shifts_of_a_suffix_are_a_suffix_of_the_shifts(self, lam, sigma, n):
+        # the windows rest on this: a kernel keeps one shift array and slices it
+        self.assert_suffix_lemma(lam, sigma, n)
+
+    @pytest.mark.parametrize("lam", [0.1, 7.1])
+    @pytest.mark.parametrize("sigma", [1e-2, 1.0])
+    def test_suffix_lemma_for_rates_floats_cannot_hold(self, lam, sigma):
+        self.assert_suffix_lemma(lam, sigma, 28_800)
+
+    @staticmethod
+    def assert_suffix_lemma(lam, sigma, n):
+        shifts = _chain_shifts(lam, sigma, n)
+        with np.errstate(over="ignore"):
+            paper = lam * sigma**2 * np.arange(n - 1, -1, -1, dtype=float)
+            for m in {1, max(n // 3, 1), n}:
+                assert _chain_shifts(lam, sigma, m).tobytes() == shifts[-m:].tobytes()
+                suffix = lam * sigma**2 * np.arange(m - 1, -1, -1, dtype=float)
+                assert suffix.tobytes() == paper[-m:].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 1000, 28_800])
+    def test_windows_equal_the_full_chain(self, n, window_lengths):
+        for lam, sigma in ((10.0, 1e-2), (4.0, 1e-2), (10.0, 1.0)):
+            self.assert_windows_equal_references(model_chain(n, lam, sigma, n), lam, sigma)
+        # at sigma = 1 a spread below one unit shift leaves the last two rounds
+        self.assert_windows_equal_references(np.linspace(0.3, 0.1, n), 1.0, 1.0)
+        assert min(window_lengths) == 2
+        if n == 28_800:
+            assert max(window_lengths) < n // 2
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_window_edge_is_checked_with_the_rounded_shift(self, offset):
+        # shifts d / 1024 at distance d from the end, exact in binary; with
+        # low = 0 the last round with fl(low + s) > high, the last certain reset
+        # of the prefix, sits one round before the window's first round, at it
+        # or one round after it. A unit of high / 98.5 sizes a window of 100
+        # rounds, and only the check of its first shift can refuse it
+        lam, sigma, n = 1.0, 2.0**-5, 1000
+        last = estimators._suffixes(lambda m: _chain_shifts(lam, sigma, m))
+        high = (99 - offset) / 1024
+        shifts = estimators._window(n, 0.0, high, high / 98.5, last)
+        first = n - (int(high * 1024) + 1)  # the prefix's last round
+        assert first == n - 100 + offset
+        # a first shift that ties high is no certain reset: the whole chain
+        assert len(shifts) == (n if offset == -1 else 100)
+        assert shifts.tobytes() == _chain_shifts(lam, sigma, n)[-len(shifts):].tobytes()
+
+    def test_window_covers_sums_that_round_down(self, window_lengths):
+        # near 2**45 the spacing of floats is 8 unit shifts of 1 / 1024, so
+        # fl(M + s) rounds down to X unless s exceeds X - M by about an ulp
+        U = 2.0**45 + np.random.default_rng(14).integers(0, 50, 1000) / 128
+        self.assert_windows_equal_references(U, 1.0, 2.0**-5)
+        assert max(window_lengths) < 500
+
+    def test_edge_ties_stay_inside_the_window(self, window_lengths):
+        # shifts d / 1024, exact; M = 0 and X = 200 / 1024, so fl(M + s) = X
+        # at distance 200, a round that must stay in the window; for paper
+        # U_N = 150 / 1024 ties the candidate of M at distance 150
+        rng = np.random.default_rng(11)
+        U = rng.integers(1, 200, 1000) / 1024
+        U[[3, 500]] = 0.0, 200 / 1024
+        for last in (150 / 1024, 200 / 1024):
+            U[-1] = last
+            self.assert_windows_equal_references(U, 1.0, 2.0**-5)
+        assert window_lengths[0] > 200 and window_lengths[1] > 150
+
+    @pytest.mark.parametrize("lam, sigma", [(3.0, 0.0), (1e10, 1e-155), (1e-300, 1e-5)])
+    def test_whole_chain_when_the_unit_shift_vanishes(self, lam, sigma, window_lengths):
+        # sigma = 0; sigma**2 subnormal, so recursive shifts are 0 while
+        # lam * sigma**2 = 1e-300 sizes a short window that its edge check
+        # refuses; lam * sigma**2 subnormal
+        U = np.zeros(1000)
+        self.assert_windows_equal_references(U, lam, sigma)
+        U[0] = -1e-298
+        self.assert_windows_equal_references(U, lam, sigma)
+        self.assert_windows_equal_references(model_chain(1000, 10.0, 1e-2, 7), lam, sigma)
+        if sigma == 1e-155:
+            # paper's shifts 1e-300 * d are not zero, and its windows stand
+            assert window_lengths == [1000, 2, 1000, 102, 1000, 1000]
+        else:
+            assert window_lengths == [1000] * 6
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_spread_takes_the_whole_chain(self, sign, window_lengths):
+        lam, sigma, n = 1.0, 1e153, 200
+        rng = np.random.default_rng(12)
+        U = sign * 1.7e308 - rng.uniform(0.0, 1e306, n)
+        U[::9] = -sign * 1.7e308
+        U[-1] = 1.7e308
+        # X - M overflows for recursive, and U_N - M for paper
+        assert math.isinf(float(U[-1]) - float(U.min()))
+        self.assert_windows_equal_references(U, lam, sigma)
+        assert window_lengths == [n, n]
+        # the table's estimators, outside any errstate, do not warn
+        for tag in ("recursive", "paper"):
+            ESTIMATORS[tag].build(lam, sigma, n)(U)
+
+    @pytest.mark.parametrize("last", [0.0, -0.0])
+    def test_signed_zeros_at_the_window_edge(self, last, window_lengths):
+        # M = -100 / 1024, X = 0: fl(M + s) is +0.0 at distance 100, a tie
+        # with X and, for paper, with U_N + 0.0
+        rng = np.random.default_rng(13)
+        U = rng.choice([-0.0, 0.0, -2.0**-10], size=1000)
+        U[[0, 400]] = -100 / 1024, 0.0
+        U[-1] = last
+        self.assert_windows_equal_references(U, 1.0, 2.0**-5)
+        U[-101:] = rng.choice([-0.0, 0.0], size=101)
+        self.assert_windows_equal_references(U, 1.0, 2.0**-5)
+        assert max(window_lengths) < 200
+
+    def test_strided_float32_and_int_series_equal_float64_copies(self, window_lengths):
+        chain = model_chain(4000, 10.0, 1e-2, 8)
+        for U in (chain[::2], chain.astype(np.float32), np.round(chain * 1e3).astype(int)):
+            copy = np.ascontiguousarray(U, dtype=float)
+            n = len(U)
+            for tag in ("recursive", "paper"):
+                for lam, sigma in ((10.0, 1e-2), (1e-3, 1.0)):
+                    kernel = chain_kernel(tag, lam, sigma, n)
+                    got = np.float64(kernel(U)).tobytes()
+                    assert got == np.float64(kernel(copy)).tobytes(), (tag, U.dtype)
+                    assert got == np.float64(fge_offset(U, copy, lam, lam, sigma, tag)
+                                              .psi_hat_N).tobytes()
+        assert min(window_lengths) < 1000
+
+    @staticmethod
+    def assert_windows_equal_references(U, lam, sigma):
+        """Each variant's series result, bit for bit its full-chain reference."""
+        n = len(U)
+        with np.errstate(over="ignore"):
+            want = {
+                "recursive": literal_backtrack(U, _chain_shifts(lam, sigma, n))[0][-1],
+                "paper": paper_reference(U, lam, sigma),
+            }
+        for tag, value in want.items():
+            got = chain_kernel(tag, lam, sigma, n)(U)
+            assert np.float64(got).tobytes() == value.tobytes(), tag
+
     @staticmethod
     def assert_all_equal_reference(U, V, lam, sigma):
         n = len(U)
@@ -676,6 +840,27 @@ class TestEstimatorTable:
         want = backtrack_estimate(U, lam, sigma).xi_hat[-1]
         assert final["recursive"].tobytes() == want.tobytes()
         assert final["ml"] <= final["paper"] and final["ml"] <= final["recursive"]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6000),
+        lam=st.floats(2.0, 50.0),
+        sigma=st.floats(3e-3, 0.3) | st.just(0.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_long_model_chains_series_and_block_rows_agree(self, seed, n, lam, sigma):
+        # model-shaped chains long enough that a window starts after round 1:
+        # a random walk plus exponential delays
+        rng = np.random.default_rng(seed)
+        U = np.cumsum(rng.normal(0.0, sigma, n)) + rng.exponential(1.0 / lam, n)
+        block = np.array([U, U[::-1]])
+        series = {}
+        for tag, variant in ESTIMATORS.items():
+            series[tag] = np.float64(chain_kernel(tag, lam, sigma, n)(U))
+            rows = variant.build(lam, sigma, n)(block)
+            assert series[tag].tobytes() == rows[0].tobytes(), tag
+        want = literal_backtrack(U, _chain_shifts(lam, sigma, n))[0][-1]
+        assert series["recursive"].tobytes() == want.tobytes()
 
     @given(U=chains, lam=st.integers(1, 1000), log2_sigma=st.integers(-30, 3))
     @settings(max_examples=300, deadline=None)
