@@ -157,10 +157,18 @@ def _read_observations(path):
             if not row:
                 continue
             try:
-                U.append(float(row[1]))
-                V.append(float(row[2]))
+                k, u, v = float(row[0]), float(row[1]), float(row[2])
             except (IndexError, ValueError):
                 raise ParameterError(f"{path}: malformed CSV at row {lineno}: {row}")
+            # the estimators take the last row as round N, so a reordered,
+            # missing or repeated round would be estimated as another one
+            if k != len(U) + 1:
+                raise ParameterError(
+                    f"{path}: row {lineno} has k = {row[0]}, expected {len(U) + 1}: "
+                    f"rounds must be numbered 1, 2, ..., N in file order"
+                )
+            U.append(u)
+            V.append(v)
     if not U:
         raise ParameterError(f"{path}: no observation rows")
     return np.array(U), np.array(V)

@@ -32,11 +32,13 @@ in :mod:`fgclock.oracle` arbitrate between them.
 
 In a long series only the last rounds can bind xi_hat_N of either
 factor-graph variant, because each round's shift grows with its distance
-from round N. A 1-D series therefore reads a window of its last rounds,
-sized from its own data (its min, max or last value and the unit shift
-lam sigma^2, see :func:`_window`), and computes shifts only there; the
-result is bit for bit that of the whole chain. Beyond the check of its
-finite values, the whole chain is read by one or two reductions.
+from round N. A 1-D series reads one window of its last rounds, taken
+only where min U plus the window's shifts, with the same rounding, lies
+strictly above U_N, so the result is bit for bit the whole chain's: about
+sqrt(2 (U_N - min U) / (lam sigma^2)) rounds for ``recursive``, whose
+shifts add up triangularly, and (U_N - min U) / (lam sigma^2) for
+``paper``. Beyond the check of its finite values, the whole chain is read
+by one reduction, its minimum.
 """
 
 import math
@@ -215,143 +217,127 @@ def backtrack_estimate(U, lam, sigma):
     return BacktrackResult(xi_hat=xi_hat, xi_bar=xi_bar)
 
 
-def _suffixes(shifts_of):
-    """``last(m)``: the shifts of the last m rounds, from one array grown on demand.
+def _recursive_window(U, lam, sigma, unit):
+    """The shifts of the last rounds of series U, from which its pass starts.
 
-    Exact because the shifts of both variants depend on the distance from
-    the last round alone, so ``shifts_of(m)`` is the last m entries of
-    ``shifts_of(n)`` bit for bit: the running sum of :func:`_chain_shifts`
-    starts at the last level, and the paper's shift of distance d is
-    unit * d.
+    Unrolled, the pass returns min_j C_j with C_j = fl(...fl(U_j + s_{j+1})
+    ... + s_N), as rounded addition is monotone. Before a window of the
+    last m rounds, every C_j >= L = fl(...fl(M + s_{N-m+1})... + s_N) with
+    M = min U. When L > U_N, the full pass resets in the window (at round N
+    at the latest), and its first reset there is also one of the window's
+    pass from +inf, which stays at or above the full pass until then; from
+    there on the two passes are equal, bit for bit.
+
+    The shifts of the last m rounds add up to about unit * m (m + 1) / 2,
+    so m = sqrt(2 (U_N - M + ulp(U_N)) / unit) + 2; the ulp because
+    fl(M + s) rounds down to U_N until s exceeds U_N - M by about an ulp.
+    L is checked with the exact rounded chain. The whole chain when the
+    check fails, when unit is 0 or subnormal, or when m >= N.
     """
-    held = np.empty(0)
-
-    def last(m):
-        nonlocal held
-        # one read of held, so a call that another thread's growth overtakes
-        # still slices the array it measured
-        shifts = held
-        if m > len(shifts):
-            shifts = held = shifts_of(m)
-        return shifts[len(shifts) - m:]
-
-    return last
-
-
-def _window(n, low, high, unit, last):
-    """The shifts of the last rounds of an n-round series that can bind it.
-
-    Returns ``last(m)`` for a window of m rounds whose first round has a
-    shift s with fl(low + s) > high, checked with the exact rounded shift;
-    the two estimators say why such a round, and every earlier one, cannot
-    change the result. Shifts grow by about ``unit`` per round of distance,
-    so m is about (high - low) / unit; the ulp of high is added because
-    fl(low + s) rounds down to high until s exceeds high - low by about an
-    ulp. The whole chain when the quotient overflows, when unit is 0 or
-    subnormal, when the window would reach N, or when the first round
-    fails its check.
-    """
+    n = len(U)
+    low, last = float(np.minimum.reduce(U)), float(U[-1])
     if unit >= sys.float_info.min:
-        span = (high - low + math.ulp(high)) / unit
-        if span < n - 2:
-            # the first round's shift is about m (recursive) or m - 1 (paper)
-            # unit shifts, and m - 1 > span
-            shifts = last(int(span) + 2)
-            if low + float(shifts[0]) > high:
+        # Python floats: an overflowing quotient is inf, without a warning
+        m = math.sqrt(2.0 * (last - low + math.ulp(last)) / unit) + 2
+        if m < n:
+            shifts = _chain_shifts(lam, sigma, int(m))
+            bound = low
+            for shift in memoryview(shifts):
+                bound += shift
+            if bound > last:
                 return shifts
-    return last(n)
+    return _chain_shifts(lam, sigma, n)
 
 
 def _recursive_estimator(lam, sigma, n):
     """xi_hat_N of :func:`backtrack_estimate`, without keeping the levels.
 
-    A 1-D series runs the pass only from its last certain reset, a round
-    where prev_k = U_k whatever came before. The shifts s_k are >= 0 and
-    rounded addition is monotone, so from a certain reset i on, prev_{k-1}
-    is at least m_{k-1} = min(U_i..U_{k-1}) and bar_k = fl(prev_{k-1} + s_k)
-    is at least fl(m_{k-1} + s_k); wherever U_k < fl(m_{k-1} + s_k), round
-    k resets for certain. The test is strict, so a 0.0/-0.0 tie still
-    keeps bar.
-
-    Two steps find the last such round. First the window: with
-    M = min(U) and X = max(U), every round k with fl(M + s_k) > X resets
-    for certain, since prev_{k-1} >= M, s_k >= 0, rounding is monotone and
-    U_k <= X. The shifts shrink toward round N, so these rounds form a
-    prefix of the chain, and the window starts at one of them (see
-    :func:`_window`); it spans about (X - M) / (lam sigma^2) rounds. Then,
-    inside the window, one vector pass over the running minimum from its
-    first round finds the last certain reset j, and the pass runs on Python
-    floats through memoryviews from there (from +inf, which U_j replaces),
-    bit for bit the full pass.
-
-    A ``(trials, n)`` block runs the full pass across all rows at once, one
-    column per round, where the per-row loop would cost a Python loop per
-    trial.
+    A 1-D series runs the pass on Python floats through memoryviews, from
+    +inf over the window of its last rounds that :func:`_recursive_window`
+    finds. A ``(trials, n)`` block runs the full pass across all rows at
+    once, one column per round, where the per-row loop would cost a Python
+    loop per trial.
     """
     unit = float(lam) * float(sigma_squared(sigma, lam))
-    last = _suffixes(lambda m: _chain_shifts(lam, sigma, m))
 
     def estimate(U):
+        if U.ndim == 1:
+            shifts = _recursive_window(U, lam, sigma, unit)
+            prev = math.inf
+            for shift, u in zip(memoryview(shifts), memoryview(U[n - len(shifts):])):
+                bar = prev + shift
+                prev = u if u < bar else bar
+            return prev
+        shifts = _chain_shifts(lam, sigma, n)
+        prev = U[:, 0].copy()
+        smaller = np.empty(len(prev), dtype=bool)
         # a shifted value that overflows is +inf and loses the min to U_k
         with np.errstate(over="ignore"):
-            if U.ndim == 1:
-                low, high = float(np.minimum.reduce(U)), float(np.maximum.reduce(U))
-                shifts = _window(n, low, high, unit, last)
-                U = U[n - len(shifts):]
-                # bound_k = fl(min(U_first..U_{k-1}) + s_k), +inf at the first round
-                bound = np.empty(len(U))
-                bound[0] = math.inf
-                np.minimum.accumulate(U[:-1], out=bound[1:])
-                bound += shifts
-                # the last certain reset, found from the end without an index array
-                j = len(U) - 1 - (U < bound)[::-1].argmax()
-                prev = math.inf
-                for shift, u in zip(memoryview(shifts[j:]), memoryview(U[j:])):
-                    bar = prev + shift
-                    prev = u if u < bar else bar
-                return prev
-            shifts = last(n)
-            prev = U[:, 0].copy()
-            smaller = np.empty(len(prev), dtype=bool)
             for k in range(1, n):
                 np.add(prev, shifts[k], out=prev)
                 # u replaces bar only where strictly smaller, as in min(bar, u):
                 # a 0.0/-0.0 tie keeps bar
                 np.less(U[:, k], prev, out=smaller)
                 np.copyto(prev, U[:, k], where=smaller)
-            return prev
+        return prev
 
     return estimate
+
+
+def _paper_shifts(unit, m):
+    """The paper's shifts unit * d of the last m rounds, d = m - 1 down to 0."""
+    shifts = np.arange(m - 1, -1, -1, dtype=float)
+    # in place, as the candidates are built: where a chain is long, every
+    # fresh array of its length costs page faults, more than filling it
+    shifts *= unit
+    return shifts
+
+
+def _paper_window(U, unit):
+    """The shifts of the last rounds of series U whose candidates can be the min.
+
+    With M = min U, a round with fl(M + s) > U_N has a candidate
+    fl(U_k + s) >= fl(M + s), as rounding is monotone, above U_N + 0.0, the
+    candidate of round N; so has every earlier round, whose shift is
+    larger. The shifts are never -0.0, so every zero candidate is +0.0 and
+    the window's min is bit for bit the whole chain's. The shifts grow by
+    unit per round, so the window has m = (U_N - M + ulp(U_N)) / unit + 2
+    rounds, the ulp as in :func:`_recursive_window`, and its first round is
+    checked with the exact rounded shift. The whole chain when the quotient
+    overflows, when unit is 0 or subnormal, when m >= N, or when the check
+    fails.
+    """
+    n = len(U)
+    low, last = float(np.minimum.reduce(U)), float(U[-1])
+    span_unit = float(unit)
+    if span_unit >= sys.float_info.min:
+        span = (last - low + math.ulp(last)) / span_unit
+        if span < n - 2:
+            # the first round's shift is m - 1 > span unit shifts
+            shifts = _paper_shifts(unit, int(span) + 2)
+            if low + float(shifts[0]) > last:
+                return shifts
+    return _paper_shifts(unit, n)
 
 
 def _paper_estimator(lam, sigma, n):
     """min over k of U_k + (N - k) * lam * sigma^2, along the last axis.
 
-    A 1-D series takes the min over a window of its last rounds. With
-    M = min(U), a round k with fl(M + s_k) > U_N has a candidate
-    fl(U_k + s_k) >= fl(M + s_k), since rounding is monotone, so it lies
-    strictly above U_N + 0.0, the candidate of round N, and cannot be the
-    min. The shifts shrink toward round N, so these rounds form a prefix of
-    the chain, and the window starts at one of them (see :func:`_window`);
-    it spans about (U_N - M) / (lam sigma^2) rounds. The shifts are never
-    -0.0, so every zero candidate is +0.0, and the min over the window
-    equals the min over all rounds bit for bit.
+    A 1-D series takes the min over the window of its last rounds that
+    :func:`_paper_window` finds; a ``(trials, n)`` block over all rounds.
     """
     unit = lam * sigma_squared(sigma, lam)
-    # run under the estimate's errstate: unit is finite, so an overflowing
-    # shift is +inf, never inf * 0
-    last = _suffixes(lambda m: unit * np.arange(m - 1, -1, -1, dtype=float))
-    span_unit = float(unit)
 
     def estimate(U):
-        # an overflowing shift or candidate is +inf and loses the min
+        # unit is finite, so an overflowing shift or candidate is +inf, never
+        # inf * 0, and loses the min
         with np.errstate(over="ignore"):
-            if U.ndim == 1:
-                low = float(np.minimum.reduce(U))
-                shifts = _window(n, low, float(U[-1]), span_unit, last)
-            else:
-                shifts = last(n)
-            return np.minimum.reduce(U[..., n - len(shifts):] + shifts, axis=-1)
+            if U.ndim == 2:
+                return np.minimum.reduce(U + _paper_shifts(unit, n), axis=-1)
+            # the candidates U_k + s_k take the place of the shifts
+            candidates = _paper_window(U, unit)
+            candidates += U[n - len(candidates):]
+            return np.minimum.reduce(candidates)
 
     return estimate
 
@@ -366,8 +352,8 @@ Variant = namedtuple("Variant", "build label oracle_key")
 #: The estimator table, keyed by variant tag, in report order: every variant
 #: dispatch is a lookup here. ``build(lam, sigma, n)`` checks lam and sigma
 #: and returns the unchecked estimator of xi_hat_N for one chain of n rounds,
-#: which computes shifts when a call first needs them, keeps them, and lets
-#: no overflow warn; only :func:`chain_kernel` calls it. ``label``
+#: which computes on each call only the shifts that call reads and lets no
+#: overflow warn; only :func:`chain_kernel` calls it. ``label``
 #: names the variant's rows in sweep tables and comparison reports;
 #: ``oracle_key`` names its deviation from the exact MAP in the
 #: compare-oracle report (None for ML, not a factor-graph estimate).
@@ -384,10 +370,9 @@ def chain_kernel(variant, lam, sigma, n):
     Returns a function that checks its observations once, finite values
     as a 1-D series of ``n`` rounds or a ``(trials, n)`` block, and maps
     a series to xi_hat_N and a block to the ``(trials,)`` estimates, each
-    row bit for bit the series result. The kernel keeps one shift array,
-    computed when a call first needs it and grown when a longer window
-    does, so one kernel serves every block of a Monte Carlo cell and both
-    chains of an offset estimate.
+    row bit for bit the series result. Each call computes the shifts it
+    reads: a block those of all n rounds, a series only those of its
+    window.
     """
     try:
         build = ESTIMATORS[variant].build
@@ -426,14 +411,8 @@ def _offset(U, V, variant, lambda_xi, lambda_psi, sigma):
     if U.shape != V.shape:
         raise ShapeError(f"U and V shapes differ: {U.shape} vs {V.shape}")
     n = _series_length(U)
-    kernel = chain_kernel(variant, lambda_xi, sigma, n)
-    xi_n = float(kernel(U))
-    # a kernel keeps only shifts, and equal float rates pass the same checks
-    # and give the same shifts, so both chains share one; equality alone
-    # would let True through as 1.0
-    if not (type(lambda_psi) is type(lambda_xi) is float and lambda_psi == lambda_xi):
-        kernel = chain_kernel(variant, lambda_psi, sigma, n)
-    psi_n = float(kernel(V))
+    xi_n = float(chain_kernel(variant, lambda_xi, sigma, n)(U))
+    psi_n = float(chain_kernel(variant, lambda_psi, sigma, n)(V))
     # halved first, so that estimates near the float limit give a finite offset
     return OffsetEstimate(xi_n, psi_n, xi_n / 2.0 - psi_n / 2.0, variant)
 

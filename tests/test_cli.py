@@ -189,6 +189,32 @@ class TestEstimate:
         assert code == EXIT_VALIDATION
         assert "row 3" in err
 
+    @pytest.mark.parametrize("ks, row", [
+        (["1", "3", "2"], 3),  # out of order
+        (["1", "2", "4"], 4),  # round 3 missing
+        (["1", "1", "2"], 3),  # round 1 twice
+        (["1", "2.5", "3"], 3),  # not a whole number
+        (["0", "1", "2"], 2),  # numbered from 0
+        (["3", "1", "foo"], 2),  # the first row is not round 1
+        (["1", "foo", "3"], 3),  # not a number
+        (["1", "nan", "3"], 3),
+    ])
+    def test_rounds_must_be_numbered_in_file_order(self, tmp_path, capsys, ks, row):
+        csv = tmp_path / "obs.csv"
+        write_obs(csv, [(k, 3.0 - i, 1.0 + i) for i, k in enumerate(ks)])
+        for variant in ("ml", "all"):
+            code, out, err = run(capsys, "estimate", "--input", str(csv), "--variant", variant)
+            assert code == EXIT_VALIDATION
+            assert out == ""
+            assert f"row {row}" in err
+
+    def test_whole_number_rounds_written_as_floats_are_read(self, tmp_path, capsys):
+        csv = tmp_path / "obs.csv"
+        write_obs(csv, [("1.0", 3.0, 1.0), (" 2", 2.0, 2.0), ("3e0", 4.0, 3.0)])
+        code, out, _ = run(capsys, "estimate", "--input", str(csv), "--variant", "ml")
+        assert code == EXIT_OK
+        assert json.loads(out)["estimates"]["ml"]["theta_hat_N"] == 0.5
+
     @pytest.mark.parametrize("variant", ["recursive", "paper", "ml", "all"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_row_is_validation_error(self, tmp_path, capsys, variant, bad):

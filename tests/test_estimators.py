@@ -259,24 +259,6 @@ class TestOffsets:
         with pytest.raises(ShapeError, match="ragged"):
             call()
 
-    @pytest.mark.parametrize("variant", ["recursive", "paper"])
-    @pytest.mark.parametrize("lambda_psi, kernels", [(2.5, 1), (3.0, 2), (2.5000000000000004, 2)])
-    def test_equal_float_rates_share_one_kernel(self, monkeypatch, variant, lambda_psi,
-                                                kernels):
-        rng = np.random.default_rng(8)
-        U, V = rng.uniform(0.0, 2.0, (2, 30))
-        built = []
-
-        def counting_kernel(*args):
-            built.append(args)
-            return chain_kernel(*args)
-
-        monkeypatch.setattr(estimators, "chain_kernel", counting_kernel)
-        est = fge_offset(U, V, 2.5, lambda_psi, 0.3, variant)
-        assert len(built) == kernels
-        want = [chain_kernel(variant, lam, 0.3, 30)(X) for lam, X in ((2.5, U), (lambda_psi, V))]
-        assert np.array([est.xi_hat_N, est.psi_hat_N]).tobytes() == np.array(want).tobytes()
-
     @pytest.mark.parametrize("lambda_psi", [True, np.True_])
     def test_equal_but_invalid_rate_still_refused(self, lambda_psi):
         # True == 1.0, so a check shared on equality alone would let it through
@@ -527,14 +509,13 @@ def paper_reference(U, lam, sigma):
 def window_lengths(monkeypatch):
     """The length of every window the series estimators read, in call order."""
     lengths = []
-    window = estimators._window
+    for name in ("_recursive_window", "_paper_window"):
+        def recording(*args, window=getattr(estimators, name)):
+            shifts = window(*args)
+            lengths.append(len(shifts))
+            return shifts
 
-    def recording(n, low, high, unit, last):
-        shifts = window(n, low, high, unit, last)
-        lengths.append(len(shifts))
-        return shifts
-
-    monkeypatch.setattr(estimators, "_window", recording)
+        monkeypatch.setattr(estimators, name, recording)
     return lengths
 
 
@@ -611,7 +592,7 @@ class TestFastRecursivePath:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_model_shaped_chains(self, n, seed):
         # a random walk plus exponential delays, as the model draws them:
-        # almost every round is a certain reset, so the pass starts late
+        # almost every round is a certain reset, so only late rounds bind
         params = ClockModelParams(10.0, 4.0, 1e-2, 1.0, 0.5, n)
         obs = simulate_observations(simulate_paths(params, [seed, 0]), params, [seed, 1])
         assert last_certain_reset(obs.U, _chain_shifts(10.0, 1e-2, n)) > n // 2
@@ -624,7 +605,7 @@ class TestFastRecursivePath:
 
     def test_chain_without_a_certain_reset(self):
         # sigma = 0 and strictly increasing U: no U_k lies below the running
-        # minimum, so the pass runs from round 1
+        # minimum, and the pass runs over the whole chain
         U = np.arange(1.0, 3001.0)
         assert last_certain_reset(U, np.zeros(len(U))) == 0
         self.assert_all_equal_reference(U, U + 0.5, 3.0, 0.0)
@@ -690,46 +671,94 @@ class TestFastRecursivePath:
         if n == 28_800:
             assert max(window_lengths) < n // 2
 
+    # lam = 1 and sigma = 2**-5 give the recursive shifts d / 1024 at distance
+    # d - 1 from the end, exact in binary, so the bound of the last m rounds
+    # from M is L = M + m (m + 1) / 2048
+    EXACT = dict(lam=1.0, sigma=2.0**-5)
+
+    @classmethod
+    def window_of_100(cls, U):
+        """The recursive window of U, with a unit that sizes it at 100 rounds."""
+        unit = 2.0 * (float(U[-1]) - float(U.min())) / 98.5**2
+        return estimators._recursive_window(U, cls.EXACT["lam"], cls.EXACT["sigma"], unit)
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_window_edge_is_checked_with_the_rounded_shift(self, offset):
-        # shifts d / 1024 at distance d from the end, exact in binary; with
-        # low = 0 the last round with fl(low + s) > high, the last certain reset
-        # of the prefix, sits one round before the window's first round, at it
-        # or one round after it. A unit of high / 98.5 sizes a window of 100
-        # rounds, and only the check of its first shift can refuse it
-        lam, sigma, n = 1.0, 2.0**-5, 1000
-        last = estimators._suffixes(lambda m: _chain_shifts(lam, sigma, m))
-        high = (99 - offset) / 1024
-        shifts = estimators._window(n, 0.0, high, high / 98.5, last)
-        first = n - (int(high * 1024) + 1)  # the prefix's last round
-        assert first == n - 100 + offset
-        # a first shift that ties high is no certain reset: the whole chain
+        # with M = 0 and U_N = (m(m - 1) / 2 + 1) / 1024 for m = 100 - offset,
+        # the shortest window with L > U_N has one round more than the sized
+        # window of 100, as many or one fewer; only the check of L refuses it
+        n = 1000
+        U = np.random.default_rng(15).uniform(0.0, 1.0, n)
+        U[0] = 0.0
+        m = 100 - offset
+        U[-1] = (m * (m - 1) // 2 + 1) / 1024
+        shifts = self.window_of_100(U)
         assert len(shifts) == (n if offset == -1 else 100)
-        assert shifts.tobytes() == _chain_shifts(lam, sigma, n)[-len(shifts):].tobytes()
+        assert shifts.tobytes() == _chain_shifts(n=n, **self.EXACT)[-len(shifts):].tobytes()
+
+    def test_bound_tying_the_last_round_takes_the_whole_chain(self):
+        # L of the sized window, 5050 / 1024, equals U_N: a tie is no proof
+        n = 1000
+        U = np.random.default_rng(16).uniform(0.0, 1.0, n)
+        U[0], U[-1] = 0.0, 5050 / 1024
+        assert len(self.window_of_100(U)) == n
+        U[-1] = 5049 / 1024
+        assert len(self.window_of_100(U)) == 100
+
+    def test_round_just_before_the_window_that_ties_the_result(self):
+        # the round just before the sized window holds M = -5050 / 1024, so its
+        # candidate, and L, is -5050 / 1024 + 5050 / 1024 = +0.0; U_N = -0.0
+        # ties it, and the full pass keeps +0.0 while a pass over the window
+        # alone would end at -0.0
+        n = 1000
+        U = np.ones(n)
+        U[n - 101], U[-1] = -5050 / 1024, -0.0
+        full = literal_backtrack(U, _chain_shifts(n=n, **self.EXACT))[0][-1]
+        assert not np.signbit(full)
+        shifts = self.window_of_100(U)
+        assert len(shifts) == n
+        window = literal_backtrack(U[n - 100:], shifts[n - 100:])[0][-1]
+        assert np.signbit(window)
+        self.assert_windows_equal_references(U, **self.EXACT)
+
+    def test_model_chain_windows_are_short(self, window_lengths):
+        # the triangular shifts leave only the last few dozen rounds of a
+        # model chain; a window sized from one level's shift held thousands
+        n = 28_800
+        for seed in range(4):
+            U = model_chain(n, 10.0, 1e-2, seed)
+            got = chain_kernel("recursive", 10.0, 1e-2, n)(U)
+            want = literal_backtrack(U, _chain_shifts(10.0, 1e-2, n))[0][-1]
+            assert np.float64(got).tobytes() == want.tobytes()
+        assert len(window_lengths) == 4 and max(window_lengths) < 200
 
     def test_window_covers_sums_that_round_down(self, window_lengths):
         # near 2**45 the spacing of floats is 8 unit shifts of 1 / 1024, so
-        # fl(M + s) rounds down to X unless s exceeds X - M by about an ulp
+        # fl(M + s) rounds down to U_N unless s exceeds U_N - M by about an
+        # ulp; with U_N = M the last shifts alone round away
         U = 2.0**45 + np.random.default_rng(14).integers(0, 50, 1000) / 128
+        self.assert_windows_equal_references(U, 1.0, 2.0**-5)
+        U[-1] = U.min()
         self.assert_windows_equal_references(U, 1.0, 2.0**-5)
         assert max(window_lengths) < 500
 
     def test_edge_ties_stay_inside_the_window(self, window_lengths):
-        # shifts d / 1024, exact; M = 0 and X = 200 / 1024, so fl(M + s) = X
-        # at distance 200, a round that must stay in the window; for paper
-        # U_N = 150 / 1024 ties the candidate of M at distance 150
+        # shifts exact, M = 0: for recursive U_N = 210 / 1024 ties L of the
+        # last 20 rounds; for paper U_N ties the candidate of M at distance
+        # 150 or 210; each tying round must stay in the window
         rng = np.random.default_rng(11)
         U = rng.integers(1, 200, 1000) / 1024
-        U[[3, 500]] = 0.0, 200 / 1024
-        for last in (150 / 1024, 200 / 1024):
+        U[3] = 0.0
+        for last in (150 / 1024, 210 / 1024):
             U[-1] = last
             self.assert_windows_equal_references(U, 1.0, 2.0**-5)
-        assert window_lengths[0] > 200 and window_lengths[1] > 150
+        # recursive: int(sqrt(2 * 1024 * U_N)) + 2; paper: 1024 * U_N + 2
+        assert window_lengths == [19, 152, 22, 212]
 
     @pytest.mark.parametrize("lam, sigma", [(3.0, 0.0), (1e10, 1e-155), (1e-300, 1e-5)])
     def test_whole_chain_when_the_unit_shift_vanishes(self, lam, sigma, window_lengths):
         # sigma = 0; sigma**2 subnormal, so recursive shifts are 0 while
-        # lam * sigma**2 = 1e-300 sizes a short window that its edge check
+        # lam * sigma**2 = 1e-300 sizes short windows that the check of L
         # refuses; lam * sigma**2 subnormal
         U = np.zeros(1000)
         self.assert_windows_equal_references(U, lam, sigma)
@@ -749,7 +778,7 @@ class TestFastRecursivePath:
         U = sign * 1.7e308 - rng.uniform(0.0, 1e306, n)
         U[::9] = -sign * 1.7e308
         U[-1] = 1.7e308
-        # X - M overflows for recursive, and U_N - M for paper
+        # U_N - M overflows
         assert math.isinf(float(U[-1]) - float(U.min()))
         self.assert_windows_equal_references(U, lam, sigma)
         assert window_lengths == [n, n]
@@ -759,8 +788,8 @@ class TestFastRecursivePath:
 
     @pytest.mark.parametrize("last", [0.0, -0.0])
     def test_signed_zeros_at_the_window_edge(self, last, window_lengths):
-        # M = -100 / 1024, X = 0: fl(M + s) is +0.0 at distance 100, a tie
-        # with X and, for paper, with U_N + 0.0
+        # M = -100 / 1024: the paper candidate of M at distance 100 is +0.0,
+        # a tie with U_N + 0.0
         rng = np.random.default_rng(13)
         U = rng.choice([-0.0, 0.0, -2.0**-10], size=1000)
         U[[0, 400]] = -100 / 1024, 0.0
