@@ -254,14 +254,22 @@ def _recursive_estimator(lam, sigma, n):
 
     A 1-D series runs the pass on Python floats through memoryviews, from
     +inf over the window of its last rounds that :func:`_recursive_window`
-    finds. A ``(trials, n)`` block runs the full pass across all rows at
-    once, one column per round, where the per-row loop would cost a Python
-    loop per trial.
+    finds. Where sigma**2 is 0 or subnormal every shift is 0.0, and the
+    pass over a series of N > 1 rounds is its last step after a running
+    min: U_N where U_N < fl(min(U_1..U_{N-1}) + 0.0), which is +0.0 for a
+    zero min of either sign, and that value elsewhere. A ``(trials, n)``
+    block runs the full pass across all rows at once, one column per
+    round, where the per-row loop would cost a Python loop per trial.
     """
-    unit = float(lam) * float(sigma_squared(sigma, lam))
+    s2 = sigma_squared(sigma, lam)
+    unit = float(lam) * float(s2)
 
     def estimate(U):
         if U.ndim == 1:
+            if s2 < sys.float_info.min and n > 1:
+                bar = float(np.minimum.reduce(U[:-1])) + 0.0
+                last = float(U[-1])
+                return last if last < bar else bar
             shifts = _recursive_window(U, lam, sigma, unit)
             prev = math.inf
             for shift, u in zip(memoryview(shifts), memoryview(U[n - len(shifts):])):

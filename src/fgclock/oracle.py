@@ -24,6 +24,8 @@ from .model import (FLOAT_MAX, chain_log_posterior, check_chain, check_count, ch
 
 #: Active-set enumeration is 2^N; keep desk-scale.
 MAX_ENUM_ROUNDS = 12
+#: Active sets one ``compare-oracle`` run may enumerate, instances * (2^N - 1).
+MAX_ENUM_SETS = 2**28
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ def _objective(path, U, lam, sigma):
     return chain_log_posterior(candidate, U, lam, sigma)
 
 
-def _solve_free_segment(x, U, lo, hi, n, lam_s2):
-    """Fill x[lo..hi] with the stationary point of one free segment.
+def _free_segment(U, lo, hi, n, lam_s2):
+    """The stationary point x[lo..hi] of one free segment, as a list.
 
     Anchors are x[lo-1] = U[lo-1] when lo > 0 and x[hi+1] = U[hi+1] when
     hi < n-1 (at least one exists because the active set is nonempty).
@@ -83,25 +85,9 @@ def _solve_free_segment(x, U, lo, hi, n, lam_s2):
         w = -1.0 / diag[i - 1]
         diag[i] += w
         rhs[i] -= w * rhs[i - 1]
-    x[hi] = rhs[m - 1] / diag[m - 1]
+    x = [rhs[m - 1] / diag[m - 1]] * m
     for i in range(m - 2, -1, -1):
-        x[lo + i] = (rhs[i] + x[lo + i + 1]) / diag[i]
-
-
-def _solve_for_active_set(U, active_mask, lam_s2, n):
-    """Path with x_k = U_k on the active set and stationary free segments."""
-    x = np.empty(n)
-    seg_start = None
-    for k in range(n):
-        if active_mask >> k & 1:
-            if seg_start is not None:
-                _solve_free_segment(x, U, seg_start, k - 1, n, lam_s2)
-                seg_start = None
-            x[k] = U[k]
-        elif seg_start is None:
-            seg_start = k
-    if seg_start is not None:
-        _solve_free_segment(x, U, seg_start, n - 1, n, lam_s2)
+        x[i] = (rhs[i] + x[i + 1]) / diag[i]
     return x
 
 
@@ -114,27 +100,53 @@ def exact_map_active_set(U, lam, sigma):
     an equality-constrained concave quadratic maximization solved in
     closed form; feasible candidates are ranked by objective. The winner
     is the global MAP; ties keep the lexicographically smallest set.
+
+    A candidate is pieced together from its free segments, each fixed by
+    the active rounds a < b around it (a = -1 and b = n where there are
+    none), so its (n + 1)(n + 2) / 2 - 1 pieces are solved once, on Python
+    floats, for all 2^n - 1 sets. An active round has x_k = U_k <=
+    U_k + tol, so a set is feasible exactly when each of its pieces is.
     """
     U = _validate_chain_args(U, lam, sigma)
     n = len(U)
     check_enumerable(n)
-    lam_s2 = lam * sigma**2
+    lam_s2 = float(lam * sigma**2)
     feas_tol = 1e-9 * max(1.0, float(np.max(np.abs(U))))
+    u = U.tolist()
+    # Python floats: a bound near the float limit overflows to inf, unwarned
+    cap = [v + feas_tol for v in u]
+    # piece (a, b) holds x[a+1..b], None where it exceeds U + tol; a NaN
+    # does not, and the objective refuses it
+    pieces = {}
+    for a in range(-1, n):
+        for b in range(a + 1, n + 1):
+            if (a, b) != (-1, n):  # the empty set has no anchor
+                x = _free_segment(u, a + 1, b - 1, n, lam_s2) if b > a + 1 else []
+                x += u[b:b + 1]
+                pieces[a, b] = None if any(v > c for v, c in zip(x, cap[a + 1:])) else x
+    # the active rounds of every mask, in mask order
+    sets = [[]]
+    for k in range(n):
+        sets += [active + [k] for active in sets]
     best = None
-    for mask in range(1, 1 << n):
-        x = _solve_for_active_set(U, mask, lam_s2, n)
-        if np.any(x > U + feas_tol):
-            continue
-        obj = _objective(np.minimum(x, U), U, lam, sigma)
-        members = tuple(k + 1 for k in range(n) if mask >> k & 1)
-        if best is None:
-            best = (obj, members, x)
-            continue
-        tie_tol = 1e-12 * max(1.0, abs(best[0]))
-        if obj > best[0] + tie_tol:
-            best = (obj, members, x)
-        elif obj > best[0] - tie_tol and members < best[1]:
-            best = (obj, members, x)
+    for active in sets[1:]:
+        x = []
+        for piece in map(pieces.get, zip([-1, *active], [*active, n])):
+            if piece is None:
+                break
+            x += piece
+        else:
+            x = np.array(x)
+            obj = _objective(np.minimum(x, U), U, lam, sigma)
+            members = tuple(k + 1 for k in active)
+            if best is None:
+                best = (obj, members, x)
+                continue
+            tie_tol = 1e-12 * max(1.0, abs(best[0]))
+            if obj > best[0] + tie_tol:
+                best = (obj, members, x)
+            elif obj > best[0] - tie_tol and members < best[1]:
+                best = (obj, members, x)
     if best is None:
         raise ParameterError("no feasible active set found (inconsistent inputs)")
     obj, members, x = best
@@ -149,17 +161,19 @@ def coordinate_ascent_map(U, lam, sigma, tol=1e-12, max_iters=200_000):
     quadratic in x_k given its neighbors, clipped at U_k. The objective
     is concave with unique per-coordinate maximizers, so the sweep
     converges to the global constrained maximum. Terminates when the
-    largest coordinate change in a sweep drops below ``tol``.
+    largest coordinate change in a sweep drops below ``tol``. The sweeps
+    run on Python floats, with the tie rules of ``min`` and ``max``.
     """
     U = _validate_chain_args(U, lam, sigma)
     check_real(tol, "tol", math.ulp(0.0))
     max_iters = check_count(max_iters, "max_iters")
     n = len(U)
-    lam_s2 = lam * sigma**2
-    x = U.astype(float).copy()
+    lam_s2 = float(lam * sigma**2)
     if n == 1:
+        x = U.astype(float).copy()
         return MapSolution(path=x, objective=_objective(x, U, lam, sigma),
                            active_set=frozenset({1}))
+    u, x = U.tolist(), U.tolist()
     for _ in range(max_iters):
         delta = 0.0
         for k in range(n):
@@ -169,17 +183,20 @@ def coordinate_ascent_map(U, lam, sigma, tol=1e-12, max_iters=200_000):
                 prop = x[n - 2] + lam_s2
             else:
                 prop = (x[k - 1] + x[k + 1] + lam_s2) / 2.0
-            new = min(prop, U[k])
-            delta = max(delta, abs(new - x[k]))
+            new = u[k] if u[k] < prop else prop
+            change = abs(new - x[k])
+            if change > delta:
+                delta = change
             x[k] = new
         if delta < tol:
             break
     else:
         raise ConvergenceError(
-            f"coordinate ascent did not converge in {max_iters} sweeps", last_path=x
+            f"coordinate ascent did not converge in {max_iters} sweeps", last_path=np.array(x)
         )
     atol = max(tol * 10.0, 1e-12)
-    active = frozenset(k + 1 for k in range(n) if U[k] - x[k] <= atol)
+    active = frozenset(k + 1 for k in range(n) if u[k] - x[k] <= atol)
+    x = np.array(x)
     return MapSolution(path=x, objective=_objective(x, U, lam, sigma),
                        active_set=active)
 
@@ -189,19 +206,20 @@ def _quad_max_conv(values, step_sq_half_inv):
 
     ``c = step_sq_half_inv`` is h^2 / (2 sigma^2) in grid-index units.
     Linear-time lower-envelope-of-parabolas transform applied to the
-    negated values; entries equal to -inf are skipped.
+    negated values (Felzenszwalb and Huttenlocher, 2012); entries equal
+    to -inf are skipped. The envelope is built from Python floats and ints,
+    read through memoryviews; its breakpoints z never decrease, so the
+    parabola at each i is found by one binary search.
     """
     n = len(values)
-    out = np.full(n, -math.inf)
     finite = np.flatnonzero(np.isfinite(values))
     if len(finite) == 0:
-        return out
+        return np.full(n, -math.inf)
     c = step_sq_half_inv
-    f = values
-    v = [finite[0]]          # indices of parabolas in the envelope
+    f = memoryview(values)
+    v = [int(finite[0])]       # indices of parabolas in the envelope
     z = [-math.inf, math.inf]  # breakpoints between them
-    for q in finite[1:]:
-        q = int(q)
+    for q in memoryview(finite[1:]):
         while True:
             p = v[-1]
             # intersection of the parabolas rooted at q and p
@@ -214,13 +232,12 @@ def _quad_max_conv(values, step_sq_half_inv):
         v.append(q)
         z[-1] = s
         z.append(math.inf)
-    j = 0
-    for i in range(n):
-        while z[j + 1] < i:
-            j += 1
-        p = v[j]
-        out[i] = f[p] - c * (i - p) * (i - p)
-    return out
+    i = np.arange(n)
+    p = np.array(v)[np.searchsorted(z[1:], i, "left")]
+    d = (i - p).astype(float)
+    # c (i - p)^2 in the order of the scalar form; one that overflows is inf
+    with np.errstate(over="ignore"):
+        return values[p] - (c * d) * d
 
 
 def grid_max_marginal(U, lam, sigma, lo, hi, points):

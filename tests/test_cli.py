@@ -360,6 +360,24 @@ class TestCompareOracle:
         assert code == EXIT_USAGE
         assert "12" in err
 
+    def test_work_above_the_enumeration_limit_is_usage_error(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # 10**15 instances of 3 active sets each: refused before any instance
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "compare-oracle", "--instances", "1000000000000000",
+                             "--rounds", "2")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(2**28) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_work_limit_counts_active_sets(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ENUM_SETS", 30)
+        code, out, _ = run(capsys, "compare-oracle", "--rounds", "2", "--instances", "10")
+        assert code == EXIT_OK and json.loads(out)["instances"] == 10
+        code, out, err = run(capsys, "compare-oracle", "--rounds", "2", "--instances", "11")
+        assert code == EXIT_USAGE and out == "" and "11 * 3" in err
+
     @pytest.mark.parametrize("instances", ["0", "-2"])
     def test_non_positive_instances_is_validation_error(self, capsys, instances):
         code, out, err = run(capsys, "compare-oracle", "--instances", instances)
@@ -421,7 +439,7 @@ CONFIGS = st.builds(
 # Flag values for every subcommand. Counts come from 1..50, from values every
 # count refuses, or are >= 10**15, so that an example either runs in a few MB
 # or fails its first allocation at once; compare-oracle keeps rounds <= 6 and
-# a loop count (--instances) small or refused.
+# a loop count (--instances) small, refused, or above the enumeration work limit.
 REFUSED_COUNTS = st.integers(-50, 0) | st.integers(2**53 + 1, 10**25)
 FLAG_COUNTS = st.integers(1, 50) | REFUSED_COUNTS | st.integers(10**15, 2**53)
 FLAG_REALS = st.floats(1e-3, 1e3) | st.floats()
@@ -442,7 +460,7 @@ FLAGS = {
                       **MODEL_FLAGS}),
     "compare-oracle": (
         {"--rounds": st.integers(1, 6) | REFUSED_COUNTS | st.integers(10**15, 2**53),
-         "--instances": st.integers(1, 50) | REFUSED_COUNTS},
+         "--instances": st.integers(1, 50) | REFUSED_COUNTS | st.integers(10**15, 2**53)},
         {"--seed": FLAG_COUNTS, **MODEL_FLAGS},
     ),
 }
@@ -487,6 +505,8 @@ class TestErrorContract:
     @given(command_flags=COMMAND_FLAGS, observations=OBSERVATIONS)
     @example(("compare-oracle", {"--theta0": 1e300, "--rounds": 4, "--instances": 2}), [])
     @example(("compare-oracle", {"--d0": 1e300, "--rounds": 4, "--instances": 2}), [])
+    @example(("compare-oracle", {"--theta0": 1.7976931330646228e308, "--rounds": 1,
+                                 "--instances": 1, "--seed": 1}), [])
     @example(("estimate", {"--sigma": 1e153}), [(1.7e308, -1.7e308)] * 2)
     @example(("simulate", {"--rounds": 10**15}), [])
     @example(("sweep", {"--axis": "rounds", "--values": "2", "--trials": 10**15}), [])

@@ -757,9 +757,8 @@ class TestFastRecursivePath:
 
     @pytest.mark.parametrize("lam, sigma", [(3.0, 0.0), (1e10, 1e-155), (1e-300, 1e-5)])
     def test_whole_chain_when_the_unit_shift_vanishes(self, lam, sigma, window_lengths):
-        # sigma = 0; sigma**2 subnormal, so recursive shifts are 0 while
-        # lam * sigma**2 = 1e-300 sizes short windows that the check of L
-        # refuses; lam * sigma**2 subnormal
+        # sigma = 0; sigma**2 subnormal, so recursive shifts are 0 and a
+        # recursive series reads no window; lam * sigma**2 subnormal
         U = np.zeros(1000)
         self.assert_windows_equal_references(U, lam, sigma)
         U[0] = -1e-298
@@ -767,9 +766,26 @@ class TestFastRecursivePath:
         self.assert_windows_equal_references(model_chain(1000, 10.0, 1e-2, 7), lam, sigma)
         if sigma == 1e-155:
             # paper's shifts 1e-300 * d are not zero, and its windows stand
-            assert window_lengths == [1000, 2, 1000, 102, 1000, 1000]
+            assert window_lengths == [2, 102, 1000]
+        elif sigma == 0.0:
+            assert window_lengths == [1000] * 3
         else:
             assert window_lengths == [1000] * 6
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-170, 1e-155])
+    def test_flat_series_take_one_reduction(self, sigma, window_lengths):
+        # sigma**2 is 0 or subnormal, so every shift is 0.0: a series of
+        # N > 1 rounds reads no window, and its min keeps the pass's signed
+        # zeros, huge and subnormal values
+        rng = np.random.default_rng(14)
+        pool = [0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308, 5e-324, -5e-324]
+        for _ in range(3000):
+            n = int(rng.integers(1, 9))
+            U = rng.choice(pool, size=n)
+            want = literal_backtrack(U, np.zeros(n))[0][-1]
+            got = chain_kernel("recursive", 2.0, sigma, n)(U)
+            assert np.float64(got).tobytes() == want.tobytes()
+        assert window_lengths.count(1) == len(window_lengths) > 0
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_spread_takes_the_whole_chain(self, sign, window_lengths):

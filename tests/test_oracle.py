@@ -7,6 +7,7 @@ from fgclock import (
     ClockModelParams,
     ConvergenceError,
     DegenerateModelError,
+    FgclockError,
     GridCoverageError,
     ParameterError,
     SizeError,
@@ -18,6 +19,7 @@ from fgclock import (
     simulate_observations,
     simulate_paths,
 )
+from fgclock.oracle import _quad_max_conv
 
 
 def random_instance(i, n=None, lam=1.0, sigma=0.1, master=17):
@@ -219,6 +221,111 @@ class TestGridMaxMarginal:
             grid_max_marginal([1.0], 1.0, 0.1, lo=0.0, hi=2.0, points=points)
 
 
+def literal_exact_map(U, lam, sigma):
+    """The first release's enumeration, solving every set's free segments on
+    numpy scalars, one set at a time: the reference."""
+    n = len(U)
+    lam_s2 = lam * sigma**2
+    cap = U + 1e-9 * max(1.0, float(np.max(np.abs(U))))
+    best = None
+    for mask in range(1, 1 << n):
+        active = [k for k in range(n) if mask >> k & 1]
+        x = U.copy()
+        for lo, hi in zip([0, *(k + 1 for k in active)], [*(k - 1 for k in active), n - 1]):
+            m = hi - lo + 1
+            if m == 0:
+                continue
+            diag, rhs = [2.0] * m, [lam_s2] * m
+            if lo == 0:
+                diag[0] = 1.0
+            else:
+                rhs[0] += U[lo - 1]
+            if hi == n - 1:
+                diag[-1] = 1.0
+            else:
+                rhs[-1] += U[hi + 1]
+            for i in range(1, m):
+                w = -1.0 / diag[i - 1]
+                diag[i] += w
+                rhs[i] -= w * rhs[i - 1]
+            x[hi] = rhs[m - 1] / diag[m - 1]
+            for i in range(m - 2, -1, -1):
+                x[lo + i] = (rhs[i] + x[lo + i + 1]) / diag[i]
+        if np.any(x > cap):
+            continue
+        obj = objective(np.minimum(x, U), U, lam, sigma)
+        members = tuple(k + 1 for k in active)
+        if best is None or obj > best[0] + 1e-12 * max(1.0, abs(best[0])):
+            best = (obj, members, x)
+        elif obj > best[0] - 1e-12 * max(1.0, abs(best[0])) and members < best[1]:
+            best = (obj, members, x)
+    return np.minimum(best[2], U), best[0], frozenset(best[1])
+
+
+def literal_coordinate_ascent(U, lam, sigma, tol, max_iters):
+    """The first release's sweeps on numpy scalars: the last path and whether
+    it converged."""
+    n = len(U)
+    lam_s2 = lam * sigma**2
+    x = U.astype(float).copy()
+    for _ in range(max_iters):
+        delta = 0.0
+        for k in range(n):
+            if k == 0:
+                prop = x[1] + lam_s2
+            elif k == n - 1:
+                prop = x[n - 2] + lam_s2
+            else:
+                prop = (x[k - 1] + x[k + 1] + lam_s2) / 2.0
+            new = min(prop, U[k])
+            delta = max(delta, abs(new - x[k]))
+            x[k] = new
+        if delta < tol:
+            return x, True
+    return x, False
+
+
+LITERAL_CASES = [
+    *((random_instance(i, lam=lam, sigma=sigma, master=43), lam, sigma)
+      for i, (lam, sigma) in enumerate([(1.0, 0.1), (10.0, 1e-2), (0.5, 1.0), (100.0, 1e-3)] * 8)),
+    (np.full(6, 2.5), 1.0, 1e-7),
+    (np.array([-0.0, 0.0, -0.0, 0.0, -0.0]), 2.0, 0.3),
+    (0.125 * np.array([0.0, 4.0, 7.0, 9.0, 10.0]), 0.5, 0.5),
+    # objectives within the tie tolerance of one another, where the order in
+    # which the sets are visited picks the winner
+    (np.array([0.0, 0.0, 1.0, 2.0, 1.0, 0.0]), 1.0, 1e-7),
+    # a proposal of +0.0 against U_1 = -0.0: the tie keeps the proposal
+    (np.array([-0.0, -0.125]), 0.5, 0.5),
+]
+
+
+class TestLiteralReferences:
+    """The oracles' Python-float loops give the numpy-scalar loops' bits."""
+
+    @pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+    def test_exact_map_equals_reference(self, case):
+        U, lam, sigma = LITERAL_CASES[case]
+        sol = exact_map_active_set(U, lam, sigma)
+        path, obj, active = literal_exact_map(U, lam, sigma)
+        assert sol.path.tobytes() == path.tobytes()
+        assert (sol.objective, sol.active_set) == (obj, active)
+
+    @pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+    @pytest.mark.parametrize("max_iters", [3, 200_000])
+    def test_coordinate_ascent_equals_reference(self, case, max_iters):
+        U, lam, sigma = LITERAL_CASES[case]
+        if len(U) == 1:
+            return
+        want, converged = literal_coordinate_ascent(U, lam, sigma, 1e-12, max_iters)
+        if converged:
+            got = coordinate_ascent_map(U, lam, sigma, max_iters=max_iters).path
+        else:
+            with pytest.raises(ConvergenceError) as exc:
+                coordinate_ascent_map(U, lam, sigma, max_iters=max_iters)
+            got = exc.value.last_path
+        assert got.tobytes() == want.tobytes()
+
+
 class TestOraclesConsistent:
     def test_objectives_match_across_routes(self):
         for i in range(50):
@@ -254,3 +361,141 @@ def test_invalid_inputs_raise(oracle, lam, sigma, U, error):
     # NaN objective or RuntimeWarning at extreme parameters
     with pytest.raises(error):
         ORACLES[oracle](U, lam, sigma)
+
+
+def dense_map_candidates(U, lam, sigma):
+    """{active set: objective} of every feasible set, by dense linear solves.
+
+    The stationarity conditions of the free rounds F are L_FF x_F =
+    lam sigma^2 - L_FA U_A, with L the Laplacian of the chain whose first
+    increment is zero (x_0 = x_1).
+    """
+    n = len(U)
+    L = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0]) if n > 1 else np.zeros((1, 1))
+    L -= np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(U))))
+    out = {}
+    for mask in range(1, 1 << n):
+        A = np.array([mask >> k & 1 for k in range(n)], dtype=bool)
+        x = U.copy()
+        if (~A).any():
+            rhs = lam * sigma**2 - L[np.ix_(~A, A)] @ U[A]
+            x[~A] = np.linalg.solve(L[np.ix_(~A, ~A)], rhs)
+        if np.all(x <= U + tol):
+            members = tuple(int(k) + 1 for k in np.flatnonzero(A))
+            out[members] = objective(np.minimum(x, U), U, lam, sigma)
+    return out
+
+
+class TestTiesAndOverflow:
+    @pytest.mark.parametrize("U", [
+        *(np.full(n, value) for n in (1, 2, 5, 8) for value in (0.0, -0.0, 3.5, -1e3)),
+        np.array([-0.0, 0.0, -0.0, 0.0, 0.0, -0.0]),
+    ], ids=lambda U: repr(U.tolist()))
+    def test_constant_chain_keeps_the_smallest_set(self, U):
+        # lam sigma^2 = 1e-14: every free segment lies within the feasibility
+        # tolerance of U, so all 2^n - 1 sets are feasible and tie
+        sol = exact_map_active_set(U, 1.0, 1e-7)
+        assert sol.active_set == frozenset({1})
+        np.testing.assert_allclose(sol.path, U, rtol=1e-15, atol=1e-13)
+
+    @pytest.mark.parametrize("U, tied, want", [
+        # the free tail after round 1 has increments 4a, 3a, 2a, a and meets
+        # every U_k, so each set holding round 1 gives the same path
+        ([0.0, 4.0, 7.0, 9.0, 10.0], 16, {1}),
+        # the same after round 2, where U_1 lies far above the free x_1
+        ([40.0, 0.0, 3.0, 5.0, 6.0], 8, {2}),
+    ])
+    def test_ties_keep_the_lexicographically_smallest_set(self, U, tied, want):
+        # lam sigma^2 = a = 0.125; the dense reference finds the tie
+        U = 0.125 * np.array(U)
+        candidates = dense_map_candidates(U, 0.5, 0.5)
+        best = max(candidates.values())
+        near = [s for s, obj in candidates.items() if obj >= best - 1e-12 * max(1.0, abs(best))]
+        assert len(near) == tied and set(min(near)) == want
+        sol = exact_map_active_set(U, 0.5, 0.5)
+        assert sol.active_set == frozenset(want)
+        assert abs(sol.objective - best) <= 1e-15
+
+    @pytest.mark.parametrize("U", [
+        np.full(4, 1e308), np.full(4, -1e308), np.array([1.7e308, -1.7e308, 1.7e308]),
+        np.array([1e308, 1.5e308, 1.7e308, 1.79e308]), -np.array([1e308, 1.5e308, 1.7e308]),
+        np.array([-1.79e308, 0.0, 1.79e308]), np.array([1.7976931348623157e308]),
+        np.full(3, -1.7976931348623157e308),
+    ], ids=lambda U: repr(U.tolist()))
+    @pytest.mark.parametrize("lam, sigma", [(1.0, 1.0), (10.0, 1e-2), (1e-3, 1e150)])
+    def test_chains_near_the_float_limit(self, U, lam, sigma):
+        # a finite answer or an FgclockError, with no overflow warning (pytest
+        # makes a RuntimeWarning an error)
+        spread = 1e-9 * float(np.max(np.abs(U)))
+        calls = [
+            lambda: exact_map_active_set(U, lam, sigma),
+            lambda: coordinate_ascent_map(U, lam, sigma, max_iters=500),
+            lambda: grid_max_marginal(U, lam, sigma, float(np.min(U)) - spread,
+                                      float(np.max(U)) + spread, 513),
+            lambda: grid_max_marginal(U, lam, sigma, -1e150, 1e150, 513),
+        ]
+        for call in calls:
+            try:
+                got = call()
+            except FgclockError:
+                continue
+            values = [got] if isinstance(got, float) else [*got.path, got.objective]
+            assert all(math.isfinite(v) for v in values)
+
+
+def literal_quad_max_conv(values, c):
+    """The envelope with a scalar read-out, indexing numpy scalars: the reference."""
+    finite = np.flatnonzero(np.isfinite(values))
+    out = np.full(len(values), -math.inf)
+    if len(finite) == 0:
+        return out
+    v, z = [int(finite[0])], [-math.inf, math.inf]
+    for q in finite[1:].tolist():
+        while True:
+            p = v[-1]
+            s = ((q * q - p * p) - (values[q] - values[p]) / c) / (2.0 * (q - p))
+            if s <= z[-2] and len(v) > 1:
+                v.pop()
+                z.pop()
+            else:
+                break
+        v.append(q)
+        z[-1] = s
+        z.append(math.inf)
+    j = 0
+    for i in range(len(values)):
+        while z[j + 1] < i:
+            j += 1
+        out[i] = values[v[j]] - c * (i - v[j]) * (i - v[j])
+    return out
+
+
+def brute_quad_max_conv(values, c):
+    i = np.arange(len(values), dtype=float)
+    return np.max(values[None, :] - c * (i[:, None] - i[None, :]) ** 2, axis=1)
+
+
+class TestQuadMaxConv:
+    @pytest.mark.parametrize("c", [1e-3, 0.37, 1.0, 50.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 513])
+    def test_matches_brute_force(self, c, n):
+        rng = np.random.default_rng([n, int(c * 1000)])
+        cases = [
+            rng.normal(0.0, 10.0, n),
+            np.where(rng.random(n) < 0.4, -math.inf, rng.normal(0.0, 10.0, n)),
+            np.full(n, -math.inf),
+            np.where(np.arange(n) == n // 2, 3.0, -math.inf),
+            rng.choice([0.0, 1.0, 2.5], size=n),  # ties
+            np.full(n, 7.25),
+            -c * (np.arange(n) - n / 3.0) ** 2,  # a single parabola's own shape
+        ]
+        for values in cases:
+            got = _quad_max_conv(values, c)
+            assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
+            want = brute_quad_max_conv(values, c)
+            assert np.array_equal(np.isneginf(got), np.isneginf(want))
+            finite = np.isfinite(want)
+            assert np.isfinite(got[finite]).all()
+            assert np.all(np.abs(got[finite] - want[finite])
+                          <= 1e-12 * np.maximum(1.0, np.abs(want[finite])))
