@@ -26,7 +26,7 @@ from .experiments import (
     mse_vs_sigma,
 )
 from .model import ClockModelParams, check_count, simulate_observations, simulate_paths
-from .oracle import MAX_ENUM_SETS, check_enumerable, exact_map_active_set
+from .oracle import INSTANCE_SETS, MAX_ENUM_SETS, check_enumerable, exact_map_active_set
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -232,10 +232,11 @@ def cmd_compare_oracle(args):
     instances = check_count(args.instances, "--instances")
     seed = check_count(args.seed, "--seed", low=0)
     params = _resolve_model({}, args)
-    if instances * (2**params.rounds - 1) > MAX_ENUM_SETS:
+    cost = 2**params.rounds - 1 + INSTANCE_SETS
+    if instances * cost > MAX_ENUM_SETS:
         raise SizeError(
-            f"compare-oracle enumerates --instances * (2**--rounds - 1) active sets, "
-            f"at most {MAX_ENUM_SETS}; got {instances} * {2**params.rounds - 1}"
+            f"compare-oracle does the work of --instances * (2**--rounds - 1 + {INSTANCE_SETS}) "
+            f"active sets, at most {MAX_ENUM_SETS}; got {instances} * {cost}"
         )
     # the factor-graph variants, each against the exact MAP
     estimators = {

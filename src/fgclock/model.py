@@ -294,10 +294,17 @@ def chain_log_posterior(candidate, obs, lam, sigma):
         )
     if np.any(candidate[1:] > obs):
         return -np.inf
+    return _chain_log_posterior(candidate, lam, s2)
+
+
+def _chain_log_posterior(candidate, lam, s2):
+    """:func:`chain_log_posterior` of a float ``candidate`` within its bounds, s2 = sigma**2."""
     # finite values near the float limit can overflow it: refused, not ranked
     with np.errstate(over="ignore", invalid="ignore"):
-        incr = np.diff(candidate)
+        incr = candidate[1:] - candidate[:-1]
         value = float(-np.dot(incr, incr) / (2.0 * s2) + lam * candidate[1:].sum())
+    if not -FLOAT_MAX <= value <= FLOAT_MAX:
+        check_chain(candidate, "candidate")  # a non-finite candidate is refused as such
     return check_real(value, "the chain log posterior", -FLOAT_MAX, FLOAT_MAX)
 
 

@@ -7,10 +7,12 @@ taking logs and dropping constants,
 
 subject to x_k <= U_k. The flat-prior root variable x_0 is eliminated
 analytically (its optimum is x_0 = x_1, zeroing the first increment).
-Three independent routes to the same optimum are provided: exhaustive
-active-set enumeration with tridiagonal equality solves, cyclic
-coordinate ascent, and a discretized max-product sweep on a grid. None
-of them shares code with the estimators they validate.
+Three independent routes to the same optimum are provided: active-set
+enumeration with tridiagonal equality solves, which walks only the feasible
+sets, cyclic coordinate ascent, and a discretized max-product sweep on a
+grid, whose envelopes take one vector pass where the input allows. Each
+shortcut gives, bit for bit, the results of the full loop it skips. None of
+the oracles shares code with the estimators they validate.
 """
 
 import math
@@ -19,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridCoverageError, ParameterError, SizeError
-from .model import (FLOAT_MAX, chain_log_posterior, check_chain, check_count, check_real,
+from .model import (FLOAT_MAX, _chain_log_posterior, check_chain, check_count, check_real,
                     density_sigma_squared)
 
 #: Active-set enumeration is 2^N; keep desk-scale.
 MAX_ENUM_ROUNDS = 12
-#: Active sets one ``compare-oracle`` run may enumerate, instances * (2^N - 1).
+#: Work one ``compare-oracle`` run may do, instances * (2^N - 1 + INSTANCE_SETS) sets.
 MAX_ENUM_SETS = 2**28
+#: One instance's simulation and estimates, in active sets: about 200 at N = 12.
+INSTANCE_SETS = 2**8
 
 
 @dataclass(frozen=True)
@@ -43,9 +47,9 @@ class MapSolution:
 
 
 def _validate_chain_args(U, lam, sigma):
-    """Checked ``U``; the MAP objective divides by sigma**2, so it must be normal."""
-    density_sigma_squared(sigma, lam)
-    return check_chain(U)
+    """Checked ``U`` and sigma**2, which the MAP objective divides by: it must be normal."""
+    s2 = density_sigma_squared(sigma, lam)
+    return check_chain(U), s2
 
 
 def check_enumerable(n):
@@ -54,10 +58,9 @@ def check_enumerable(n):
         raise SizeError(f"active-set enumeration supports N <= {MAX_ENUM_ROUNDS}, got {n}")
 
 
-def _objective(path, U, lam, sigma):
-    """Chain log posterior with the root variable pinned at x_1."""
-    candidate = np.concatenate(([path[0]], path))
-    return chain_log_posterior(candidate, U, lam, sigma)
+def _objective(path, lam, s2):
+    """Chain log posterior at a feasible float path, the root pinned at x_1, s2 = sigma**2."""
+    return _chain_log_posterior(np.concatenate((path[:1], path)), lam, s2)
 
 
 def _free_segment(U, lo, hi, n, lam_s2):
@@ -65,9 +68,8 @@ def _free_segment(U, lo, hi, n, lam_s2):
 
     Anchors are x[lo-1] = U[lo-1] when lo > 0 and x[hi+1] = U[hi+1] when
     hi < n-1 (at least one exists because the active set is nonempty).
-    The stationarity conditions form a symmetric tridiagonal system with
-    off-diagonal -1 and diagonal equal to the number of chain neighbors;
-    solved by the Thomas algorithm.
+    The stationarity conditions form a symmetric tridiagonal system with off-diagonal
+    -1 and diagonal equal to the number of chain neighbors; solved by the Thomas algorithm.
     """
     m = hi - lo + 1
     diag = [2.0] * m
@@ -92,65 +94,52 @@ def _free_segment(U, lo, hi, n, lam_s2):
 
 
 def exact_map_active_set(U, lam, sigma):
-    """Global constrained MAP by exhaustive active-set enumeration.
+    """Global constrained MAP by active-set enumeration.
 
-    Every nonempty subset of rounds is tried as the binding set (the
-    empty set leaves the objective unbounded along the all-ones
-    direction, so the optimum always binds somewhere). Each candidate is
-    an equality-constrained concave quadratic maximization solved in
-    closed form; feasible candidates are ranked by objective. The winner
-    is the global MAP; ties keep the lexicographically smallest set.
-
-    A candidate is pieced together from its free segments, each fixed by
-    the active rounds a < b around it (a = -1 and b = n where there are
-    none), so its (n + 1)(n + 2) / 2 - 1 pieces are solved once, on Python
-    floats, for all 2^n - 1 sets. An active round has x_k = U_k <=
-    U_k + tol, so a set is feasible exactly when each of its pieces is.
+    With no active round the objective is unbounded along the all-ones
+    direction, so the optimum binds somewhere: it is the best nonempty set
+    whose equality-constrained maximizer is feasible; ties keep the
+    lexicographically smallest set. A maximizer is pieced together from its
+    free segments, each fixed by the active rounds a < b around it (a = -1
+    and b = n where there are none), so its (n + 1)(n + 2) / 2 - 1 pieces
+    are solved once, on Python floats. An active round has x_k = U_k <= U_k
+    + tol, so a set is feasible exactly when each of its pieces is: only the
+    paths -1 -> n through feasible pieces are walked, not all 2^n - 1 sets.
+    The paths through b extend those ending at a = -1, 0, ..., b - 1 in
+    turn, which by induction lists their masks in increasing order: scored
+    in that order with the arithmetic of ``chain_log_posterior``, as a loop
+    over every set would, they give the same result to the bit.
     """
-    U = _validate_chain_args(U, lam, sigma)
+    U, s2 = _validate_chain_args(U, lam, sigma)
     n = len(U)
     check_enumerable(n)
-    lam_s2 = float(lam * sigma**2)
+    lam_s2 = float(lam * s2)
     feas_tol = 1e-9 * max(1.0, float(np.max(np.abs(U))))
     u = U.tolist()
     # Python floats: a bound near the float limit overflows to inf, unwarned
     cap = [v + feas_tol for v in u]
-    # piece (a, b) holds x[a+1..b], None where it exceeds U + tol; a NaN
-    # does not, and the objective refuses it
-    pieces = {}
-    for a in range(-1, n):
-        for b in range(a + 1, n + 1):
-            if (a, b) != (-1, n):  # the empty set has no anchor
+    # ends[b]: (mask of its rounds and b, x[0..b]) of each path -1 -> b, in mask order; piece
+    # (a, b) holds x[a+1..b], feasible unless above U + tol (a NaN is; the objective refuses it)
+    ends = {-1: [(0, [])]}
+    for b in range(n + 1):
+        ends[b] = []
+        for a in range(-1, b):
+            if ends[a] and (a, b) != (-1, n):  # the empty set has no anchor
                 x = _free_segment(u, a + 1, b - 1, n, lam_s2) if b > a + 1 else []
                 x += u[b:b + 1]
-                pieces[a, b] = None if any(v > c for v, c in zip(x, cap[a + 1:])) else x
-    # the active rounds of every mask, in mask order
-    sets = [[]]
-    for k in range(n):
-        sets += [active + [k] for active in sets]
+                if not any(v > c for v, c in zip(x, cap[a + 1:])):
+                    ends[b] += [(mask | 1 << b, head + x) for mask, head in ends[a]]
     best = None
-    for active in sets[1:]:
-        x = []
-        for piece in map(pieces.get, zip([-1, *active], [*active, n])):
-            if piece is None:
-                break
-            x += piece
-        else:
-            x = np.array(x)
-            obj = _objective(np.minimum(x, U), U, lam, sigma)
-            members = tuple(k + 1 for k in active)
-            if best is None:
-                best = (obj, members, x)
-                continue
-            tie_tol = 1e-12 * max(1.0, abs(best[0]))
-            if obj > best[0] + tie_tol:
-                best = (obj, members, x)
-            elif obj > best[0] - tie_tol and members < best[1]:
-                best = (obj, members, x)
-    if best is None:
-        raise ParameterError("no feasible active set found (inconsistent inputs)")
-    obj, members, x = best
-    path = np.minimum(x, U)
+    bounds = np.concatenate((U[:1], U))  # of the root, pinned at x_1, and of x
+    for mask, x in ends[n]:
+        candidate = np.minimum(x[:1] + x, bounds)
+        obj = _chain_log_posterior(candidate, lam, s2)
+        members = tuple(k + 1 for k in range(n) if mask >> k & 1)
+        tie_tol = 1e-12 * max(1.0, abs(best[0])) if best else 0.0
+        if (best is None or obj > best[0] + tie_tol
+                or (obj > best[0] - tie_tol and members < best[1])):
+            best = (obj, members, candidate[1:])
+    obj, members, path = best  # the set of every round is always feasible
     return MapSolution(path=path, objective=obj, active_set=frozenset(members))
 
 
@@ -164,15 +153,14 @@ def coordinate_ascent_map(U, lam, sigma, tol=1e-12, max_iters=200_000):
     largest coordinate change in a sweep drops below ``tol``. The sweeps
     run on Python floats, with the tie rules of ``min`` and ``max``.
     """
-    U = _validate_chain_args(U, lam, sigma)
+    U, s2 = _validate_chain_args(U, lam, sigma)
     check_real(tol, "tol", math.ulp(0.0))
     max_iters = check_count(max_iters, "max_iters")
     n = len(U)
-    lam_s2 = float(lam * sigma**2)
+    lam_s2 = float(lam * s2)
     if n == 1:
         x = U.astype(float).copy()
-        return MapSolution(path=x, objective=_objective(x, U, lam, sigma),
-                           active_set=frozenset({1}))
+        return MapSolution(path=x, objective=_objective(x, lam, s2), active_set=frozenset({1}))
     u, x = U.tolist(), U.tolist()
     for _ in range(max_iters):
         delta = 0.0
@@ -197,8 +185,7 @@ def coordinate_ascent_map(U, lam, sigma, tol=1e-12, max_iters=200_000):
     atol = max(tol * 10.0, 1e-12)
     active = frozenset(k + 1 for k in range(n) if u[k] - x[k] <= atol)
     x = np.array(x)
-    return MapSolution(path=x, objective=_objective(x, U, lam, sigma),
-                       active_set=active)
+    return MapSolution(path=x, objective=_objective(x, lam, s2), active_set=active)
 
 
 def _quad_max_conv(values, step_sq_half_inv):
@@ -207,33 +194,43 @@ def _quad_max_conv(values, step_sq_half_inv):
     ``c = step_sq_half_inv`` is h^2 / (2 sigma^2) in grid-index units.
     Linear-time lower-envelope-of-parabolas transform applied to the
     negated values (Felzenszwalb and Huttenlocher, 2012); entries equal
-    to -inf are skipped. The envelope is built from Python floats and ints,
-    read through memoryviews; its breakpoints z never decrease, so the
-    parabola at each i is found by one binary search.
+    to -inf are skipped. The breakpoints of neighbouring finite entries
+    take one vector pass, in the stack loop's own expression: where they
+    strictly increase, as for every concave input and so every grid
+    message, the loop would pop nothing and they are its envelope, bit for
+    bit. Otherwise the loop runs, on Python floats and ints read through
+    memoryviews. The breakpoints never decrease, so the parabola at each i
+    is found by one binary search.
     """
     n = len(values)
     finite = np.flatnonzero(np.isfinite(values))
     if len(finite) == 0:
         return np.full(n, -math.inf)
     c = step_sq_half_inv
-    f = memoryview(values)
-    v = [int(finite[0])]       # indices of parabolas in the envelope
-    z = [-math.inf, math.inf]  # breakpoints between them
-    for q in memoryview(finite[1:]):
-        while True:
-            p = v[-1]
-            # intersection of the parabolas rooted at q and p
-            s = ((q * q - p * p) - (f[q] - f[p]) / c) / (2.0 * (q - p))
-            if s <= z[-2] and len(v) > 1:
-                v.pop()
-                z.pop()
-            else:
-                break
-        v.append(q)
-        z[-1] = s
-        z.append(math.inf)
+    q, p = finite[1:], finite[:-1]
+    with np.errstate(over="ignore"):
+        z = ((q * q - p * p) - (values[q] - values[p]) / c) / (2.0 * (q - p))
+    v = finite                 # indices of parabolas in the envelope
+    if n > 2**31 or not np.all(z[1:] > z[:-1]):  # int64 squares of indices wrap past 2**31
+        f = memoryview(values)
+        v = [int(finite[0])]
+        z = [-math.inf, math.inf]  # breakpoints between them
+        for q in memoryview(finite[1:]):
+            while True:
+                p = v[-1]
+                # intersection of the parabolas rooted at q and p
+                s = ((q * q - p * p) - (f[q] - f[p]) / c) / (2.0 * (q - p))
+                if s <= z[-2] and len(v) > 1:
+                    v.pop()
+                    z.pop()
+                else:
+                    break
+            v.append(q)
+            z[-1] = s
+            z.append(math.inf)
+        v, z = np.array(v), z[1:-1]
     i = np.arange(n)
-    p = np.array(v)[np.searchsorted(z[1:], i, "left")]
+    p = v[np.searchsorted(z, i, "left")]
     d = (i - p).astype(float)
     # c (i - p)^2 in the order of the scalar form; one that overflows is inf
     with np.errstate(over="ignore"):
@@ -249,7 +246,7 @@ def grid_max_marginal(U, lam, sigma, lo, hi, points):
     the grid is refined. Raises GridCoverageError when the argmax lands
     on a grid boundary or the grid misses the feasible region entirely.
     """
-    U = _validate_chain_args(U, lam, sigma)
+    U = _validate_chain_args(U, lam, sigma)[0]
     if not (check_real(lo, "lo") < check_real(hi, "hi")
             and math.isfinite(float(hi) - float(lo))):
         raise ParameterError(f"need lo < hi with hi - lo finite, got lo={lo}, hi={hi}")
@@ -259,29 +256,32 @@ def grid_max_marginal(U, lam, sigma, lo, hi, points):
     h = float(grid[1] - grid[0])
     c = check_real(h * h / (2.0 * float(sigma) ** 2), "grid step**2 / (2 sigma**2)",
                    math.ulp(0.0), FLOAT_MAX)
-    linear = lam * grid
     # round each constraint boundary to the nearest grid point; flooring it
-    # would bias every level's cut downward by up to a full step
-    half = h / 2.0
-    msg = linear.copy()
-    msg[grid > U[0] + half] = -math.inf
-    if not np.any(np.isfinite(msg)):
-        raise GridCoverageError("grid lies entirely above U_1; no feasible point")
-    for k in range(1, len(U)):
-        msg = _quad_max_conv(msg, c) + linear
-        msg[grid > U[k] + half] = -math.inf
+    # would bias every level's cut downward by up to a full step (Python
+    # floats: a bound that overflows is inf and cuts nothing)
+    cut = [v + h / 2.0 for v in U.tolist()]
+    try:
+        with np.errstate(over="raise"):
+            linear = lam * grid
+            msg = linear.copy()
+            msg[grid > cut[0]] = -math.inf
+            if not np.any(np.isfinite(msg)):
+                raise GridCoverageError("grid lies entirely above U_1; no feasible point")
+            for k in range(1, len(U)):
+                msg = _quad_max_conv(msg, c) + linear
+                msg[grid > cut[k]] = -math.inf
+    except FloatingPointError:
+        raise ParameterError(f"the max-marginals overflow on the grid (lam={lam}, "
+                             f"lo={lo}, hi={hi})") from None
     i = int(np.argmax(msg))
     if not math.isfinite(msg[i]):
         raise GridCoverageError("final max-marginal is -inf everywhere on the grid")
     if i == 0 or i == points - 1:
-        raise GridCoverageError(
-            f"argmax landed on the grid boundary (index {i}); widen [lo, hi]"
-        )
-    # sub-step refinement: the max-marginal is piecewise quadratic, so a
-    # three-point vertex fit recovers the continuous peak when it lies inside
-    # a segment; at a constraint cut a neighbor is -inf and the grid point
-    # itself is the peak
-    left, mid, right = msg[i - 1], msg[i], msg[i + 1]
+        raise GridCoverageError(f"argmax landed on the grid boundary (index {i}); widen [lo, hi]")
+    # sub-step refinement: the max-marginal is piecewise quadratic, so a three-point
+    # vertex fit recovers the continuous peak when it lies inside a segment; at a
+    # constraint cut a neighbor is -inf and the grid point itself is the peak
+    left, mid, right = msg[i - 1:i + 2].tolist()  # Python floats overflow unwarned
     delta = 0.0
     if math.isfinite(left) and math.isfinite(right):
         den = 2.0 * (2.0 * mid - left - right)

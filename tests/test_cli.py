@@ -372,11 +372,29 @@ class TestCompareOracle:
         assert list(tmp_path.iterdir()) == []
 
     def test_work_limit_counts_active_sets(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_ENUM_SETS", 30)
+        # at N = 2 an instance costs its 3 active sets and INSTANCE_SETS = 256
+        monkeypatch.setattr(cli, "MAX_ENUM_SETS", 2590)
         code, out, _ = run(capsys, "compare-oracle", "--rounds", "2", "--instances", "10")
         assert code == EXIT_OK and json.loads(out)["instances"] == 10
         code, out, err = run(capsys, "compare-oracle", "--rounds", "2", "--instances", "11")
-        assert code == EXIT_USAGE and out == "" and "11 * 3" in err
+        assert code == EXIT_USAGE and out == "" and "11 * 259" in err
+
+    def test_work_limit_charges_each_instance(self, capsys, monkeypatch):
+        # one active set each, but 2**28 simulations and estimates: about a
+        # day of work, refused before the first instance
+        def no_instance(*args, **kwargs):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(cli, "simulate_paths", no_instance)
+        code, out, err = run(capsys, "compare-oracle", "--rounds", "1",
+                             "--instances", "268435456")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "268435456 * 257" in err
+
+    def test_work_limit_admits_the_enumeration_cap(self, capsys):
+        code, out, _ = run(capsys, "compare-oracle", "--rounds", "12", "--instances", "20")
+        assert code == EXIT_OK and json.loads(out)["instances"] == 20
 
     @pytest.mark.parametrize("instances", ["0", "-2"])
     def test_non_positive_instances_is_validation_error(self, capsys, instances):

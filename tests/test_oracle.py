@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgclock import (
     ClockModelParams,
@@ -19,6 +21,7 @@ from fgclock import (
     simulate_observations,
     simulate_paths,
 )
+from fgclock import oracle
 from fgclock.oracle import _quad_max_conv
 
 
@@ -220,14 +223,32 @@ class TestGridMaxMarginal:
         with pytest.raises(ParameterError, match="points"):
             grid_max_marginal([1.0], 1.0, 0.1, lo=0.0, hi=2.0, points=points)
 
+    @pytest.mark.parametrize("U, lam, sigma, lo, hi, points", [
+        # lam * max(|lo|, |hi|) overflows
+        ([-1.41e70, -2.80e70], 2.73e291, 2.70e-82, -5.60e70, 1.39e70, 65),
+        # lam * hi does not, but the two rounds' messages add up past the limit
+        ([1e10, 1e12], 1e298, 1e-145, 1e10 - 1e8, 1e10 + 2e8, 4097),
+    ])
+    def test_overflowing_max_marginals_are_refused(self, U, lam, sigma, lo, hi, points):
+        # refused with no overflow warning (pytest makes a RuntimeWarning an error)
+        with pytest.raises(ParameterError, match="max-marginals overflow"):
+            grid_max_marginal(U, lam, sigma, lo, hi, points)
 
-def literal_exact_map(U, lam, sigma):
-    """The first release's enumeration, solving every set's free segments on
-    numpy scalars, one set at a time: the reference."""
+    def test_peak_near_the_float_limit_is_finite(self):
+        # the peak max-marginal is about 1.2e308, so twice it overflows in the
+        # vertex fit; the grid point is then the answer, within a step of
+        # x_2 = U_1 + lam sigma^2
+        lo, hi, points = 1e10 - 1e8, 1e10 + 2e8, 4097
+        got = grid_max_marginal([1e10, 1e12], 6e297, 1e-145, lo, hi, points)
+        assert abs(got - (1e10 + 6e7)) <= (hi - lo) / (points - 1)
+
+
+def literal_feasible_sets(U, lam, sigma):
+    """(active rounds, x) of every feasible set in mask order, each set's free
+    segments solved on numpy scalars as in the first release."""
     n = len(U)
     lam_s2 = lam * sigma**2
     cap = U + 1e-9 * max(1.0, float(np.max(np.abs(U))))
-    best = None
     for mask in range(1, 1 << n):
         active = [k for k in range(n) if mask >> k & 1]
         x = U.copy()
@@ -251,8 +272,15 @@ def literal_exact_map(U, lam, sigma):
             x[hi] = rhs[m - 1] / diag[m - 1]
             for i in range(m - 2, -1, -1):
                 x[lo + i] = (rhs[i] + x[lo + i + 1]) / diag[i]
-        if np.any(x > cap):
-            continue
+        if not np.any(x > cap):
+            yield active, x
+
+
+def literal_exact_map(U, lam, sigma):
+    """The first release's enumeration, one set at a time over all 2^n - 1
+    sets in mask order: the reference."""
+    best = None
+    for active, x in literal_feasible_sets(U, lam, sigma):
         obj = objective(np.minimum(x, U), U, lam, sigma)
         members = tuple(k + 1 for k in active)
         if best is None or obj > best[0] + 1e-12 * max(1.0, abs(best[0])):
@@ -324,6 +352,42 @@ class TestLiteralReferences:
                 coordinate_ascent_map(U, lam, sigma, max_iters=max_iters)
             got = exc.value.last_path
         assert got.tobytes() == want.tobytes()
+
+    # reals, reals rounded to 0.1, and a few values with signed zeros: the last
+    # two give exact ties and ties within the tolerance
+    @given(
+        U=st.lists(
+            st.one_of(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0).map(lambda v: round(v, 1)),
+                      st.sampled_from([-0.0, 0.0, 0.125, 1.0])),
+            min_size=1, max_size=10,
+        ).map(np.array),
+        lam=st.sampled_from([0.5, 1.0, 10.0, 100.0]),
+        sigma=st.sampled_from([1e-7, 1e-3, 1e-2, 0.1, 0.5, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_generated_chains_equal_reference(self, U, lam, sigma):
+        sol = exact_map_active_set(U, lam, sigma)
+        path, obj, active = literal_exact_map(U, lam, sigma)
+        assert sol.path.tobytes() == path.tobytes()
+        assert (sol.objective, sol.active_set) == (obj, active)
+
+    @pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+    def test_objective_scores_each_feasible_set_once_in_mask_order(self, case, monkeypatch):
+        U, lam, sigma = LITERAL_CASES[case]
+        scored = []
+
+        def record(candidate, *args):
+            scored.append(candidate.tobytes())
+            return core(candidate, *args)
+
+        core = oracle._chain_log_posterior
+        monkeypatch.setattr(oracle, "_chain_log_posterior", record)
+        exact_map_active_set(U, lam, sigma)
+        want = []
+        for _, x in literal_feasible_sets(U, lam, sigma):
+            path = np.minimum(x, U)
+            want.append(np.concatenate(([path[0]], path)).tobytes())
+        assert scored == want
 
 
 class TestOraclesConsistent:
@@ -471,6 +535,13 @@ def literal_quad_max_conv(values, c):
     return out
 
 
+def neighbour_breakpoints(values, c):
+    """Where the parabolas rooted at neighbouring finite entries intersect."""
+    q = np.flatnonzero(np.isfinite(values)).tolist()
+    return [((b * b - a * a) - (values[b] - values[a]) / c) / (2.0 * (b - a))
+            for a, b in zip(q, q[1:])]
+
+
 def brute_quad_max_conv(values, c):
     i = np.arange(len(values), dtype=float)
     return np.max(values[None, :] - c * (i[:, None] - i[None, :]) ** 2, axis=1)
@@ -499,3 +570,71 @@ class TestQuadMaxConv:
             assert np.isfinite(got[finite]).all()
             assert np.all(np.abs(got[finite] - want[finite])
                           <= 1e-12 * np.maximum(1.0, np.abs(want[finite])))
+
+    def test_concave_inputs_take_the_vector_pass(self, monkeypatch):
+        # a grid message is a ramp cut at U_k + h/2, max-convolved with a
+        # concave quadratic: concave, so its breakpoints strictly increase
+        captured = []
+
+        def capture(values, c):
+            captured.append((values.copy(), c))
+            return conv(values, c)
+
+        conv = oracle._quad_max_conv
+        monkeypatch.setattr(oracle, "_quad_max_conv", capture)
+        for i in range(15):
+            n = 2 + i % 5
+            U = random_instance(i, n=n, lam=10.0, sigma=1e-2, master=47)
+            lo = float(np.min(U)) - 5e-2 * math.sqrt(n) - 0.1
+            grid_max_marginal(U, 10.0, 1e-2, lo, float(np.max(U)) + 0.1, 513)
+        assert len(captured) == sum(1 + i % 5 for i in range(15))
+        rng = np.random.default_rng(53)
+        i = np.arange(64.0)
+        for _ in range(40):
+            ramp = rng.uniform(-5.0, 5.0) * i
+            ramp[i > rng.integers(0, 64)] = -math.inf
+            captured.append((ramp, float(rng.choice([1e-3, 0.37, 50.0]))))
+            captured.append((-rng.uniform(0.0, 3.0) * (i - rng.uniform(0.0, 64.0)) ** 2, 0.37))
+        for values, c in captured:
+            z = neighbour_breakpoints(values, c)
+            assert all(right > left for left, right in zip(z, z[1:]))
+            got = _quad_max_conv(values, c)
+            assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_exact_ties_run_the_loop(self, c):
+        # every breakpoint of c i^2 is exactly 0.0, so the loop pops all the
+        # parabolas between the first and the last
+        values = c * np.arange(17.0) ** 2
+        assert set(neighbour_breakpoints(values, c)) == {0.0}
+        assert _quad_max_conv(values, c).tobytes() == literal_quad_max_conv(values, c).tobytes()
+
+    def test_convex_parabolas_match_the_loop(self):
+        # three or more parabolas meeting at one grid point: their breakpoints
+        # tie, or miss by an ulp, and the loop's recomputed breakpoints decide
+        # which one is read out there
+        rng = np.random.default_rng(59)
+        for _ in range(1000):
+            n = int(rng.integers(3, 7))
+            c = float(rng.uniform(0.05, 5.0))
+            values = rng.normal(0.0, 10.0) + c * (rng.integers(0, n) - np.arange(n)) ** 2
+            got = _quad_max_conv(values, c)
+            assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 50.0])
+    @pytest.mark.parametrize("top", [1e300, -1e300])
+    def test_values_near_1e300(self, c, top):
+        i = np.arange(64.0)
+        constant = top + i  # the increments round away
+        assert np.all(constant == top)
+        cases = [
+            constant,
+            # concave for top > 0, else convex: q^2 - p^2 rounds away against
+            # the steps of the values in each breakpoint
+            top * (1.0 - ((i - 20.0) / 64.0) ** 2),
+            top * np.random.default_rng(61).uniform(0.5, 1.0, 64),
+        ]
+        for values in cases:
+            got = _quad_max_conv(values, c)
+            assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
+        assert _quad_max_conv(constant, c).tobytes() == constant.tobytes()
