@@ -21,7 +21,6 @@ from .estimators import (
     backtrack_estimate,
     backward_constants,
     closed_form_estimate_paper,
-    compose_shift,
     fge_offset,
     ml_offset,
     shift_kernel,
@@ -31,7 +30,6 @@ from .model import (
     LatentPath,
     ObservationSeries,
     chain_log_posterior,
-    log_posterior,
     simulate_observations,
     simulate_paths,
 )
@@ -50,14 +48,12 @@ __all__ = [
     "ObservationSeries",
     "simulate_paths",
     "simulate_observations",
-    "log_posterior",
     "chain_log_posterior",
     "BackwardConstants",
     "BacktrackResult",
     "OffsetEstimate",
     "backward_constants",
     "shift_kernel",
-    "compose_shift",
     "backtrack_estimate",
     "closed_form_estimate_paper",
     "fge_offset",

@@ -26,13 +26,18 @@ from .experiments import (
     mse_vs_sigma,
 )
 from .model import ClockModelParams, check_count, simulate_observations, simulate_paths
-from .oracle import INSTANCE_SETS, MAX_ENUM_SETS, check_enumerable, exact_map_active_set
+from .oracle import check_enumerable, exact_map_active_set
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_CONVERGENCE = 4
 EXIT_IO = 5
+
+#: Work one ``compare-oracle`` run may do, instances * (2^N - 1 + INSTANCE_SETS) sets.
+MAX_ENUM_SETS = 2**28
+#: One instance's simulation and estimates, in active sets: about 200 at N = 12.
+INSTANCE_SETS = 2**8
 
 #: Exit code of each error; the first matching row wins.
 EXIT_CODES = (

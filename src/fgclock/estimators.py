@@ -68,19 +68,6 @@ class BackwardConstants:
     C: np.ndarray
     D: np.ndarray
 
-    @property
-    def n_levels(self):
-        return len(self.D)
-
-    def shift(self, k):
-        """Additive shift of the level-k kernel, D_k * sigma^2."""
-        self._check_level(k)
-        return self.D[k - 1] * self.sigma**2
-
-    def _check_level(self, k):
-        if not 1 <= k <= self.n_levels:
-            raise ParameterError(f"level {k} outside 1..{self.n_levels}")
-
 
 @dataclass(frozen=True)
 class BacktrackResult:
@@ -123,7 +110,7 @@ def backward_constants(lam, sigma, n):
     """
     n = check_count(n, "n")
     s2 = density_sigma_squared(sigma, lam)
-    if math.isinf(2.0 * float(s2)):
+    if math.isinf(2.0 * s2):
         raise ParameterError(
             f"the backward recursion needs a finite 2 * sigma**2, got sigma={sigma}"
         )
@@ -150,19 +137,9 @@ def shift_kernel(constants, k, x):
     keeps the min/shift algebra exact in floating point and maps +inf to
     +inf. g_k is monotone increasing, hence distributes over min.
     """
-    return x + constants.shift(k)
-
-
-def compose_shift(constants, k, m, x):
-    """Left-composition g_m(g_{m-1}(... g_k(x))) for levels k <= m.
-
-    Equals x + sigma^2 * sum_{j=k..m} D_j.
-    """
-    constants._check_level(k)
-    constants._check_level(m)
-    if k > m:
-        raise ParameterError(f"compose_shift needs k <= m, got k={k}, m={m}")
-    return x + constants.sigma**2 * float(constants.D[k - 1 : m].sum())
+    if not 1 <= k <= len(constants.D):
+        raise ParameterError(f"level {k} outside 1..{len(constants.D)}")
+    return x + constants.D[k - 1] * constants.sigma**2
 
 
 def _chain_shifts(lam, sigma, n):
@@ -262,7 +239,7 @@ def _recursive_estimator(lam, sigma, n):
     round, where the per-row loop would cost a Python loop per trial.
     """
     s2 = sigma_squared(sigma, lam)
-    unit = float(lam) * float(s2)
+    unit = float(lam) * s2
 
     def estimate(U):
         if U.ndim == 1:
@@ -334,7 +311,7 @@ def _paper_estimator(lam, sigma, n):
     A 1-D series takes the min over the window of its last rounds that
     :func:`_paper_window` finds; a ``(trials, n)`` block over all rounds.
     """
-    unit = lam * sigma_squared(sigma, lam)
+    unit = float(lam) * sigma_squared(sigma, lam)
 
     def estimate(U):
         # unit is finite, so an overflowing shift or candidate is +inf, never
@@ -362,9 +339,9 @@ Variant = namedtuple("Variant", "build label oracle_key")
 #: and returns the unchecked estimator of xi_hat_N for one chain of n rounds,
 #: which computes on each call only the shifts that call reads and lets no
 #: overflow warn; only :func:`chain_kernel` calls it. ``label``
-#: names the variant's rows in sweep tables and comparison reports;
-#: ``oracle_key`` names its deviation from the exact MAP in the
-#: compare-oracle report (None for ML, not a factor-graph estimate).
+#: names the variant's rows in sweep tables; ``oracle_key`` names its
+#: deviation from the exact MAP in the compare-oracle report (None for ML,
+#: not a factor-graph estimate).
 ESTIMATORS = {
     "recursive": Variant(_recursive_estimator, "fge-recursive", "max_abs_dev_backtrack"),
     "paper": Variant(_paper_estimator, "fge-paper", "max_abs_dev_paper_closed_form"),

@@ -3,7 +3,7 @@
 Sweeps either the round count N or the random-walk noise sigma, scoring
 each estimator's theta_hat_N against the final latent offset theta_N.
 The estimators are the entries of :data:`fgclock.estimators.ESTIMATORS`,
-named in tables and reports by their labels (:data:`ALL_ESTIMATORS`), and
+named in tables by their labels (:data:`ALL_ESTIMATORS`), and
 :class:`SweepConfig` is where every sweep input is checked.
 Per-trial generator seeds are derived from the master seed by a fixed
 counter scheme: the latent path for trial t at axis position i uses
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, FgclockError, ParameterError, SizeError
-from .estimators import ESTIMATORS, chain_kernel, fge_offset
+from .errors import FgclockError, ParameterError
+from .estimators import ESTIMATORS, chain_kernel
 from .model import (
     ClockModelParams,
     check_count,
@@ -33,7 +33,6 @@ from .model import (
     exponential_delays,
     random_walks,
 )
-from .oracle import exact_map_active_set
 
 AXIS_ROUNDS = "rounds"
 AXIS_SIGMA = "sigma"
@@ -241,41 +240,3 @@ def mse_vs_sigma(config):
     """
     return _sweep(config, AXIS_SIGMA)
 
-
-def compare_estimators(U, V, params):
-    """Side-by-side report of all three estimators on one instance.
-
-    Includes the exact-MAP oracle coordinates unless the oracle refuses the
-    instance (N above its enumeration cap, or a degenerate sigma**2), plus
-    absolute deviations between every estimator pair.
-    """
-    thetas = {
-        variant.label: fge_offset(
-            U, V, params.lambda_xi, params.lambda_psi, params.sigma, tag
-        )
-        for tag, variant in ESTIMATORS.items()
-    }
-    report = {
-        "theta_hat": {tag: est.theta_hat_N for tag, est in thetas.items()},
-        "xi_hat_N": {tag: est.xi_hat_N for tag, est in thetas.items()},
-        "psi_hat_N": {tag: est.psi_hat_N for tag, est in thetas.items()},
-        "deviations": {
-            a: {
-                b: abs(thetas[a].theta_hat_N - thetas[b].theta_hat_N)
-                for b in thetas
-            }
-            for a in thetas
-        },
-        "oracle": None,
-    }
-    try:
-        xi_sol = exact_map_active_set(U, params.lambda_xi, params.sigma)
-        psi_sol = exact_map_active_set(V, params.lambda_psi, params.sigma)
-    except (SizeError, DegenerateModelError):
-        return report
-    report["oracle"] = {
-        "xi_hat_N": float(xi_sol.path[-1]),
-        "psi_hat_N": float(psi_sol.path[-1]),
-        "theta_hat_N": float(xi_sol.path[-1] - psi_sol.path[-1]) / 2.0,
-    }
-    return report

@@ -31,22 +31,36 @@ COUNT_MAX = 2**53
 def check_real(value, name, low=-math.inf, high=math.inf):
     """``value``, unchanged, if it is a real number in [``low``, ``high``].
 
-    ParameterError refuses bools, strings, None, NaN and ints too large for a float."""
+    ParameterError refuses bools, strings, None, NaN and ints too large for a float.
+    A NumPy float is compared as a Python float, so that no bound is cast to float32."""
+    number = value
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ParameterError(f"{name} must be a number, got {value!r}")
         try:
-            float(value)
+            as_float = float(value)
         except OverflowError:
             raise ParameterError(f"{name} must fit in a float, got {value!r}") from None
-    if not low <= value <= high:
+        if isinstance(value, np.floating):
+            number = as_float
+    if not low <= number <= high:
         raise ParameterError(f"{name} must be in [{low:.4g}, {high:.4g}], got {value!r}")
+    return value
+
+
+def _check_operand(value, name, low=-math.inf, high=math.inf):
+    """:func:`check_real`, also refusing a real type that numpy cannot compute with.
+
+    numpy computes with ints, floats and its own scalars, not with a Fraction."""
+    check_real(value, name, low, high)
+    if type(value) is not float and not isinstance(value, (int, np.number)):
+        raise ParameterError(f"{name} must be an int or a float, got {value!r}")
     return value
 
 
 def check_rate(lam, name="lam"):
     """Raise ParameterError unless ``lam`` is a finite delay rate > 0."""
-    check_real(lam, name, math.ulp(0.0), FLOAT_MAX)
+    _check_operand(lam, name, math.ulp(0.0), FLOAT_MAX)
 
 
 def as_array(U, name):
@@ -83,9 +97,10 @@ def sigma_squared(sigma, lam):
     a zero-distance term would be inf * 0 = NaN.
     """
     check_rate(lam)
-    s2 = check_real(sigma, "sigma", 0.0, SIGMA_MAX) ** 2
+    # squared as a Python float, which a float32 or int64 sigma cannot overflow
+    s2 = float(_check_operand(sigma, "sigma", 0.0, SIGMA_MAX)) ** 2
     # Python floats: an overflowing product is inf, without a numpy warning
-    if math.isinf(float(lam) * float(s2)):
+    if math.isinf(float(lam) * s2):
         raise ParameterError(f"lam * sigma**2 overflows (lam={lam}, sigma={sigma})")
     return s2
 
@@ -136,8 +151,8 @@ class ClockModelParams:
         check_rate(self.lambda_xi, "lambda_xi")
         check_rate(self.lambda_psi, "lambda_psi")
         sigma_squared(self.sigma, max(self.lambda_xi, self.lambda_psi))
-        check_real(self.d0, "d0", 0.0, FLOAT_MAX)
-        check_real(self.theta0, "theta0", -FLOAT_MAX, FLOAT_MAX)
+        _check_operand(self.d0, "d0", 0.0, FLOAT_MAX)
+        _check_operand(self.theta0, "theta0", -FLOAT_MAX, FLOAT_MAX)
         object.__setattr__(self, "rounds", check_count(self.rounds, "rounds"))
 
 
@@ -185,9 +200,15 @@ class ObservationSeries:
         if self.U.shape != self.V.shape or self.U.ndim != 1 or len(self.U) < 1:
             raise ShapeError("U and V must be equal-length nonempty 1-D arrays")
 
-    @property
-    def rounds(self):
-        return len(self.U)
+
+def _generator(seed):
+    """numpy's default generator seeded with ``seed``; ParameterError refuses a bad seed."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"seed must be a whole number >= 0 or a sequence of them, got {seed!r}"
+        ) from None
 
 
 def draw_path_noise(seed, out):
@@ -197,7 +218,7 @@ def draw_path_noise(seed, out):
     increments) is drawn before row 1 (the psi increments), so the draw
     order is part of the reproducibility contract.
     """
-    np.random.default_rng(seed).standard_normal(out=out)
+    _generator(seed).standard_normal(out=out)
 
 
 def draw_delay_uniforms(seed, out):
@@ -206,7 +227,7 @@ def draw_delay_uniforms(seed, out):
     Both rows come from one generator seeded with ``seed``: row 0 (the
     U-side delays) is drawn before row 1 (the V-side delays).
     """
-    np.random.default_rng(seed).random(out=out)
+    _generator(seed).random(out=out)
 
 
 def random_walks(noise, params):
@@ -306,11 +327,3 @@ def _chain_log_posterior(candidate, lam, s2):
     if not -FLOAT_MAX <= value <= FLOAT_MAX:
         check_chain(candidate, "candidate")  # a non-finite candidate is refused as such
     return check_real(value, "the chain log posterior", -FLOAT_MAX, FLOAT_MAX)
-
-
-def log_posterior(candidate_xi, U, params):
-    """Log posterior of the xi chain under ``params`` (see chain_log_posterior).
-
-    The psi chain uses the identical form with V and lambda_psi.
-    """
-    return chain_log_posterior(candidate_xi, U, params.lambda_xi, params.sigma)

@@ -21,15 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridCoverageError, ParameterError, SizeError
-from .model import (FLOAT_MAX, _chain_log_posterior, check_chain, check_count, check_real,
-                    density_sigma_squared)
+from .model import (FLOAT_MAX, _chain_log_posterior, _check_operand, check_chain, check_count,
+                    check_real, density_sigma_squared)
 
 #: Active-set enumeration is 2^N; keep desk-scale.
 MAX_ENUM_ROUNDS = 12
-#: Work one ``compare-oracle`` run may do, instances * (2^N - 1 + INSTANCE_SETS) sets.
-MAX_ENUM_SETS = 2**28
-#: One instance's simulation and estimates, in active sets: about 200 at N = 12.
-INSTANCE_SETS = 2**8
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ def exact_map_active_set(U, lam, sigma):
     U, s2 = _validate_chain_args(U, lam, sigma)
     n = len(U)
     check_enumerable(n)
-    lam_s2 = float(lam * s2)
+    lam_s2 = float(lam) * s2
     feas_tol = 1e-9 * max(1.0, float(np.max(np.abs(U))))
     u = U.tolist()
     # Python floats: a bound near the float limit overflows to inf, unwarned
@@ -157,7 +153,7 @@ def coordinate_ascent_map(U, lam, sigma, tol=1e-12, max_iters=200_000):
     check_real(tol, "tol", math.ulp(0.0))
     max_iters = check_count(max_iters, "max_iters")
     n = len(U)
-    lam_s2 = float(lam * s2)
+    lam_s2 = float(lam) * s2
     if n == 1:
         x = U.astype(float).copy()
         return MapSolution(path=x, objective=_objective(x, lam, s2), active_set=frozenset({1}))
@@ -246,15 +242,16 @@ def grid_max_marginal(U, lam, sigma, lo, hi, points):
     the grid is refined. Raises GridCoverageError when the argmax lands
     on a grid boundary or the grid misses the feasible region entirely.
     """
-    U = _validate_chain_args(U, lam, sigma)[0]
-    if not (check_real(lo, "lo") < check_real(hi, "hi")
-            and math.isfinite(float(hi) - float(lo))):
+    U, s2 = _validate_chain_args(U, lam, sigma)
+    # compared and spaced as Python floats, whatever the bounds' type
+    low, high = float(_check_operand(lo, "lo")), float(_check_operand(hi, "hi"))
+    if not (low < high and math.isfinite(high - low)):
         raise ParameterError(f"need lo < hi with hi - lo finite, got lo={lo}, hi={hi}")
     points = check_count(points, "points", low=2)
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(low, high, points)
     # squared in Python floats, so that an overflow is refused without a warning
     h = float(grid[1] - grid[0])
-    c = check_real(h * h / (2.0 * float(sigma) ** 2), "grid step**2 / (2 sigma**2)",
+    c = check_real(h * h / (2.0 * s2), "grid step**2 / (2 sigma**2)",
                    math.ulp(0.0), FLOAT_MAX)
     # round each constraint boundary to the nearest grid point; flooring it
     # would bias every level's cut downward by up to a full step (Python

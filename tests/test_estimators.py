@@ -14,7 +14,6 @@ from fgclock import (
     backtrack_estimate,
     backward_constants,
     closed_form_estimate_paper,
-    compose_shift,
     exact_map_active_set,
     fge_offset,
     ml_offset,
@@ -111,28 +110,6 @@ class TestShiftKernel:
         c = backward_constants(1.0, 1.0, 3)
         with pytest.raises(ParameterError):
             shift_kernel(c, 4, 0.0)
-
-
-class TestComposeShift:
-    def test_single_level_equals_kernel(self):
-        c = backward_constants(3.0, 0.4, 5)
-        x = 1.25
-        assert compose_shift(c, 5, 5, x) == shift_kernel(c, 5, x)
-
-    def test_two_level_sum(self):
-        c = backward_constants(1.0, 1.0, 3)
-        assert compose_shift(c, 2, 3, 0.0) == pytest.approx(3.0)
-
-    def test_monotone_in_x(self):
-        c = backward_constants(2.0, 0.5, 6)
-        xs = np.linspace(-3, 3, 20)
-        ys = [compose_shift(c, 2, 5, x) for x in xs]
-        assert np.all(np.diff(ys) >= 0)
-
-    def test_index_order_violation(self):
-        c = backward_constants(1.0, 1.0, 4)
-        with pytest.raises(ParameterError):
-            compose_shift(c, 3, 2, 0.0)
 
 
 class TestBacktrackEstimate:

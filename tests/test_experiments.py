@@ -19,7 +19,6 @@ from fgclock.experiments import (
     SweepConfig,
     _run_cell,
     block_trials,
-    compare_estimators,
     mse_vs_rounds,
     mse_vs_sigma,
 )
@@ -176,57 +175,6 @@ class TestCsvAndJson:
         assert doc["axis"] == "rounds"
         assert len(doc["rows"]) == len(table.rows)
         assert doc["rows"][0]["estimator"] == table.rows[0].estimator
-
-
-class TestCompareEstimators:
-    def params(self, sigma=0.05, rounds=5):
-        return ClockModelParams(2.0, 2.0, sigma, 1.0, 0.2, rounds)
-
-    def test_sigma_zero_all_identical(self):
-        rng = np.random.default_rng(1)
-        U, V = rng.uniform(0, 2, 5), rng.uniform(0, 2, 5)
-        report = compare_estimators(U, V, self.params(sigma=0.0))
-        thetas = set(report["theta_hat"].values())
-        assert len(thetas) == 1
-        assert report["oracle"] is None
-
-    def test_subnormal_sigma_squared_skips_the_oracle(self):
-        # sigma**2 = 1e-320 is below the normal range: the estimators treat it
-        # as sigma = 0, and the oracle, whose density divides by it, is not run
-        rng = np.random.default_rng(5)
-        U, V = rng.uniform(0, 2, 5), rng.uniform(0, 2, 5)
-        report = compare_estimators(U, V, self.params(sigma=1e-160))
-        assert report["oracle"] is None
-        assert report["theta_hat"]["fge-recursive"] == report["theta_hat"]["ml"]
-
-    def test_deviations_symmetric_zero_diagonal(self):
-        rng = np.random.default_rng(2)
-        U, V = rng.uniform(0, 2, 6), rng.uniform(0, 2, 6)
-        report = compare_estimators(U, V, self.params(rounds=6))
-        dev = report["deviations"]
-        for a in dev:
-            assert dev[a][a] == 0.0
-            for b in dev:
-                assert dev[a][b] == dev[b][a]
-
-    def test_recursive_matches_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(1, 11))
-            U, V = rng.uniform(0, 2, n), rng.uniform(0, 2, n)
-            report = compare_estimators(U, V, self.params(rounds=n))
-            assert report["xi_hat_N"]["fge-recursive"] == pytest.approx(
-                report["oracle"]["xi_hat_N"], abs=1e-8
-            )
-            assert report["psi_hat_N"]["fge-recursive"] == pytest.approx(
-                report["oracle"]["psi_hat_N"], abs=1e-8
-            )
-
-    def test_oracle_skipped_for_large_n(self):
-        rng = np.random.default_rng(4)
-        U, V = rng.uniform(0, 2, 20), rng.uniform(0, 2, 20)
-        report = compare_estimators(U, V, self.params(rounds=20))
-        assert report["oracle"] is None
 
 
 def reference_cell(params, axis_index, trials, seed):

@@ -11,10 +11,13 @@ from fgclock import (
     ParameterError,
     ShapeError,
     chain_log_posterior,
-    log_posterior,
+    exact_map_active_set,
+    fge_offset,
+    grid_max_marginal,
     simulate_observations,
     simulate_paths,
 )
+from fgclock.estimators import ESTIMATORS, chain_kernel
 from fgclock.model import check_real
 
 
@@ -194,14 +197,14 @@ class TestLogPosterior:
         params = make_params(rounds=3)
         U = np.array([1.0, 1.0, 1.0])
         cand = np.array([0.5, 1.1, 0.5, 0.5])
-        assert log_posterior(cand, U, params) == -np.inf
+        assert chain_log_posterior(cand, U, params.lambda_xi, params.sigma) == -np.inf
 
     def test_constant_candidate_value(self):
         # flat feasible candidate has zero quadratic penalty: value N*lam*c
         params = make_params(rounds=4, lambda_xi=3.0, sigma=0.5)
         U = np.array([2.0, 3.0, 2.5, 2.2])
-        v1 = log_posterior(np.full(5, 1.0), U, params)
-        v2 = log_posterior(np.full(5, 1.5), U, params)
+        v1 = chain_log_posterior(np.full(5, 1.0), U, params.lambda_xi, params.sigma)
+        v2 = chain_log_posterior(np.full(5, 1.5), U, params.lambda_xi, params.sigma)
         assert v2 - v1 == pytest.approx(4 * 3.0 * 0.5)
 
     def test_last_coordinate_perturbation(self):
@@ -218,13 +221,14 @@ class TestLogPosterior:
             params.lambda_xi * eps
             - (2 * (cand[-1] - cand[-2]) * eps + eps**2) / (2 * params.sigma**2)
         )
-        got = log_posterior(bumped, U, params) - log_posterior(cand, U, params)
+        got = (chain_log_posterior(bumped, U, params.lambda_xi, params.sigma)
+               - chain_log_posterior(cand, U, params.lambda_xi, params.sigma))
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_sigma_zero_unsupported(self):
         params = make_params(sigma=0.0, rounds=2)
         with pytest.raises(DegenerateModelError):
-            log_posterior(np.zeros(3), np.ones(2), params)
+            chain_log_posterior(np.zeros(3), np.ones(2), params.lambda_xi, params.sigma)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -262,7 +266,93 @@ class TestLogPosterior:
             b = np.concatenate(([0.0], U)) - rng.uniform(0.0, 1.0, 9)
             t = rng.uniform(0.0, 1.0)
             mix = t * a + (1 - t) * b
-            fa = log_posterior(a, U, params)
-            fb = log_posterior(b, U, params)
-            fmix = log_posterior(mix, U, params)
+            fa = chain_log_posterior(a, U, params.lambda_xi, params.sigma)
+            fb = chain_log_posterior(b, U, params.lambda_xi, params.sigma)
+            fmix = chain_log_posterior(mix, U, params.lambda_xi, params.sigma)
             assert fmix >= t * fa + (1 - t) * fb - 1e-9
+
+
+class TestSeeds:
+    BAD_SEEDS = [-1, 1.5, "a", [1, -1]]
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bad_path_seed_refused(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            simulate_paths(make_params(), seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bad_observation_seed_refused(self, seed):
+        params = make_params()
+        path = simulate_paths(params, seed=1)
+        with pytest.raises(ParameterError, match="seed"):
+            simulate_observations(path, params, seed)
+
+    def test_valid_seed_draws_from_default_rng(self):
+        # the draws are numpy's default_rng(seed) stream, as before the check
+        params = make_params(sigma=0.5, d0=0.0, theta0=0.0, rounds=4)
+        path = simulate_paths(params, seed=[3, 0])
+        z = np.random.default_rng([3, 0]).standard_normal((2, 4))
+        np.testing.assert_array_equal(path.xi[1:], np.cumsum(0.5 * z[0]))
+        np.testing.assert_array_equal(path.psi[1:], np.cumsum(0.5 * z[1]))
+
+
+@pytest.mark.filterwarnings("error")
+class TestNumpyScalarInputs:
+    """Narrow NumPy floats compute as their float64 values, without a warning."""
+
+    U = np.array([1.0, 1.2, 0.9, 1.1])
+    V = np.array([1.1, 0.95, 1.05, 1.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_params_keep_the_values(self, dtype):
+        lam, sigma = dtype(10), dtype(0.01)
+        params = make_params(lambda_xi=lam, lambda_psi=lam, sigma=sigma, d0=dtype(1))
+        assert params.lambda_xi is lam and params.sigma is sigma
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_estimators_and_oracles_match_float64(self, dtype):
+        lam, sigma = dtype(10), dtype(0.01)
+        lam64, sigma64 = float(lam), float(sigma)
+        U, V = self.U, self.V
+        for variant in ESTIMATORS:
+            assert (fge_offset(U, V, lam, lam, sigma, variant)
+                    == fge_offset(U, V, lam64, lam64, sigma64, variant))
+            np.testing.assert_array_equal(
+                chain_kernel(variant, lam, sigma, 4)(np.stack([U, V])),
+                chain_kernel(variant, lam64, sigma64, 4)(np.stack([U, V])))
+        np.testing.assert_array_equal(exact_map_active_set(U, lam, sigma).path,
+                                      exact_map_active_set(U, lam64, sigma64).path)
+        assert (grid_max_marginal(U[:3], lam, sigma, dtype(0.5), dtype(1.5), 256)
+                == grid_max_marginal(U[:3], lam64, sigma64, 0.5, 1.5, 256))
+
+    def test_large_float32_sigma_is_squared_in_float64(self):
+        # 1e20**2 overflows float32 but not float64
+        sigma = np.float32(1e20)
+        assert fge_offset(self.U, self.V, 10.0, 10.0, sigma) == fge_offset(
+            self.U, self.V, 10.0, 10.0, float(sigma))
+        with pytest.raises(ParameterError, match="overflows"):
+            make_params(lambda_xi=1e300, sigma=np.float32(3e38))
+
+    def test_float32_zero_rate_refused(self):
+        # the smallest rate, 5e-324, is 0 in float32: compared as a float, 0 is below it
+        with pytest.raises(ParameterError, match="lambda_xi"):
+            make_params(lambda_xi=np.float32(0.0))
+
+    @pytest.mark.parametrize("field", ["lambda_xi", "lambda_psi", "sigma", "d0", "theta0"])
+    def test_fraction_params_refused(self, field):
+        with pytest.raises(ParameterError, match=f"{field} must be an int or a float"):
+            make_params(**{field: Fraction(2)})
+
+    def test_fraction_refused_by_the_estimators_and_oracles(self):
+        U, V = self.U, self.V
+        calls = [
+            lambda: fge_offset(U, V, Fraction(2), 2.0, 0.01),
+            lambda: fge_offset(U, V, 2.0, 2.0, Fraction(1, 100), "paper"),
+            lambda: chain_kernel("recursive", Fraction(2), 0.01, 4),
+            lambda: exact_map_active_set(U, Fraction(2), 0.01),
+            lambda: grid_max_marginal(U, Fraction(2), 0.01, 0.5, 1.5, 64),
+            lambda: grid_max_marginal(U, 2.0, 0.01, Fraction(1, 2), 1.5, 64),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="must be an int or a float"):
+                call()
