@@ -139,10 +139,11 @@ def shift_kernel(constants, k, x):
     """
     if not 1 <= k <= len(constants.D):
         raise ParameterError(f"level {k} outside 1..{len(constants.D)}")
-    return x + constants.D[k - 1] * constants.sigma**2
+    # squared as a Python float, which a float32 sigma cannot overflow
+    return x + constants.D[k - 1] * float(constants.sigma) ** 2
 
 
-def _chain_shifts(lam, sigma, n):
+def _chain_shifts(lam, s2, n):
     """Per-level additive shifts D_k * sigma^2 for k = 1..N, contiguous.
 
     Wherever :func:`backward_constants` is defined, its ratio C_k/(2 A_k)
@@ -152,10 +153,10 @@ def _chain_shifts(lam, sigma, n):
     ``D * sigma**2`` bit for bit. The sum is accumulated in place, in a
     reversed view of the result.
 
-    Zeros, the sigma = 0 limit, when sigma**2 is 0 or below the normal
+    ``s2`` is sigma**2 as :func:`fgclock.model.sigma_squared` checked it
+    with lam. Zeros, the sigma = 0 limit, when s2 is 0 or below the normal
     range, where the backward recursion would divide by it.
     """
-    s2 = sigma_squared(sigma, lam)
     if s2 < sys.float_info.min:
         return np.zeros(n)
     shifts = np.empty(n)
@@ -179,7 +180,7 @@ def backtrack_estimate(U, lam, sigma):
     """
     U = check_chain(U)
     n = len(U)
-    shifts = _chain_shifts(lam, sigma, n)
+    shifts = _chain_shifts(lam, sigma_squared(sigma, lam), n)
     xi_bar = np.empty(n)
     xi_hat = np.empty(n)
     bars, hats = memoryview(xi_bar), memoryview(xi_hat)
@@ -194,7 +195,7 @@ def backtrack_estimate(U, lam, sigma):
     return BacktrackResult(xi_hat=xi_hat, xi_bar=xi_bar)
 
 
-def _recursive_window(U, lam, sigma, unit):
+def _recursive_window(U, lam, s2, unit):
     """The shifts of the last rounds of series U, from which its pass starts.
 
     Unrolled, the pass returns min_j C_j with C_j = fl(...fl(U_j + s_{j+1})
@@ -217,13 +218,13 @@ def _recursive_window(U, lam, sigma, unit):
         # Python floats: an overflowing quotient is inf, without a warning
         m = math.sqrt(2.0 * (last - low + math.ulp(last)) / unit) + 2
         if m < n:
-            shifts = _chain_shifts(lam, sigma, int(m))
+            shifts = _chain_shifts(lam, s2, int(m))
             bound = low
             for shift in memoryview(shifts):
                 bound += shift
             if bound > last:
                 return shifts
-    return _chain_shifts(lam, sigma, n)
+    return _chain_shifts(lam, s2, n)
 
 
 def _recursive_estimator(lam, sigma, n):
@@ -247,13 +248,13 @@ def _recursive_estimator(lam, sigma, n):
                 bar = float(np.minimum.reduce(U[:-1])) + 0.0
                 last = float(U[-1])
                 return last if last < bar else bar
-            shifts = _recursive_window(U, lam, sigma, unit)
+            shifts = _recursive_window(U, lam, s2, unit)
             prev = math.inf
             for shift, u in zip(memoryview(shifts), memoryview(U[n - len(shifts):])):
                 bar = prev + shift
                 prev = u if u < bar else bar
             return prev
-        shifts = _chain_shifts(lam, sigma, n)
+        shifts = _chain_shifts(lam, s2, n)
         prev = U[:, 0].copy()
         smaller = np.empty(len(prev), dtype=bool)
         # a shifted value that overflows is +inf and loses the min to U_k

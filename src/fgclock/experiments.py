@@ -6,12 +6,14 @@ The estimators are the entries of :data:`fgclock.estimators.ESTIMATORS`,
 named in tables by their labels (:data:`ALL_ESTIMATORS`), and
 :class:`SweepConfig` is where every sweep input is checked.
 Per-trial generator seeds are derived from the master seed by a fixed
-counter scheme: the latent path for trial t at axis position i uses
-``[master_seed, i, t, 0]`` and the observations ``[master_seed, i, t, 1]``
-(fed to numpy's default_rng), so trials are independent and the whole
-table is reproducible bit-for-bit. A cell draws its trials one generator
-pair at a time but transforms and estimates them in blocks of trials, as
-``(block, N)`` arrays.
+counter scheme: the latent path for trial t at axis position i draws from
+``np.random.default_rng([master_seed, i, t, 0])`` and the observations
+from ``[master_seed, i, t, 1]``, so trials are independent and the whole
+table is reproducible bit-for-bit. A cell works in blocks of trials: it
+derives the generator states of a block's trials in one pass
+(:func:`fgclock.model.stream_states`), draws each trial from its own two
+generators, then transforms and estimates the block as ``(block, N)``
+arrays.
 """
 
 import csv
@@ -32,6 +34,8 @@ from .model import (
     draw_path_noise,
     exponential_delays,
     random_walks,
+    state_generator,
+    stream_states,
 )
 
 AXIS_ROUNDS = "rounds"
@@ -178,9 +182,10 @@ def _run_cell(params, axis_index, trials, master_seed, estimators):
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         z, u = noise[: stop - start], uniforms[: stop - start]
-        for b, t in enumerate(range(start, stop)):
-            draw_path_noise([master_seed, axis_index, t, 0], z[b])
-            draw_delay_uniforms([master_seed, axis_index, t, 1], u[b])
+        states = stream_states(master_seed, axis_index, start, stop)
+        for b, (path_state, obs_state) in enumerate(states):
+            draw_path_noise(state_generator(path_state), z[b])
+            draw_delay_uniforms(state_generator(obs_state), u[b])
         walk = random_walks(z, params)
         obs = walk[..., 1:] + exponential_delays(u, params)
         truth = (walk[:, 0, -1] - walk[:, 1, -1]) / 2.0

@@ -11,6 +11,7 @@ imperfection makes the offset drift, so xi and psi each follow a
 Gaussian random walk with increment standard deviation sigma.
 """
 
+import functools
 import math
 import numbers
 import sys
@@ -211,23 +212,147 @@ def _generator(seed):
         ) from None
 
 
-def draw_path_noise(seed, out):
+_MASK32 = 0xFFFF_FFFF
+_SHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init, mult, count):
+    """``init * mult**k`` mod 2**32 for k = 0..count, as a uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+#: The hash constants of numpy's SeedSequence with its pool of 4 words. Mixing
+#: in entropy, hashmix call k xors with _MIX_HASH[k] and multiplies by
+#: _MIX_HASH[k + 1]: calls 0-15 for the first 4 words, then 4 for each further
+#: word, whose constants are _MIX_STEP times those of the word before.
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 20)
+_MIX_STEP = np.uint32(pow(0x931E8875, 4, 1 << 32))
+#: The constants of ``generate_state``: its word w, of 8, xors with
+#: _STATE_HASH[w] and multiplies by _STATE_HASH[w + 1].
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8).ravel()
+
+
+def _uint32_words(value):
+    """Whole number ``value`` >= 0 as 32-bit words, the lowest first, as SeedSequence reads it."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(values, consts):
+    """SeedSequence's hashmix of ``values`` with the hash constants ``consts``."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    values ^= values >> _SHIFT
+    return values
+
+
+def _mix(x, y):
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> _SHIFT
+    return x
+
+
+def _pool_states(entropy, out):
+    """Write ``generate_state(4, np.uint64)`` of the SeedSequence of each column of ``entropy``.
+
+    ``entropy`` is a (words, columns) uint32 array with at least 4 words,
+    and ``out`` a little-endian uint32 array that gets 8 words per column,
+    in column order: each column's state, read as 4 little-endian 64-bit
+    words as numpy reads it. The uint32 arithmetic wraps as numpy's does,
+    over the pool's 4 lanes and every column at once.
+    """
+    pool = _hashmix(entropy[:4], _MIX_HASH[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _MIX_HASH[k:k + 4]))
+    consts = _MIX_HASH[16:].copy()
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, consts))
+        consts *= _MIX_STEP
+    # the state's 8 words hash the pool's 4 twice over, written in place
+    words = out.reshape(-1, 2, 4)
+    np.bitwise_xor(pool.T[:, None], _STATE_HASH[:-1].reshape(2, 4), out=words)
+    words *= _STATE_HASH[1:].reshape(2, 4)
+    words ^= words >> _SHIFT
+
+
+def stream_states(master_seed, axis_index, start, stop):
+    """The PCG64 seed states of the sweep streams of trials ``start`` to ``stop``.
+
+    Entry ``[t - start, s]`` of the ``(stop - start, 2, 4)`` uint64 result
+    is ``np.random.SeedSequence([master_seed, axis_index, t, s])
+    .generate_state(4, np.uint64)``, the state ``default_rng`` seeds PCG64
+    with, for s = 0 and 1 and 0 <= t < 2**64. numpy's documented hash is
+    computed for all of them in one pass per number of 32-bit words of t.
+    """
+    prefix = _uint32_words(master_seed) + _uint32_words(axis_index)
+    states = np.empty((stop - start, 2, 8), dtype="<u4")
+    lo = start
+    while lo < stop:
+        t_words = len(_uint32_words(lo))
+        hi = min(stop, 1 << 32 * t_words)
+        t = np.arange(lo, hi, dtype=np.uint64)
+        entropy = np.empty((len(prefix) + t_words + 1, hi - lo, 2), dtype=np.uint32)
+        entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None, None]
+        for j in range(t_words):
+            # the low 32 bits, as the uint32 cast keeps them
+            entropy[len(prefix) + j] = (t >> np.uint64(32 * j))[:, None]
+        entropy[-1] = np.array([0, 1], dtype=np.uint32)
+        _pool_states(entropy.reshape(len(entropy), -1), states[lo - start : hi - start])
+        lo = hi
+    return states.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _generated_state_type():
+    """The class of a seed sequence whose ``generate_state(4, np.uint64)`` is given.
+
+    PCG64 reads only that state, so it seeds from one of
+    :func:`stream_states` exactly as from the SeedSequence it stands for.
+    Made on first use: numpy loads ``numpy.random`` only when it is used.
+    """
+
+    class GeneratedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return GeneratedState
+
+
+def state_generator(state):
+    """numpy's default generator seeded from the PCG64 seed ``state`` of :func:`stream_states`."""
+    return np.random.Generator(np.random.PCG64(_generated_state_type()(state)))
+
+
+def draw_path_noise(rng, out):
     """Fill ``out`` (shape (2, N)) with the standard normals of one latent path.
 
-    Both rows come from one generator seeded with ``seed``: row 0 (the xi
-    increments) is drawn before row 1 (the psi increments), so the draw
-    order is part of the reproducibility contract.
+    Both rows come from the generator ``rng``: row 0 (the xi increments)
+    is drawn before row 1 (the psi increments), so the draw order is part
+    of the reproducibility contract.
     """
-    _generator(seed).standard_normal(out=out)
+    rng.standard_normal(out=out)
 
 
-def draw_delay_uniforms(seed, out):
+def draw_delay_uniforms(rng, out):
     """Fill ``out`` (shape (2, N)) with the uniforms of one observation series.
 
-    Both rows come from one generator seeded with ``seed``: row 0 (the
-    U-side delays) is drawn before row 1 (the V-side delays).
+    Both rows come from the generator ``rng``: row 0 (the U-side delays)
+    is drawn before row 1 (the V-side delays).
     """
-    _generator(seed).random(out=out)
+    rng.random(out=out)
 
 
 def random_walks(noise, params):
@@ -269,7 +394,7 @@ def simulate_paths(params, seed):
     if not isinstance(params, ClockModelParams):
         params = ClockModelParams(**params)
     noise = np.empty((2, params.rounds))
-    draw_path_noise(seed, noise)
+    draw_path_noise(_generator(seed), noise)
     xi, psi = random_walks(noise, params)
     return LatentPath(xi=xi, psi=psi)
 
@@ -286,7 +411,7 @@ def simulate_observations(path, params, seed):
             f"path has {path.rounds} rounds but params.rounds = {params.rounds}"
         )
     uniforms = np.empty((2, params.rounds))
-    draw_delay_uniforms(seed, uniforms)
+    draw_delay_uniforms(_generator(seed), uniforms)
     with np.errstate(over="ignore"):
         obs = exponential_delays(uniforms, params)
         obs[0] += path.xi[1:]

@@ -24,10 +24,16 @@ from fgclock import (
 from fgclock import estimators
 from fgclock.estimators import ESTIMATORS, _chain_shifts, chain_kernel
 from fgclock.experiments import ALL_ESTIMATORS, SweepConfig, mse_vs_sigma
+from fgclock.model import sigma_squared
 
 finite_reals = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+
+
+def chain_shifts(lam, sigma, n):
+    """The estimators' shifts of a chain of n rounds, lam and sigma checked."""
+    return _chain_shifts(lam, sigma_squared(sigma, lam), n)
 
 
 class TestBackwardConstants:
@@ -110,6 +116,11 @@ class TestShiftKernel:
         c = backward_constants(1.0, 1.0, 3)
         with pytest.raises(ParameterError):
             shift_kernel(c, 4, 0.0)
+
+    def test_float32_sigma_is_squared_without_overflow(self):
+        # 1e40 overflows float32; squared as a Python float it is finite
+        c = backward_constants(10.0, np.float32(1e20), 3)
+        assert shift_kernel(c, 2, 0.0) == pytest.approx(2.0e41, rel=1e-6)
 
 
 class TestBacktrackEstimate:
@@ -353,6 +364,20 @@ class TestChainKernel:
         want = np.array([single(row) for row in U])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("variant", ["recursive", "paper"])
+    @pytest.mark.parametrize("shape", [(1000,), (4, 1000)])
+    def test_each_build_checks_sigma_once(self, monkeypatch, variant, shape):
+        calls = []
+
+        def counting(sigma, lam):
+            calls.append(sigma)
+            return sigma_squared(sigma, lam)
+
+        monkeypatch.setattr(estimators, "sigma_squared", counting)
+        U = np.random.default_rng(3).uniform(0.0, 2.0, shape)
+        chain_kernel(variant, 3.0, 1e-2, shape[-1])(U)
+        assert len(calls) == 1
+
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
             chain_kernel("bogus", 1.0, 0.1, 3)
@@ -518,7 +543,7 @@ class TestFastRecursivePath:
 
     @FAST_PATH_GRID
     def test_shifts_equal_recursion(self, lam, sigma, n):
-        shifts = _chain_shifts(lam, sigma, n)
+        shifts = chain_shifts(lam, sigma, n)
         assert shifts.flags.c_contiguous
         assert shifts.tobytes() == recursion_shifts(lam, sigma, n).tobytes()
 
@@ -553,7 +578,7 @@ class TestFastRecursivePath:
         # lam * sigma**2 = 1e307 is finite, but the shifts of distant levels
         # overflow; they round to +inf in both variants, and no NaN appears
         lam, sigma, n = 10.0, 1e153, 100
-        shifts = _chain_shifts(lam, sigma, n)
+        shifts = chain_shifts(lam, sigma, n)
         with np.errstate(over="ignore"):
             paper_shifts = lam * sigma**2 * np.arange(n - 1, -1, -1, dtype=float)
         assert np.isinf(shifts[0]) and np.isfinite(shifts[-1])
@@ -572,7 +597,7 @@ class TestFastRecursivePath:
         # almost every round is a certain reset, so only late rounds bind
         params = ClockModelParams(10.0, 4.0, 1e-2, 1.0, 0.5, n)
         obs = simulate_observations(simulate_paths(params, [seed, 0]), params, [seed, 1])
-        assert last_certain_reset(obs.U, _chain_shifts(10.0, 1e-2, n)) > n // 2
+        assert last_certain_reset(obs.U, chain_shifts(10.0, 1e-2, n)) > n // 2
         self.assert_all_equal_reference(obs.U, obs.V, 10.0, 1e-2)
         # the two chains at their own rates, as the offset estimators take them
         est = fge_offset(obs.U, obs.V, 10.0, 4.0, 1e-2)
@@ -589,7 +614,7 @@ class TestFastRecursivePath:
 
     def test_chain_where_every_round_resets(self):
         U = np.linspace(5.0, -5.0, 2000)
-        shifts = _chain_shifts(3.0, 0.1, len(U))
+        shifts = chain_shifts(3.0, 0.1, len(U))
         assert (U[1:] < np.minimum.accumulate(U[:-1]) + shifts[1:]).all()
         self.assert_all_equal_reference(U, U[::-1].copy(), 3.0, 0.1)
 
@@ -630,11 +655,11 @@ class TestFastRecursivePath:
 
     @staticmethod
     def assert_suffix_lemma(lam, sigma, n):
-        shifts = _chain_shifts(lam, sigma, n)
+        shifts = chain_shifts(lam, sigma, n)
         with np.errstate(over="ignore"):
             paper = lam * sigma**2 * np.arange(n - 1, -1, -1, dtype=float)
             for m in {1, max(n // 3, 1), n}:
-                assert _chain_shifts(lam, sigma, m).tobytes() == shifts[-m:].tobytes()
+                assert chain_shifts(lam, sigma, m).tobytes() == shifts[-m:].tobytes()
                 suffix = lam * sigma**2 * np.arange(m - 1, -1, -1, dtype=float)
                 assert suffix.tobytes() == paper[-m:].tobytes()
 
@@ -657,7 +682,7 @@ class TestFastRecursivePath:
     def window_of_100(cls, U):
         """The recursive window of U, with a unit that sizes it at 100 rounds."""
         unit = 2.0 * (float(U[-1]) - float(U.min())) / 98.5**2
-        return estimators._recursive_window(U, cls.EXACT["lam"], cls.EXACT["sigma"], unit)
+        return estimators._recursive_window(U, cls.EXACT["lam"], cls.EXACT["sigma"] ** 2, unit)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_window_edge_is_checked_with_the_rounded_shift(self, offset):
@@ -671,7 +696,7 @@ class TestFastRecursivePath:
         U[-1] = (m * (m - 1) // 2 + 1) / 1024
         shifts = self.window_of_100(U)
         assert len(shifts) == (n if offset == -1 else 100)
-        assert shifts.tobytes() == _chain_shifts(n=n, **self.EXACT)[-len(shifts):].tobytes()
+        assert shifts.tobytes() == chain_shifts(n=n, **self.EXACT)[-len(shifts):].tobytes()
 
     def test_bound_tying_the_last_round_takes_the_whole_chain(self):
         # L of the sized window, 5050 / 1024, equals U_N: a tie is no proof
@@ -690,7 +715,7 @@ class TestFastRecursivePath:
         n = 1000
         U = np.ones(n)
         U[n - 101], U[-1] = -5050 / 1024, -0.0
-        full = literal_backtrack(U, _chain_shifts(n=n, **self.EXACT))[0][-1]
+        full = literal_backtrack(U, chain_shifts(n=n, **self.EXACT))[0][-1]
         assert not np.signbit(full)
         shifts = self.window_of_100(U)
         assert len(shifts) == n
@@ -705,7 +730,7 @@ class TestFastRecursivePath:
         for seed in range(4):
             U = model_chain(n, 10.0, 1e-2, seed)
             got = chain_kernel("recursive", 10.0, 1e-2, n)(U)
-            want = literal_backtrack(U, _chain_shifts(10.0, 1e-2, n))[0][-1]
+            want = literal_backtrack(U, chain_shifts(10.0, 1e-2, n))[0][-1]
             assert np.float64(got).tobytes() == want.tobytes()
         assert len(window_lengths) == 4 and max(window_lengths) < 200
 
@@ -812,7 +837,7 @@ class TestFastRecursivePath:
         n = len(U)
         with np.errstate(over="ignore"):
             want = {
-                "recursive": literal_backtrack(U, _chain_shifts(lam, sigma, n))[0][-1],
+                "recursive": literal_backtrack(U, chain_shifts(lam, sigma, n))[0][-1],
                 "paper": paper_reference(U, lam, sigma),
             }
         for tag, value in want.items():
@@ -881,7 +906,7 @@ class TestEstimatorTable:
             series[tag] = np.float64(chain_kernel(tag, lam, sigma, n)(U))
             rows = variant.build(lam, sigma, n)(block)
             assert series[tag].tobytes() == rows[0].tobytes(), tag
-        want = literal_backtrack(U, _chain_shifts(lam, sigma, n))[0][-1]
+        want = literal_backtrack(U, chain_shifts(lam, sigma, n))[0][-1]
         assert series["recursive"].tobytes() == want.tobytes()
 
     @given(U=chains, lam=st.integers(1, 1000), log2_sigma=st.integers(-30, 3))

@@ -12,6 +12,8 @@ from fgclock import (
     simulate_observations,
     simulate_paths,
 )
+from fgclock import experiments
+from fgclock.estimators import chain_kernel
 from fgclock.experiments import (
     ALL_ESTIMATORS,
     CSV_HEADER,
@@ -22,6 +24,7 @@ from fgclock.experiments import (
     mse_vs_rounds,
     mse_vs_sigma,
 )
+from fgclock.model import exponential_delays, random_walks
 
 
 def make_config(**kw):
@@ -232,3 +235,51 @@ class TestBatchedCell:
             ref = reference_cell(dataclasses.replace(params, **{field: v}), i, 30, 5)
             for tag in ALL_ESTIMATORS:
                 assert table.cell(v, tag).mse == float(np.mean(ref[tag]))
+
+
+def default_rng_cell(params, axis_index, trials, master_seed, estimators):
+    """:func:`_run_cell` with every trial seeded by its own two default_rng calls."""
+    n = params.rounds
+    label = {"fge-recursive": "recursive", "fge-paper": "paper", "ml": "ml"}
+    kernels = {
+        tag: (chain_kernel(label[tag], params.lambda_xi, params.sigma, n),
+              chain_kernel(label[tag], params.lambda_psi, params.sigma, n))
+        for tag in estimators
+    }
+    sq = {tag: np.empty(trials) for tag in estimators}
+    block = min(block_trials(n), trials)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        z = np.empty((stop - start, 2, n))
+        u = np.empty((stop - start, 2, n))
+        for b, t in enumerate(range(start, stop)):
+            np.random.default_rng([master_seed, axis_index, t, 0]).standard_normal(out=z[b])
+            np.random.default_rng([master_seed, axis_index, t, 1]).random(out=u[b])
+        walk = random_walks(z, params)
+        obs = walk[..., 1:] + exponential_delays(u, params)
+        truth = (walk[:, 0, -1] - walk[:, 1, -1]) / 2.0
+        for tag, (xi_kernel, psi_kernel) in kernels.items():
+            err = (xi_kernel(obs[:, 0]) - psi_kernel(obs[:, 1])) / 2.0 - truth
+            sq[tag][start:stop] = err * err
+    return sq
+
+
+class TestBlockSeeding:
+    """Tables seeded from block-derived states equal per-trial default_rng ones, byte for byte."""
+
+    @pytest.mark.parametrize("block_rounds", [experiments.BLOCK_ROUNDS, 7])
+    @pytest.mark.parametrize(
+        "axis, values", [("rounds", (1, 2, 25)), ("sigma", (0.0, 1e-3, 0.2))]
+    )
+    def test_tables_equal_default_rng_tables(self, monkeypatch, block_rounds, axis, values):
+        monkeypatch.setattr(experiments, "BLOCK_ROUNDS", block_rounds)
+        # the last block is partly filled at N = 25, and at N = 1 and 2 for 7
+        trials = block_trials(25) + 10
+        params = ClockModelParams(10.0, 7.0, 1e-2, 1.0, 0.5, 25)
+        cfg = make_config(params=params, axis=axis, values=values, trials=trials,
+                          seed=2**32 + 5)
+        sweep = mse_vs_rounds if axis == "rounds" else mse_vs_sigma
+        got = sweep(cfg).to_csv()
+        monkeypatch.setattr(experiments, "_run_cell", default_rng_cell)
+        assert got == sweep(cfg).to_csv()
+

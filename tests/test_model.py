@@ -18,7 +18,13 @@ from fgclock import (
     simulate_paths,
 )
 from fgclock.estimators import ESTIMATORS, chain_kernel
-from fgclock.model import check_real
+from fgclock.model import (
+    check_real,
+    draw_delay_uniforms,
+    draw_path_noise,
+    state_generator,
+    stream_states,
+)
 
 
 def make_params(**kw):
@@ -294,6 +300,35 @@ class TestSeeds:
         z = np.random.default_rng([3, 0]).standard_normal((2, 4))
         np.testing.assert_array_equal(path.xi[1:], np.cumsum(0.5 * z[0]))
         np.testing.assert_array_equal(path.psi[1:], np.cumsum(0.5 * z[1]))
+
+
+
+@pytest.mark.filterwarnings("error")
+class TestStreamStates:
+    """The block-derived PCG64 states are numpy's own SeedSequence states."""
+
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**53])
+    @pytest.mark.parametrize("axis_index", [0, 7, 2**32 + 1])
+    @pytest.mark.parametrize("start, stop", [(0, 300), (2**32 - 3, 2**32 + 3)])
+    def test_states_equal_seed_sequence_states(self, master, axis_index, start, stop):
+        states = stream_states(master, axis_index, start, stop)
+        assert states.shape == (stop - start, 2, 4) and states.dtype == np.uint64
+        for t in range(start, stop):
+            for s in (0, 1):
+                seq = np.random.SeedSequence([master, axis_index, t, s])
+                want = seq.generate_state(4, np.uint64)
+                assert states[t - start, s].tobytes() == want.tobytes(), (t, s)
+
+    @pytest.mark.parametrize("master", [0, 2**53])
+    def test_generators_draw_as_default_rng(self, master):
+        start = 2**32 - 1
+        for t, pair in enumerate(stream_states(master, 7, start, start + 2), start):
+            for s, state in enumerate(pair):
+                for draw in (draw_path_noise, draw_delay_uniforms):
+                    got, want = np.empty((2, 50)), np.empty((2, 50))
+                    draw(state_generator(state), got)
+                    draw(np.random.default_rng([master, 7, t, s]), want)
+                    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
