@@ -37,14 +37,15 @@ only where min U plus the window's shifts, with the same rounding, lies
 strictly above U_N, so the result is bit for bit the whole chain's: about
 sqrt(2 (U_N - min U) / (lam sigma^2)) rounds for ``recursive``, whose
 shifts add up triangularly, and (U_N - min U) / (lam sigma^2) for
-``paper``. Beyond the check of its finite values, the whole chain is read
-by one reduction, its minimum.
+``paper``. The whole chain is read once, by the check's min/max pass, and
+the windows reuse its min.
 """
 
 import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -178,7 +179,7 @@ def backtrack_estimate(U, lam, sigma):
     xi_hat_k = min(xi_bar_k, U_k). At sigma = 0 this reduces to the
     running minimum of U.
     """
-    U = check_chain(U)
+    U, _ = check_chain(U)
     n = len(U)
     shifts = _chain_shifts(lam, sigma_squared(sigma, lam), n)
     xi_bar = np.empty(n)
@@ -195,8 +196,8 @@ def backtrack_estimate(U, lam, sigma):
     return BacktrackResult(xi_hat=xi_hat, xi_bar=xi_bar)
 
 
-def _recursive_window(U, lam, s2, unit):
-    """The shifts of the last rounds of series U, from which its pass starts.
+def _recursive_window(U, low, lam, s2, unit):
+    """The shifts of the last rounds of series U with min ``low``, which its pass reads.
 
     Unrolled, the pass returns min_j C_j with C_j = fl(...fl(U_j + s_{j+1})
     ... + s_N), as rounded addition is monotone. Before a window of the
@@ -209,22 +210,22 @@ def _recursive_window(U, lam, s2, unit):
     The shifts of the last m rounds add up to about unit * m (m + 1) / 2,
     so m = sqrt(2 (U_N - M + ulp(U_N)) / unit) + 2; the ulp because
     fl(M + s) rounds down to U_N until s exceeds U_N - M by about an ulp.
-    L is checked with the exact rounded chain. The whole chain when the
-    check fails, when unit is 0 or subnormal, or when m >= N.
+    L is checked with the exact rounded chain. The window's shifts are Python
+    floats, summed and scaled as in :func:`_chain_shifts`; the whole chain's, a
+    memoryview, when the check fails, unit or s2 is 0 or subnormal, or m >= N.
     """
-    n = len(U)
-    low, last = float(np.minimum.reduce(U)), float(U[-1])
-    if unit >= sys.float_info.min:
-        # Python floats: an overflowing quotient is inf, without a warning
+    n, last = len(U), float(U[-1])
+    if unit >= sys.float_info.min and s2 >= sys.float_info.min:
+        # Python floats: an overflowing quotient, sum or shift is inf, without a warning
         m = math.sqrt(2.0 * (last - low + math.ulp(last)) / unit) + 2
         if m < n:
-            shifts = _chain_shifts(lam, s2, int(m))
+            shifts = [total * s2 for total in accumulate(repeat(float(lam), int(m)))][::-1]
             bound = low
-            for shift in memoryview(shifts):
+            for shift in shifts:
                 bound += shift
             if bound > last:
                 return shifts
-    return _chain_shifts(lam, s2, n)
+    return memoryview(_chain_shifts(lam, s2, n))
 
 
 def _recursive_estimator(lam, sigma, n):
@@ -242,15 +243,15 @@ def _recursive_estimator(lam, sigma, n):
     s2 = sigma_squared(sigma, lam)
     unit = float(lam) * s2
 
-    def estimate(U):
+    def estimate(U, low):
         if U.ndim == 1:
             if s2 < sys.float_info.min and n > 1:
                 bar = float(np.minimum.reduce(U[:-1])) + 0.0
                 last = float(U[-1])
                 return last if last < bar else bar
-            shifts = _recursive_window(U, lam, s2, unit)
+            shifts = _recursive_window(U, float(low), lam, s2, unit)
             prev = math.inf
-            for shift, u in zip(memoryview(shifts), memoryview(U[n - len(shifts):])):
+            for shift, u in zip(shifts, memoryview(U[n - len(shifts):])):
                 bar = prev + shift
                 prev = u if u < bar else bar
             return prev
@@ -279,10 +280,10 @@ def _paper_shifts(unit, m):
     return shifts
 
 
-def _paper_window(U, unit):
+def _paper_window(U, low, unit):
     """The shifts of the last rounds of series U whose candidates can be the min.
 
-    With M = min U, a round with fl(M + s) > U_N has a candidate
+    With M = min U = ``low``, a round with fl(M + s) > U_N has a candidate
     fl(U_k + s) >= fl(M + s), as rounding is monotone, above U_N + 0.0, the
     candidate of round N; so has every earlier round, whose shift is
     larger. The shifts are never -0.0, so every zero candidate is +0.0 and
@@ -293,11 +294,9 @@ def _paper_window(U, unit):
     overflows, when unit is 0 or subnormal, when m >= N, or when the check
     fails.
     """
-    n = len(U)
-    low, last = float(np.minimum.reduce(U)), float(U[-1])
-    span_unit = float(unit)
-    if span_unit >= sys.float_info.min:
-        span = (last - low + math.ulp(last)) / span_unit
+    n, last = len(U), float(U[-1])
+    if unit >= sys.float_info.min:
+        span = (last - low + math.ulp(last)) / unit
         if span < n - 2:
             # the first round's shift is m - 1 > span unit shifts
             shifts = _paper_shifts(unit, int(span) + 2)
@@ -314,14 +313,14 @@ def _paper_estimator(lam, sigma, n):
     """
     unit = float(lam) * sigma_squared(sigma, lam)
 
-    def estimate(U):
+    def estimate(U, low):
         # unit is finite, so an overflowing shift or candidate is +inf, never
         # inf * 0, and loses the min
         with np.errstate(over="ignore"):
             if U.ndim == 2:
                 return np.minimum.reduce(U + _paper_shifts(unit, n), axis=-1)
             # the candidates U_k + s_k take the place of the shifts
-            candidates = _paper_window(U, unit)
+            candidates = _paper_window(U, float(low), unit)
             candidates += U[n - len(candidates):]
             return np.minimum.reduce(candidates)
 
@@ -329,17 +328,18 @@ def _paper_estimator(lam, sigma, n):
 
 
 def _ml_estimator(lam, sigma, n):
-    """The minimum of U along the last axis; lam and sigma play no part."""
-    return lambda U: U.min(axis=-1)
+    """The min of U along the last axis, the check's ``low`` for a series; lam, sigma unused."""
+    return lambda U, low: low if U.ndim == 1 else U.min(axis=-1)
 
 
 Variant = namedtuple("Variant", "build label oracle_key")
 
 #: The estimator table, keyed by variant tag, in report order: every variant
 #: dispatch is a lookup here. ``build(lam, sigma, n)`` checks lam and sigma
-#: and returns the unchecked estimator of xi_hat_N for one chain of n rounds,
-#: which computes on each call only the shifts that call reads and lets no
-#: overflow warn; only :func:`chain_kernel` calls it. ``label``
+#: and returns the unchecked estimator ``estimate(U, low)`` of xi_hat_N for one
+#: chain of n rounds with min ``low``, which computes on each call only the
+#: shifts that call reads and lets no overflow warn; only :func:`chain_kernel`
+#: calls it. ``label``
 #: names the variant's rows in sweep tables; ``oracle_key`` names its
 #: deviation from the exact MAP in the compare-oracle report (None for ML,
 #: not a factor-graph estimate).
@@ -356,9 +356,10 @@ def chain_kernel(variant, lam, sigma, n):
     Returns a function that checks its observations once, finite values
     as a 1-D series of ``n`` rounds or a ``(trials, n)`` block, and maps
     a series to xi_hat_N and a block to the ``(trials,)`` estimates, each
-    row bit for bit the series result. Each call computes the shifts it
-    reads: a block those of all n rounds, a series only those of its
-    window.
+    row bit for bit the series result. The check's min/max pass is the
+    only full read of a series: its min sizes the window, or is the ``ml``
+    estimate. Each call computes the shifts it reads: a block those of all
+    n rounds, a series only those of its window.
     """
     try:
         build = ESTIMATORS[variant].build
@@ -368,10 +369,10 @@ def chain_kernel(variant, lam, sigma, n):
     estimate = build(lam, sigma, n)
 
     def kernel(U):
-        U = check_chain(U, "observations", ndims=(1, 2))
+        U, low = check_chain(U, "observations", ndims=(1, 2))
         if U.shape[-1] != n:
             raise ShapeError(f"expected {n} rounds, got {U.shape[-1]}")
-        return estimate(U)
+        return estimate(U, low)
 
     return kernel
 

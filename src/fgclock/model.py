@@ -73,14 +73,22 @@ def as_array(U, name):
 
 
 def check_chain(U, name="U", ndims=(1,)):
-    """``U`` as a float array of finite numbers, nonempty, ``U.ndim`` in ``ndims``."""
+    """``U`` as a float array of finite numbers, nonempty, ``U.ndim`` in ``ndims``, and its min.
+
+    Ints and floats of any width are checked as float64 values, by their min and max, which NaN
+    wins: a longdouble beyond the float range casts to inf, without a warning, and is refused."""
     U = as_array(U, name)
     if U.ndim not in ndims or U.size == 0:
         dims = " or ".join(f"{d}-D" for d in ndims)
         raise ShapeError(f"{name} must be a nonempty {dims} sequence")
-    if U.dtype.kind not in "iuf" or not np.isfinite(U).all():
-        raise ParameterError(f"{name} must hold finite numbers only")
-    return U.astype(float, copy=False)
+    if U.dtype.kind in "iuf":
+        if U.dtype != float:
+            with np.errstate(over="ignore"):
+                U = U.astype(float)
+        low = np.minimum.reduce(U, axis=None)
+        if -FLOAT_MAX <= low and np.maximum.reduce(U, axis=None) <= FLOAT_MAX:
+            return U, low
+    raise ParameterError(f"{name} must hold finite numbers only")
 
 
 def check_count(value, name, low=1):
@@ -176,13 +184,13 @@ class LatentPath:
     def theta(self):
         """Per-index clock offset theta_k = (xi_k - psi_k) / 2, checked finite."""
         with np.errstate(over="ignore"):
-            return check_chain((self.xi - self.psi) / 2.0, "simulated theta")
+            return check_chain((self.xi - self.psi) / 2.0, "simulated theta")[0]
 
     @property
     def d(self):
         """Per-index propagation delay d_k = (xi_k + psi_k) / 2, checked finite."""
         with np.errstate(over="ignore"):
-            return check_chain((self.xi + self.psi) / 2.0, "simulated d")
+            return check_chain((self.xi + self.psi) / 2.0, "simulated d")[0]
 
     @property
     def negative_d_count(self):
@@ -416,7 +424,7 @@ def simulate_observations(path, params, seed):
         obs = exponential_delays(uniforms, params)
         obs[0] += path.xi[1:]
         obs[1] += path.psi[1:]
-    return ObservationSeries(*check_chain(obs, "simulated U and V", ndims=(2,)))
+    return ObservationSeries(*check_chain(obs, "simulated U and V", ndims=(2,))[0])
 
 
 def chain_log_posterior(candidate, obs, lam, sigma):
@@ -432,8 +440,8 @@ def chain_log_posterior(candidate, obs, lam, sigma):
     value that overflows.
     """
     s2 = density_sigma_squared(sigma, lam)
-    candidate = check_chain(candidate, "candidate")
-    obs = check_chain(obs, "obs")
+    candidate, _ = check_chain(candidate, "candidate")
+    obs, _ = check_chain(obs, "obs")
     if len(candidate) != len(obs) + 1:
         raise ShapeError(
             f"candidate must have len(obs)+1 entries, got {len(candidate)} vs {len(obs)}"

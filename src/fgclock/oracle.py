@@ -45,7 +45,7 @@ class MapSolution:
 def _validate_chain_args(U, lam, sigma):
     """Checked ``U`` and sigma**2, which the MAP objective divides by: it must be normal."""
     s2 = density_sigma_squared(sigma, lam)
-    return check_chain(U), s2
+    return check_chain(U)[0], s2
 
 
 def check_enumerable(n):

@@ -24,7 +24,7 @@ from fgclock import (
 from fgclock import estimators
 from fgclock.estimators import ESTIMATORS, _chain_shifts, chain_kernel
 from fgclock.experiments import ALL_ESTIMATORS, SweepConfig, mse_vs_sigma
-from fgclock.model import sigma_squared
+from fgclock.model import check_chain, sigma_squared
 
 finite_reals = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -34,6 +34,12 @@ finite_reals = st.floats(
 def chain_shifts(lam, sigma, n):
     """The estimators' shifts of a chain of n rounds, lam and sigma checked."""
     return _chain_shifts(lam, sigma_squared(sigma, lam), n)
+
+
+def build(tag, lam, sigma, n):
+    """The unchecked estimator of ``tag``, handed the min of U as the kernel's check finds it."""
+    estimate = ESTIMATORS[tag].build(lam, sigma, n)
+    return lambda U: estimate(U, check_chain(U, ndims=(1, 2))[1])
 
 
 class TestBackwardConstants:
@@ -638,7 +644,7 @@ class TestFastRecursivePath:
         U[::7] = 1.79e308
         shifts = recursion_shifts(lam, sigma, n)
         assert np.isinf(shifts[0]) and np.isfinite(shifts[-2]) and shifts[-2] > 1e307
-        got = ESTIMATORS["recursive"].build(lam, sigma, n)(U)
+        got = build("recursive", lam, sigma, n)(U)
         with np.errstate(over="ignore"):
             want = literal_backtrack(U, shifts)[0][-1]
         assert np.float64(got).tobytes() == want.tobytes()
@@ -663,6 +669,44 @@ class TestFastRecursivePath:
                 suffix = lam * sigma**2 * np.arange(m - 1, -1, -1, dtype=float)
                 assert suffix.tobytes() == paper[-m:].tobytes()
 
+    @FAST_PATH_GRID
+    def test_python_float_window_is_a_suffix_of_the_shifts(self, lam, sigma, n):
+        s2 = sigma_squared(sigma, lam)
+        full = _chain_shifts(lam, s2, n)
+        lengths = set()
+        # U_N - min U of 0 to 1e300 unit shifts, within the float range
+        for spread in (0.0, 1.0, 40.0, 5e3, 1e300):
+            U = np.zeros(n)
+            U[-1] = min(spread * lam * s2, 1.7e308)
+            shifts = estimators._recursive_window(U, 0.0, lam, s2, lam * s2)
+            assert np.array(shifts).tobytes() == full[n - len(shifts):].tobytes()
+            if len(shifts) < n:
+                assert all(type(shift) is float for shift in shifts)
+            lengths.add(len(shifts))
+        # a flat series reads its last two rounds
+        assert min(lengths) == min(n, 2)
+
+    def test_python_float_window_overflows_to_inf(self):
+        # lam * sigma**2 = 1e308: the window's first two shifts overflow, as
+        # the running sum of _chain_shifts does, and its bound is inf > U_N
+        lam, s2, n = 1.0, 1e308, 100
+        U = np.zeros(n)
+        U[-1] = 8e307
+        shifts = estimators._recursive_window(U, 0.0, lam, s2, lam * s2)
+        assert shifts == [math.inf, math.inf, 1e308]
+        assert np.array(shifts).tobytes() == _chain_shifts(lam, s2, n)[-3:].tobytes()
+
+    def test_subnormal_sigma_squared_gives_zero_shifts(self):
+        # sigma**2 = 1e-310 is subnormal while lam * sigma**2 = 1e-300 is
+        # normal: the shifts are zeros, as _chain_shifts takes them, although
+        # U_N sizes a window of 143 rounds whose nonzero shifts would pass
+        lam, s2, n = 1e10, 1e-310, 1000
+        U = np.zeros(n)
+        U[-1] = 1e-296
+        shifts = estimators._recursive_window(U, 0.0, lam, s2, lam * s2)
+        assert np.array(shifts).tobytes() == np.zeros(n).tobytes()
+        assert _chain_shifts(lam, s2, n).tobytes() == np.zeros(n).tobytes()
+
     @pytest.mark.parametrize("n", [2, 3, 1000, 28_800])
     def test_windows_equal_the_full_chain(self, n, window_lengths):
         for lam, sigma in ((10.0, 1e-2), (4.0, 1e-2), (10.0, 1.0)):
@@ -681,8 +725,10 @@ class TestFastRecursivePath:
     @classmethod
     def window_of_100(cls, U):
         """The recursive window of U, with a unit that sizes it at 100 rounds."""
-        unit = 2.0 * (float(U[-1]) - float(U.min())) / 98.5**2
-        return estimators._recursive_window(U, cls.EXACT["lam"], cls.EXACT["sigma"] ** 2, unit)
+        low = float(U.min())
+        unit = 2.0 * (float(U[-1]) - low) / 98.5**2
+        return np.array(
+            estimators._recursive_window(U, low, cls.EXACT["lam"], cls.EXACT["sigma"] ** 2, unit))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_window_edge_is_checked_with_the_rounded_shift(self, offset):
@@ -802,7 +848,7 @@ class TestFastRecursivePath:
         assert window_lengths == [n, n]
         # the table's estimators, outside any errstate, do not warn
         for tag in ("recursive", "paper"):
-            ESTIMATORS[tag].build(lam, sigma, n)(U)
+            build(tag, lam, sigma, n)(U)
 
     @pytest.mark.parametrize("last", [0.0, -0.0])
     def test_signed_zeros_at_the_window_edge(self, last, window_lengths):
@@ -876,8 +922,8 @@ class TestEstimatorTable:
         # 17 rows: more than any SIMD width, so vector body and scalar tail both run
         block = np.array([np.roll(U, j) for j in range(17)])
         final = {}
-        for tag, variant in ESTIMATORS.items():
-            estimate = variant.build(lam, sigma, len(U))
+        for tag in ESTIMATORS:
+            estimate = build(tag, lam, sigma, len(U))
             singles = np.array([estimate(row) for row in block])
             assert estimate(block).tobytes() == singles.tobytes(), tag
             final[tag] = singles[0]
@@ -902,9 +948,9 @@ class TestEstimatorTable:
         U = np.cumsum(rng.normal(0.0, sigma, n)) + rng.exponential(1.0 / lam, n)
         block = np.array([U, U[::-1]])
         series = {}
-        for tag, variant in ESTIMATORS.items():
+        for tag in ESTIMATORS:
             series[tag] = np.float64(chain_kernel(tag, lam, sigma, n)(U))
-            rows = variant.build(lam, sigma, n)(block)
+            rows = build(tag, lam, sigma, n)(block)
             assert series[tag].tobytes() == rows[0].tobytes(), tag
         want = literal_backtrack(U, chain_shifts(lam, sigma, n))[0][-1]
         assert series["recursive"].tobytes() == want.tobytes()
@@ -922,8 +968,5 @@ class TestEstimatorTable:
         other U_k = 1e300), recursive is 2**53 + 2 and paper 2**53 + 4.
         """
         sigma = 2.0**log2_sigma
-        final = {
-            tag: variant.build(float(lam), sigma, len(U))(U)
-            for tag, variant in ESTIMATORS.items()
-        }
+        final = {tag: build(tag, float(lam), sigma, len(U))(U) for tag in ESTIMATORS}
         assert final["ml"] <= final["paper"] <= final["recursive"]

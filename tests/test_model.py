@@ -10,15 +10,20 @@ from fgclock import (
     LatentPath,
     ParameterError,
     ShapeError,
+    backtrack_estimate,
     chain_log_posterior,
+    closed_form_estimate_paper,
+    coordinate_ascent_map,
     exact_map_active_set,
     fge_offset,
     grid_max_marginal,
+    ml_offset,
     simulate_observations,
     simulate_paths,
 )
 from fgclock.estimators import ESTIMATORS, chain_kernel
 from fgclock.model import (
+    check_chain,
     check_real,
     draw_delay_uniforms,
     draw_path_noise,
@@ -390,4 +395,108 @@ class TestNumpyScalarInputs:
         ]
         for call in calls:
             with pytest.raises(ParameterError, match="must be an int or a float"):
+                call()
+
+
+#: A longdouble beyond the float64 range, where numpy's longdouble is wider.
+WIDE_LONGDOUBLE = np.finfo(np.longdouble).max > np.finfo(float).max
+needs_wide_longdouble = pytest.mark.skipif(
+    not WIDE_LONGDOUBLE, reason="longdouble is float64 here")
+
+
+def reference_check(U, name, ndims):
+    """The finite-values rule stated directly: kind in "iuf" and np.isfinite of the float64 cast."""
+    U = np.asarray(U)
+    if U.ndim not in ndims or U.size == 0:
+        dims = " or ".join(f"{d}-D" for d in ndims)
+        raise ShapeError(f"{name} must be a nonempty {dims} sequence")
+    if U.dtype.kind in "iuf":
+        with np.errstate(over="ignore"):
+            U = U.astype(float)
+        if np.isfinite(U).all():
+            return U
+    raise ParameterError(f"{name} must hold finite numbers only")
+
+
+def outcome(check, U):
+    try:
+        return check(U)
+    except (ParameterError, ShapeError) as exc:
+        return type(exc), str(exc)
+
+
+def check_cases():
+    """Series, blocks and strided views of every numeric dtype, with extreme values placed."""
+    specials = [np.nan, np.inf, -np.inf, 1.7976931348623157e308, -1.7976931348623157e308, -0.0]
+    for dtype in (np.int8, np.int64, np.uint64, np.float16, np.float32, np.float64,
+                  np.longdouble):
+        if np.dtype(dtype).kind == "f":
+            values = specials + ([np.longdouble("1e400"), np.longdouble("-1e400")]
+                                 if dtype is np.longdouble and WIDE_LONGDOUBLE else [])
+        else:
+            values = [np.iinfo(dtype).min, np.iinfo(dtype).max, 0]
+        for value in values:
+            for position in (0, 3, 6):
+                base = np.arange(1, 15).reshape(7, 2).astype(dtype)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    base[position] = value
+                yield base[:, 0].copy()
+                yield base[:, 0]  # a strided view
+                yield base.T  # a 2-D block, read column-major
+                yield base.T[:, ::2]
+
+
+@pytest.mark.filterwarnings("error")
+class TestCheckChain:
+    """``check_chain`` decides finite values on the float64 cast, from its min and max."""
+
+    @pytest.mark.parametrize("ndims", [(1,), (2,), (1, 2)])
+    def test_decision_table_equals_the_reference(self, ndims):
+        cases = 0
+        for U in check_cases():
+            want = outcome(lambda U: reference_check(U, "obs", ndims), U)
+            got = outcome(lambda U: check_chain(U, "obs", ndims), U)
+            if isinstance(want, tuple):
+                assert got == want, (U.dtype, U)
+            else:
+                checked, low = got
+                assert checked.dtype == np.float64 and checked.tobytes() == want.tobytes()
+                assert np.float64(low).tobytes() == np.minimum.reduce(want, axis=None).tobytes()
+                cases += 1
+        assert cases > 100
+
+    @pytest.mark.parametrize("bad", [
+        np.ones(4, dtype=bool), np.ones(4, dtype=complex), np.array([1.0, 2.0], dtype=object),
+        np.array(["1", "2"]), np.ones((2, 3), dtype=bool), [1.0, None],
+    ])
+    def test_non_numeric_kinds_refused(self, bad):
+        with pytest.raises(ParameterError, match="^obs must hold finite numbers only$"):
+            check_chain(bad, "obs", (1, 2))
+
+    def test_float64_input_is_returned_uncopied(self):
+        U = np.linspace(-1.0, 1.0, 9)
+        checked, low = check_chain(U)
+        assert checked is U and low == -1.0
+
+    @needs_wide_longdouble
+    def test_longdouble_beyond_the_float_range_is_refused_everywhere(self):
+        # the cast to float64 makes 1e400 inf, and no public entry warns or drops it
+        big = np.array([np.longdouble("1e400"), 1.0])
+        ok = [1.0, 2.0]
+        calls = [
+            lambda: fge_offset(big, ok, 10.0, 10.0, 1e-2),
+            lambda: fge_offset(ok, big, 10.0, 10.0, 1e-2, "paper"),
+            lambda: ml_offset(big, ok),
+            lambda: chain_kernel("recursive", 10.0, 1e-2, 2)(big),
+            lambda: chain_kernel("ml", 10.0, 1e-2, 2)(np.stack([big, big])),
+            lambda: backtrack_estimate(big, 10.0, 1e-2),
+            lambda: closed_form_estimate_paper(big, 10.0, 1e-2),
+            lambda: exact_map_active_set(big, 10.0, 1e-2),
+            lambda: coordinate_ascent_map(big, 10.0, 1e-2),
+            lambda: grid_max_marginal(big, 10.0, 1e-2, 0.0, 2.0, 64),
+            lambda: chain_log_posterior(np.array([1.0, 1.0, 1.0]), big, 10.0, 1e-2),
+            lambda: chain_log_posterior(np.append(big, 1.0), ok, 10.0, 1e-2),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="must hold finite numbers only"):
                 call()
