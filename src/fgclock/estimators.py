@@ -18,8 +18,8 @@ offset estimators, the experiments and the CLI all go through it, and
   the backward recursion (D_{N-i} = (i+1) * lam), i.e. cumulative shifts
   that grow triangularly with distance from the last round. In floating
   point the recursion reduces to a running sum of lam (see
-  :func:`_chain_shifts`), so the estimators compute the shifts as a
-  cumulative sum; :func:`backward_constants` evaluates the literal A/B/C/D
+  :func:`_shifts`), so the estimators compute the shifts as a running
+  sum; :func:`backward_constants` evaluates the literal A/B/C/D
   recursion and is kept as the check of that lemma, not run by them;
 * ``paper`` — the simplified closed form
   min(U_N, U_{N-1} + lam sigma^2, ..., U_1 + (N-1) lam sigma^2)
@@ -30,21 +30,23 @@ offset estimators, the experiments and the CLI all go through it, and
 The two factor-graph variants differ for sigma > 0; the exact-MAP oracles
 in :mod:`fgclock.oracle` arbitrate between them.
 
-In a long series only the last rounds can bind xi_hat_N of either
+In a long chain only the last rounds can bind xi_hat_N of either
 factor-graph variant, because each round's shift grows with its distance
-from round N. A 1-D series reads one window of its last rounds, taken
-only where min U plus the window's shifts, with the same rounding, lies
-strictly above U_N, so the result is bit for bit the whole chain's: about
+from round N. A series, or a ``(trials, n)`` block, reads one window of
+its last rounds, taken only where min U plus the window's shifts, with
+the same rounding, lies strictly above the largest U_N of any row, so
+every result is bit for bit the whole chain's: about
 sqrt(2 (U_N - min U) / (lam sigma^2)) rounds for ``recursive``, whose
 shifts add up triangularly, and (U_N - min U) / (lam sigma^2) for
 ``paper``. The whole chain is read once, by the check's min/max pass, and
-the windows reuse its min.
+the window reuses its min.
 """
 
 import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -101,8 +103,8 @@ def backward_constants(lam, sigma, n):
     (the B - C^2/(4A) correction vanishes) and D_{N-i} = (i+1) * lam; the
     recursion is evaluated literally so tests can verify those closed
     forms rather than assume them. The estimators do not call it: their
-    shifts come from the cumulative sum of :func:`_chain_shifts`, which
-    equals ``D * sigma**2`` bit for bit and is tested against it.
+    shifts come from the running sum of :func:`_shifts`, which equals
+    ``D * sigma**2`` bit for bit and is tested against it.
 
     sigma**2 must lie in the normal floating-point range: at sigma = 0, or
     when sigma**2 underflows, 1/sigma^2 overflows and the constants diverge
@@ -144,30 +146,26 @@ def shift_kernel(constants, k, x):
     return x + constants.D[k - 1] * float(constants.sigma) ** 2
 
 
-def _chain_shifts(lam, s2, n):
-    """Per-level additive shifts D_k * sigma^2 for k = 1..N, contiguous.
+def _shifts(lam, s2, m):
+    """The shifts D_k * sigma^2 of the last m rounds of a chain, as Python floats.
 
     Wherever :func:`backward_constants` is defined, its ratio C_k/(2 A_k)
     is exactly -1 and A_k stays exactly -1/(2 sigma^2) in floating point,
-    so each D_{k-1} is the rounded sum lam + D_k: D is the cumulative sum
-    of lam taken from level N down, and the shifts equal the recursion's
-    ``D * sigma**2`` bit for bit. The sum is accumulated in place, in a
-    reversed view of the result.
+    so each D_{k-1} is the rounded sum lam + D_k: D is the running sum of
+    lam taken from level N down, and the shifts equal the recursion's
+    ``D * sigma**2`` bit for bit. The sum starts at round N, so the shifts
+    of a chain's last m rounds are the same for every N. A shift that
+    overflows is inf, as in the literal recursion, without a warning; min
+    then keeps the observation at that level.
 
     ``s2`` is sigma**2 as :func:`fgclock.model.sigma_squared` checked it
     with lam. Zeros, the sigma = 0 limit, when s2 is 0 or below the normal
     range, where the backward recursion would divide by it.
     """
     if s2 < sys.float_info.min:
-        return np.zeros(n)
-    shifts = np.empty(n)
-    from_last = shifts[::-1]
-    from_last.fill(lam)
-    # a shift that overflows rounds to +inf, as in the literal recursion;
-    # min then keeps the observation at that level
-    with np.errstate(over="ignore"):
-        np.add.accumulate(from_last, out=from_last)
-        shifts *= s2
+        return [0.0] * m
+    shifts = [total * s2 for total in accumulate(repeat(float(lam), m))]
+    shifts.reverse()
     return shifts
 
 
@@ -181,13 +179,13 @@ def backtrack_estimate(U, lam, sigma):
     """
     U, _ = check_chain(U)
     n = len(U)
-    shifts = _chain_shifts(lam, sigma_squared(sigma, lam), n)
+    shifts = _shifts(lam, sigma_squared(sigma, lam), n)
     xi_bar = np.empty(n)
     xi_hat = np.empty(n)
     bars, hats = memoryview(xi_bar), memoryview(xi_hat)
     prev = math.inf
-    # Python floats through memoryviews: no numpy scalar per round
-    for k, (shift, u) in enumerate(zip(memoryview(shifts), memoryview(U))):
+    # Python floats, U through a memoryview: no numpy scalar per round
+    for k, (shift, u) in enumerate(zip(shifts, memoryview(U))):
         bar = prev + shift
         # min(bar, u): a tie keeps bar, which decides the sign of 0.0 vs -0.0
         prev = u if u < bar else bar
@@ -196,72 +194,89 @@ def backtrack_estimate(U, lam, sigma):
     return BacktrackResult(xi_hat=xi_hat, xi_bar=xi_bar)
 
 
-def _recursive_window(U, low, lam, s2, unit):
-    """The shifts of the last rounds of series U with min ``low``, which its pass reads.
+def _window(U, low, unit, width, shifts, bound):
+    """The shifts of the last rounds of U that its variant's pass must read.
 
-    Unrolled, the pass returns min_j C_j with C_j = fl(...fl(U_j + s_{j+1})
-    ... + s_N), as rounded addition is monotone. Before a window of the
-    last m rounds, every C_j >= L = fl(...fl(M + s_{N-m+1})... + s_N) with
-    M = min U. When L > U_N, the full pass resets in the window (at round N
-    at the latest), and its first reset there is also one of the window's
-    pass from +inf, which stays at or above the full pass until then; from
-    there on the two passes are equal, bit for bit.
-
-    The shifts of the last m rounds add up to about unit * m (m + 1) / 2,
-    so m = sqrt(2 (U_N - M + ulp(U_N)) / unit) + 2; the ulp because
-    fl(M + s) rounds down to U_N until s exceeds U_N - M by about an ulp.
-    L is checked with the exact rounded chain. The window's shifts are Python
-    floats, summed and scaled as in :func:`_chain_shifts`; the whole chain's, a
-    memoryview, when the check fails, unit or s2 is 0 or subnormal, or m >= N.
+    U is a series or a ``(trials, n)`` block with min ``low``. ``shifts(m)``
+    gives the variant's shifts of the last m rounds, and
+    ``bound(low, shifts)`` the least term that a round before them can
+    give, from the exact rounded shifts. Where that lies strictly above the
+    largest U_N of any row, no such round binds any row: a row's min is at
+    least ``low``, and its U_N at most the largest. ``width(q)`` is about
+    the number of rounds whose shifts reach q unit shifts, so the window
+    has m = width((U_N - low + ulp(U_N)) / unit) + 2 rounds; the ulp
+    because fl(low + s) rounds down to U_N until s exceeds U_N - low by
+    about an ulp. The whole chain's shifts when unit is 0 or subnormal,
+    when m >= n, or when the bound fails.
     """
-    n, last = len(U), float(U[-1])
-    if unit >= sys.float_info.min and s2 >= sys.float_info.min:
-        # Python floats: an overflowing quotient, sum or shift is inf, without a warning
-        m = math.sqrt(2.0 * (last - low + math.ulp(last)) / unit) + 2
+    n, low = U.shape[-1], float(low)
+    last = float(U[-1] if U.ndim == 1 else U[:, -1].max())
+    if unit >= sys.float_info.min:
+        # Python floats: an overflowing quotient or sum is inf, without a warning
+        m = width((last - low + math.ulp(last)) / unit) + 2
         if m < n:
-            shifts = [total * s2 for total in accumulate(repeat(float(lam), int(m)))][::-1]
-            bound = low
-            for shift in shifts:
-                bound += shift
-            if bound > last:
-                return shifts
-    return memoryview(_chain_shifts(lam, s2, n))
+            window = shifts(int(m))
+            if bound(low, window) > last:
+                return window
+    return shifts(n)
+
+
+def _total(low, shifts):
+    """fl(...fl(low + s_1)... + s_m), where the recursive pass takes ``low`` through the shifts."""
+    for shift in shifts:
+        low += shift
+    return low
 
 
 def _recursive_estimator(lam, sigma, n):
     """xi_hat_N of :func:`backtrack_estimate`, without keeping the levels.
 
-    A 1-D series runs the pass on Python floats through memoryviews, from
-    +inf over the window of its last rounds that :func:`_recursive_window`
-    finds. Where sigma**2 is 0 or subnormal every shift is 0.0, and the
-    pass over a series of N > 1 rounds is its last step after a running
-    min: U_N where U_N < fl(min(U_1..U_{N-1}) + 0.0), which is +0.0 for a
-    zero min of either sign, and that value elsewhere. A ``(trials, n)``
-    block runs the full pass across all rows at once, one column per
+    The pass runs from +inf over the window of the last rounds that
+    :func:`_window` finds. Unrolled, it returns min_j C_j with
+    C_j = fl(...fl(U_j + s_{j+1})... + s_N), so every round before the
+    window has C_j at least :func:`_total` of the min and the window's
+    shifts. Where that bound lies above U_N, the full pass resets in the
+    window, at round N at the latest, and its first reset there is also
+    one of the window's pass from +inf, which stays at or above the full
+    pass until then; from there on the two passes are equal, bit for bit.
+    The shifts of the last m rounds add up to about unit * m (m + 1) / 2,
+    so the window has about sqrt(2 (U_N - min U) / unit) rounds. A series
+    runs the pass on Python floats through a memoryview; a
+    ``(trials, n)`` block runs it across all rows at once, one column per
     round, where the per-row loop would cost a Python loop per trial.
+
+    Where sigma**2 is 0 or subnormal every shift is 0.0, so the pass over
+    a chain is its last step after a running min: U_N if it is below
+    fl(min(U_1..U_{N-1}) + 0.0), which is +0.0 for a zero min of either
+    sign, else that. A series with U_N above its min takes fl(min U + 0.0)
+    and reads no round again.
     """
     s2 = sigma_squared(sigma, lam)
     unit = float(lam) * s2
+    shifts = partial(_shifts, lam, s2)
 
     def estimate(U, low):
+        if s2 < sys.float_info.min:
+            if U.ndim == 1 and U[-1] > low:
+                return float(low) + 0.0
+            last = U[..., -1]
+            bar = np.minimum.reduce(U[..., :-1], axis=-1, initial=math.inf) + 0.0
+            xi = np.where(last < bar, last, bar)
+            return xi if U.ndim == 2 else float(xi)
+        window = _window(U, low, unit, lambda units: math.sqrt(2.0 * units), shifts, _total)
+        U = U[..., n - len(window):]
         if U.ndim == 1:
-            if s2 < sys.float_info.min and n > 1:
-                bar = float(np.minimum.reduce(U[:-1])) + 0.0
-                last = float(U[-1])
-                return last if last < bar else bar
-            shifts = _recursive_window(U, float(low), lam, s2, unit)
             prev = math.inf
-            for shift, u in zip(shifts, memoryview(U[n - len(shifts):])):
+            for shift, u in zip(window, memoryview(U)):
                 bar = prev + shift
                 prev = u if u < bar else bar
             return prev
-        shifts = _chain_shifts(lam, s2, n)
         prev = U[:, 0].copy()
         smaller = np.empty(len(prev), dtype=bool)
         # a shifted value that overflows is +inf and loses the min to U_k
         with np.errstate(over="ignore"):
-            for k in range(1, n):
-                np.add(prev, shifts[k], out=prev)
+            for k in range(1, len(window)):
+                np.add(prev, window[k], out=prev)
                 # u replaces bar only where strictly smaller, as in min(bar, u):
                 # a 0.0/-0.0 tie keeps bar
                 np.less(U[:, k], prev, out=smaller)
@@ -271,58 +286,42 @@ def _recursive_estimator(lam, sigma, n):
     return estimate
 
 
-def _paper_shifts(unit, m):
-    """The paper's shifts unit * d of the last m rounds, d = m - 1 down to 0."""
-    shifts = np.arange(m - 1, -1, -1, dtype=float)
-    # in place, as the candidates are built: where a chain is long, every
-    # fresh array of its length costs page faults, more than filling it
-    shifts *= unit
-    return shifts
-
-
-def _paper_window(U, low, unit):
-    """The shifts of the last rounds of series U whose candidates can be the min.
-
-    With M = min U = ``low``, a round with fl(M + s) > U_N has a candidate
-    fl(U_k + s) >= fl(M + s), as rounding is monotone, above U_N + 0.0, the
-    candidate of round N; so has every earlier round, whose shift is
-    larger. The shifts are never -0.0, so every zero candidate is +0.0 and
-    the window's min is bit for bit the whole chain's. The shifts grow by
-    unit per round, so the window has m = (U_N - M + ulp(U_N)) / unit + 2
-    rounds, the ulp as in :func:`_recursive_window`, and its first round is
-    checked with the exact rounded shift. The whole chain when the quotient
-    overflows, when unit is 0 or subnormal, when m >= N, or when the check
-    fails.
-    """
-    n, last = len(U), float(U[-1])
-    if unit >= sys.float_info.min:
-        span = (last - low + math.ulp(last)) / unit
-        if span < n - 2:
-            # the first round's shift is m - 1 > span unit shifts
-            shifts = _paper_shifts(unit, int(span) + 2)
-            if low + float(shifts[0]) > last:
-                return shifts
-    return _paper_shifts(unit, n)
-
-
 def _paper_estimator(lam, sigma, n):
     """min over k of U_k + (N - k) * lam * sigma^2, along the last axis.
 
-    A 1-D series takes the min over the window of its last rounds that
-    :func:`_paper_window` finds; a ``(trials, n)`` block over all rounds.
+    The min runs over the window of the last rounds that :func:`_window`
+    finds. Its first round's shift is (m - 1) unit shifts, about
+    (U_N - min U) / unit rounds from the end; a round with fl(min U + s)
+    above U_N has a term fl(U_k + s) >= fl(min U + s), as rounding is
+    monotone, above U_N + 0.0, the term of round N; so has every earlier
+    round, whose shift is larger. The shifts are never -0.0, so every zero
+    term is +0.0 and the window's min is bit for bit the whole chain's.
+    Where unit is 0, a series's min is min U + 0.0.
     """
-    unit = float(lam) * sigma_squared(sigma, lam)
+    # checked before float(lam), which would raise on a lam of the wrong type
+    s2 = sigma_squared(sigma, lam)
+    unit = float(lam) * s2
+
+    def shifts(m):
+        shifts = np.arange(m - 1, -1, -1, dtype=float)
+        # in place, as the terms are built: where a chain is long, every
+        # fresh array of its length costs page faults, more than filling it
+        shifts *= unit
+        return shifts
 
     def estimate(U, low):
-        # unit is finite, so an overflowing shift or candidate is +inf, never
+        if U.ndim == 1 and not unit:
+            return low + 0.0
+        # unit is finite, so an overflowing shift or term is +inf, never
         # inf * 0, and loses the min
         with np.errstate(over="ignore"):
+            window = _window(U, low, unit, lambda units: units, shifts,
+                             lambda low, window: low + float(window[0]))
             if U.ndim == 2:
-                return np.minimum.reduce(U + _paper_shifts(unit, n), axis=-1)
-            # the candidates U_k + s_k take the place of the shifts
-            candidates = _paper_window(U, float(low), unit)
-            candidates += U[n - len(candidates):]
-            return np.minimum.reduce(candidates)
+                return np.minimum.reduce(U[:, n - len(window):] + window, axis=-1)
+            # a series's terms U_k + s_k take the place of its shifts
+            window += U[n - len(window):]
+            return np.minimum.reduce(window)
 
     return estimate
 
@@ -336,13 +335,13 @@ Variant = namedtuple("Variant", "build label oracle_key")
 
 #: The estimator table, keyed by variant tag, in report order: every variant
 #: dispatch is a lookup here. ``build(lam, sigma, n)`` checks lam and sigma
-#: and returns the unchecked estimator ``estimate(U, low)`` of xi_hat_N for one
-#: chain of n rounds with min ``low``, which computes on each call only the
-#: shifts that call reads and lets no overflow warn; only :func:`chain_kernel`
-#: calls it. ``label``
-#: names the variant's rows in sweep tables; ``oracle_key`` names its
-#: deviation from the exact MAP in the compare-oracle report (None for ML,
-#: not a factor-graph estimate).
+#: and returns the unchecked estimator ``estimate(U, low)`` of xi_hat_N for a
+#: series or block of n rounds with min ``low``, which computes on each call
+#: only the shifts of the window :func:`_window` finds for it and lets no
+#: overflow warn; only :func:`chain_kernel` calls it. ``label`` names the
+#: variant's rows in sweep tables; ``oracle_key`` names its deviation from
+#: the exact MAP in the compare-oracle report (None for ML, not a
+#: factor-graph estimate).
 ESTIMATORS = {
     "recursive": Variant(_recursive_estimator, "fge-recursive", "max_abs_dev_backtrack"),
     "paper": Variant(_paper_estimator, "fge-paper", "max_abs_dev_paper_closed_form"),
@@ -358,8 +357,8 @@ def chain_kernel(variant, lam, sigma, n):
     a series to xi_hat_N and a block to the ``(trials,)`` estimates, each
     row bit for bit the series result. The check's min/max pass is the
     only full read of a series: its min sizes the window, or is the ``ml``
-    estimate. Each call computes the shifts it reads: a block those of all
-    n rounds, a series only those of its window.
+    estimate. Each call computes only the shifts of its window, which for a
+    block is sized by the largest U_N of any row.
     """
     try:
         build = ESTIMATORS[variant].build

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fgclock import (
     simulate_paths,
 )
 from fgclock import estimators
-from fgclock.estimators import ESTIMATORS, _chain_shifts, chain_kernel
+from fgclock.estimators import ESTIMATORS, _shifts, chain_kernel
 from fgclock.experiments import ALL_ESTIMATORS, SweepConfig, mse_vs_sigma
 from fgclock.model import check_chain, sigma_squared
 
@@ -32,8 +33,8 @@ finite_reals = st.floats(
 
 
 def chain_shifts(lam, sigma, n):
-    """The estimators' shifts of a chain of n rounds, lam and sigma checked."""
-    return _chain_shifts(lam, sigma_squared(sigma, lam), n)
+    """The estimators' shifts of a chain of n rounds as an array, lam and sigma checked."""
+    return np.array(_shifts(lam, sigma_squared(sigma, lam), n))
 
 
 def build(tag, lam, sigma, n):
@@ -469,10 +470,12 @@ SHIFTED_ESTIMATORS = {
 @pytest.mark.parametrize("estimator", sorted(SHIFTED_ESTIMATORS))
 @pytest.mark.parametrize(
     "lam, sigma",
-    [(math.inf, 0.01), (math.inf, 0.0), (math.nan, 0.01), (1e300, 1e5)],
+    [(math.inf, 0.01), (math.inf, 0.0), (math.nan, 0.01), (1e300, 1e5),
+     (None, 0.01), (1j, 0.01), (10**400, 0.01)],
 )
 def test_non_finite_unit_shift_rejected(estimator, lam, sigma):
-    # lam = inf made paper NaN (inf * 0) while recursive returned U_N
+    # lam = inf made paper NaN (inf * 0) while recursive returned U_N; a lam
+    # that float() refuses or overflows on is checked before paper converts it
     with pytest.raises(ParameterError):
         SHIFTED_ESTIMATORS[estimator](lam, sigma)
 
@@ -515,15 +518,15 @@ def paper_reference(U, lam, sigma):
 
 @pytest.fixture
 def window_lengths(monkeypatch):
-    """The length of every window the series estimators read, in call order."""
+    """The length of every window a series or block estimator reads, in call order."""
     lengths = []
-    for name in ("_recursive_window", "_paper_window"):
-        def recording(*args, window=getattr(estimators, name)):
-            shifts = window(*args)
-            lengths.append(len(shifts))
-            return shifts
 
-        monkeypatch.setattr(estimators, name, recording)
+    def recording(*args, window=estimators._window):
+        shifts = window(*args)
+        lengths.append(len(shifts))
+        return shifts
+
+    monkeypatch.setattr(estimators, "_window", recording)
     return lengths
 
 
@@ -549,9 +552,9 @@ class TestFastRecursivePath:
 
     @FAST_PATH_GRID
     def test_shifts_equal_recursion(self, lam, sigma, n):
-        shifts = chain_shifts(lam, sigma, n)
-        assert shifts.flags.c_contiguous
-        assert shifts.tobytes() == recursion_shifts(lam, sigma, n).tobytes()
+        shifts = _shifts(lam, sigma_squared(sigma, lam), n)
+        assert all(type(shift) is float for shift in shifts)
+        assert np.array(shifts).tobytes() == recursion_shifts(lam, sigma, n).tobytes()
 
     @FAST_PATH_GRID
     def test_estimates_equal_reference_loop(self, lam, sigma, n):
@@ -670,42 +673,49 @@ class TestFastRecursivePath:
                 assert suffix.tobytes() == paper[-m:].tobytes()
 
     @FAST_PATH_GRID
-    def test_python_float_window_is_a_suffix_of_the_shifts(self, lam, sigma, n):
-        s2 = sigma_squared(sigma, lam)
-        full = _chain_shifts(lam, s2, n)
-        lengths = set()
+    def test_windows_of_every_spread_equal_the_full_chain(self, lam, sigma, n, window_lengths):
+        unit = lam * sigma_squared(sigma, lam)
         # U_N - min U of 0 to 1e300 unit shifts, within the float range
         for spread in (0.0, 1.0, 40.0, 5e3, 1e300):
             U = np.zeros(n)
-            U[-1] = min(spread * lam * s2, 1.7e308)
-            shifts = estimators._recursive_window(U, 0.0, lam, s2, lam * s2)
-            assert np.array(shifts).tobytes() == full[n - len(shifts):].tobytes()
-            if len(shifts) < n:
-                assert all(type(shift) is float for shift in shifts)
-            lengths.add(len(shifts))
+            U[-1] = min(spread * unit, 1.7e308)
+            # the full pass, which the literal recursion checks above
+            want = backtrack_estimate(U, lam, sigma).xi_hat[-1]
+            got = chain_kernel("recursive", lam, sigma, n)(U)
+            assert np.float64(got).tobytes() == want.tobytes()
         # a flat series reads its last two rounds
-        assert min(lengths) == min(n, 2)
+        assert min(window_lengths) == min(n, 2)
 
-    def test_python_float_window_overflows_to_inf(self):
-        # lam * sigma**2 = 1e308: the window's first two shifts overflow, as
-        # the running sum of _chain_shifts does, and its bound is inf > U_N
-        lam, s2, n = 1.0, 1e308, 100
+    def test_python_float_shifts_overflow_to_inf(self, window_lengths):
+        # lam * sigma**2 = 1e308: the window's first two shifts overflow to
+        # inf without a warning, and its bound is inf > U_N
+        lam, sigma, n = 1.0, 1e154, 100
+        s2 = sigma_squared(sigma, lam)
+        assert _shifts(lam, s2, 3) == [math.inf, math.inf, s2]
         U = np.zeros(n)
-        U[-1] = 8e307
-        shifts = estimators._recursive_window(U, 0.0, lam, s2, lam * s2)
-        assert shifts == [math.inf, math.inf, 1e308]
-        assert np.array(shifts).tobytes() == _chain_shifts(lam, s2, n)[-3:].tobytes()
+        U[-1] = 0.8 * s2
+        with np.errstate(over="ignore"):
+            want = literal_backtrack(U, chain_shifts(lam, sigma, n))[0][-1]
+        got = chain_kernel("recursive", lam, sigma, n)(U)
+        assert np.float64(got).tobytes() == want.tobytes()
+        assert window_lengths == [3]
 
-    def test_subnormal_sigma_squared_gives_zero_shifts(self):
+    def test_subnormal_sigma_squared_gives_zero_shifts(self, window_lengths):
         # sigma**2 = 1e-310 is subnormal while lam * sigma**2 = 1e-300 is
-        # normal: the shifts are zeros, as _chain_shifts takes them, although
-        # U_N sizes a window of 143 rounds whose nonzero shifts would pass
-        lam, s2, n = 1e10, 1e-310, 1000
+        # normal: the shifts are zeros, although U_N sizes a window of 143
+        # rounds whose nonzero shifts would pass; a series and a block take
+        # the running min and read no window
+        lam, sigma, n = 1e10, 1e-155, 1000
+        s2 = sigma_squared(sigma, lam)
+        assert s2 < 2.2e-308 and lam * s2 > 2.3e-308
+        assert np.array(_shifts(lam, s2, n)).tobytes() == np.zeros(n).tobytes()
         U = np.zeros(n)
         U[-1] = 1e-296
-        shifts = estimators._recursive_window(U, 0.0, lam, s2, lam * s2)
-        assert np.array(shifts).tobytes() == np.zeros(n).tobytes()
-        assert _chain_shifts(lam, s2, n).tobytes() == np.zeros(n).tobytes()
+        want = literal_backtrack(U, np.zeros(n))[0][-1]
+        assert np.float64(chain_kernel("recursive", lam, sigma, n)(U)).tobytes() == want.tobytes()
+        rows = chain_kernel("recursive", lam, sigma, n)(np.array([U, U]))
+        assert rows.tobytes() == np.array([want, want]).tobytes()
+        assert window_lengths == []
 
     @pytest.mark.parametrize("n", [2, 3, 1000, 28_800])
     def test_windows_equal_the_full_chain(self, n, window_lengths):
@@ -724,11 +734,10 @@ class TestFastRecursivePath:
 
     @classmethod
     def window_of_100(cls, U):
-        """The recursive window of U, with a unit that sizes it at 100 rounds."""
-        low = float(U.min())
-        unit = 2.0 * (float(U[-1]) - low) / 98.5**2
-        return np.array(
-            estimators._recursive_window(U, low, cls.EXACT["lam"], cls.EXACT["sigma"] ** 2, unit))
+        """The recursive window of U, with a width that sizes it at 100 rounds."""
+        lam, s2 = cls.EXACT["lam"], cls.EXACT["sigma"] ** 2
+        return np.array(estimators._window(
+            U, U.min(), lam * s2, lambda units: 98.5, partial(_shifts, lam, s2), estimators._total))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_window_edge_is_checked_with_the_rounded_shift(self, offset):
@@ -780,6 +789,33 @@ class TestFastRecursivePath:
             assert np.float64(got).tobytes() == want.tobytes()
         assert len(window_lengths) == 4 and max(window_lengths) < 200
 
+    def test_model_block_reads_a_short_window(self, window_lengths):
+        # a 28 800-round block is sized by its largest U_N, and each row is
+        # bit for bit its series
+        n = 28_800
+        block = np.array([model_chain(n, 10.0, 1e-2, seed) for seed in (5, 6)])
+        for tag in ("recursive", "paper"):
+            kernel = chain_kernel(tag, 10.0, 1e-2, n)
+            rows = kernel(block)
+            assert window_lengths.pop() < n // 2, tag
+            assert rows.tobytes() == np.array([kernel(U) for U in block]).tobytes(), tag
+
+    def test_block_rows_far_apart_read_the_whole_chain(self, window_lengths):
+        # the second row's U_N lies 1e4 above the first's: the block's window,
+        # sized from the largest U_N, is the whole chain, where the first row
+        # alone reads a short one
+        n = 2000
+        U = model_chain(n, 10.0, 1e-2, 7)
+        block = np.array([U, U])
+        block[1, -1] += 1e4
+        for tag in ("recursive", "paper"):
+            kernel = chain_kernel(tag, 10.0, 1e-2, n)
+            rows = kernel(block)
+            series = [kernel(row) for row in block]
+            assert rows.tobytes() == np.array(series).tobytes(), tag
+            assert window_lengths[0] == n and window_lengths[1] < n // 2, tag
+            window_lengths.clear()
+
     def test_window_covers_sums_that_round_down(self, window_lengths):
         # near 2**45 the spacing of floats is 8 unit shifts of 1 / 1024, so
         # fl(M + s) rounds down to U_N unless s exceeds U_N - M by about an
@@ -816,24 +852,31 @@ class TestFastRecursivePath:
             # paper's shifts 1e-300 * d are not zero, and its windows stand
             assert window_lengths == [2, 102, 1000]
         elif sigma == 0.0:
-            assert window_lengths == [1000] * 3
+            # every shift of either variant is 0.0: neither series reads a window
+            assert window_lengths == []
         else:
             assert window_lengths == [1000] * 6
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-170, 1e-155])
     def test_flat_series_take_one_reduction(self, sigma, window_lengths):
-        # sigma**2 is 0 or subnormal, so every shift is 0.0: a series of
-        # N > 1 rounds reads no window, and its min keeps the pass's signed
-        # zeros, huge and subnormal values
+        # sigma**2 is 0 or subnormal, so every shift is 0.0: a series reads
+        # no window, and its min keeps the pass's signed zeros, huge and
+        # subnormal values
         rng = np.random.default_rng(14)
         pool = [0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308, 5e-324, -5e-324]
-        for _ in range(3000):
-            n = int(rng.integers(1, 9))
-            U = rng.choice(pool, size=n)
-            want = literal_backtrack(U, np.zeros(n))[0][-1]
-            got = chain_kernel("recursive", 2.0, sigma, n)(U)
+        chains = [rng.choice(pool, size=int(rng.integers(1, 9))) for _ in range(3000)]
+        # U_N is the min, of either sign, tied or not by an earlier zero of either sign
+        chains += [np.array(U) for U in ([-0.0], [0.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 0.0],
+                                         [-0.0, -0.0], [1.0, 0.0, -0.0], [1.0, -0.0, 0.0],
+                                         [1.0, 0.0], [1.0, -0.0], [-1.0, 2.0, -1.0])]
+        for U in chains:
+            want = literal_backtrack(U, np.zeros(len(U)))[0][-1]
+            got = chain_kernel("recursive", 2.0, sigma, len(U))(U)
             assert np.float64(got).tobytes() == want.tobytes()
-        assert window_lengths.count(1) == len(window_lengths) > 0
+            got = chain_kernel("paper", 2.0, sigma, len(U))(U)
+            assert np.float64(got).tobytes() == paper_reference(U, 2.0, sigma).tobytes()
+        # paper's shifts 2 sigma**2 d are subnormal, not zero, at sigma = 1e-155
+        assert window_lengths == ([len(U) for U in chains] if sigma == 1e-155 else [])
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_spread_takes_the_whole_chain(self, sign, window_lengths):

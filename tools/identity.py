@@ -86,9 +86,9 @@ def corpus(rng, scale):
         yield "dtypes", U.astype(np.float32), np.round(V * 1e3).astype(np.int64), lam, lam, sigma
         yield "strided", np.repeat(U, 2)[::2], np.repeat(V, 2)[1::2], lam, lam, sigma
     for _ in range(3 * scale):
-        # 28 800 rounds in the full corpus, 2880 in the tiny one
-        U = model_chain(rng, 2880 * scale, 10.0, 1e-2)
-        yield "long", U, model_chain(rng, 2880 * scale, 4.0, 1e-2), 10.0, 4.0, 1e-2
+        # eight hours at 1 Hz, in the tiny corpus too: series and blocks read a window
+        U = model_chain(rng, 28_800, 10.0, 1e-2)
+        yield "long", U, model_chain(rng, 28_800, 4.0, 1e-2), 10.0, 4.0, 1e-2
         yield "long-flat", U, U[::-1], 10.0, 10.0, float(rng.choice(sigmas[:3]))
     # exact unit shifts 2**-10 (lam 1, sigma 2**-5), so ties of 0.0 and -0.0 occur
     zeros = [0.0, -0.0, -2.0**-10, -2.0**-9, 1.0]
