@@ -9,6 +9,7 @@ run can be reproduced bit-for-bit. Exit codes: 0 success, 2 usage,
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
@@ -95,9 +96,13 @@ def _write_manifest(path, subcommand, config, seed, outputs):
         "artifact_version": __version__,
         "outputs": outputs,
     }
+    _write_json(path, manifest, sort_keys=True)
+
+
+def _write_json(path, document, sort_keys=False):
+    """Write ``document`` as indented JSON and a newline, in one write."""
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(document, indent=2, sort_keys=sort_keys) + "\n")
 
 
 def _add_model_flags(parser, with_rounds=True):
@@ -219,9 +224,7 @@ def cmd_sweep(args):
     manifest_file = f"{args.out}.manifest.json"
     with open(csv_file, "w", newline="") as fh:
         fh.write(table.to_csv())
-    with open(json_file, "w") as fh:
-        json.dump(table.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(json_file, table.to_json_dict())
     resolved = dict(dataclasses.asdict(params))
     resolved.update(
         axis=config.axis, values=list(config.values), trials=config.trials,
@@ -265,7 +268,9 @@ def cmd_compare_oracle(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process; ``func`` names each subcommand's function."""
     parser = argparse.ArgumentParser(
         prog="fgclock",
         description="Clock-offset estimation for two-way timing exchange",
@@ -278,7 +283,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output file prefix")
     _add_model_flags(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func="cmd_simulate")
 
     p = sub.add_parser("estimate", help="estimate the offset from a k,U,V CSV")
     p.add_argument("--input", required=True, help="observation CSV with k,U,V columns")
@@ -288,7 +293,7 @@ def build_parser():
         default="all",
     )
     _add_model_flags(p, with_rounds=False)
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(func="cmd_estimate")
 
     p = sub.add_parser("sweep", help="Monte Carlo MSE sweep over rounds or sigma")
     p.add_argument("--config", default=None, help="JSON config file")
@@ -298,7 +303,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
     _add_model_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func="cmd_sweep")
 
     p = sub.add_parser(
         "compare-oracle", help="deviation of both FGE variants from the exact MAP"
@@ -307,15 +312,15 @@ def build_parser():
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_model_flags(p, with_rounds=False)
-    p.set_defaults(func=cmd_compare_oracle)
+    p.set_defaults(func="cmd_compare_oracle")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced module attribute is the one called
+        return globals()[args.func](args)
     except tuple(error for error, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in EXIT_CODES if isinstance(exc, error))

@@ -109,7 +109,8 @@ def backward_constants(lam, sigma, n):
     sigma**2 must lie in the normal floating-point range: at sigma = 0, or
     when sigma**2 underflows, 1/sigma^2 overflows and the constants diverge
     (DegenerateModelError). 2 sigma**2 must be finite, or 1/(2 sigma^2) is
-    0 and C/(2A) is 0/0 (ParameterError).
+    0 and C/(2A) is 0/0 (ParameterError). A D_k beyond the float range is
+    inf, as the estimators' shift of that level is, without a warning.
     """
     n = check_count(n, "n")
     s2 = density_sigma_squared(sigma, lam)
@@ -124,12 +125,13 @@ def backward_constants(lam, sigma, n):
     D = np.empty(n)
     A[n - 1] = -inv2s2
     D[n - 1] = lam
-    for k in range(n - 1, 0, -1):
-        # factor C^2/(4A) = (C/2) * (C/(2A)) so the C/(2A) = -1 cancellation
-        # stays exact in floating point and errors do not compound down the chain
-        ratio = C[k] / (2.0 * A[k])
-        A[k - 1] = -inv2s2 + B[k] - (C[k] / 2.0) * ratio
-        D[k - 1] = lam - ratio * D[k]
+    with np.errstate(over="ignore"):
+        for k in range(n - 1, 0, -1):
+            # factor C^2/(4A) = (C/2) * (C/(2A)) so the C/(2A) = -1 cancellation
+            # stays exact in floating point and errors do not compound down the chain
+            ratio = C[k] / (2.0 * A[k])
+            A[k - 1] = -inv2s2 + B[k] - (C[k] / 2.0) * ratio
+            D[k - 1] = lam - ratio * D[k]
     return BackwardConstants(lam=lam, sigma=sigma, A=A, B=B, C=C, D=D)
 
 

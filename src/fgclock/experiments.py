@@ -13,7 +13,11 @@ table is reproducible bit-for-bit. A cell works in blocks of trials: it
 derives the generator states of a block's trials in one pass
 (:func:`fgclock.model.stream_states`), draws each trial from its own two
 generators, then transforms and estimates the block as ``(block, N)``
-arrays.
+arrays. The trial loop walks the block's rows of path noise and delay
+uniforms in step with the block's generators, which
+:func:`fgclock.model.state_generators` builds in the states' order, a
+trial's path generator and then its observation one, from one seed
+sequence per block: a trial makes its two generators and no other object.
 """
 
 import csv
@@ -34,7 +38,7 @@ from .model import (
     draw_path_noise,
     exponential_delays,
     random_walks,
-    state_generator,
+    state_generators,
     stream_states,
 )
 
@@ -182,10 +186,11 @@ def _run_cell(params, axis_index, trials, master_seed, estimators):
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         z, u = noise[: stop - start], uniforms[: stop - start]
-        states = stream_states(master_seed, axis_index, start, stop)
-        for b, (path_state, obs_state) in enumerate(states):
-            draw_path_noise(state_generator(path_state), z[b])
-            draw_delay_uniforms(state_generator(obs_state), u[b])
+        # one generator per state: a trial's path generator, then its observation one
+        generators = state_generators(stream_states(master_seed, axis_index, start, stop))
+        for z_row, u_row in zip(z, u):
+            draw_path_noise(next(generators), z_row)
+            draw_delay_uniforms(next(generators), u_row)
         walk = random_walks(z, params)
         obs = walk[..., 1:] + exponential_delays(u, params)
         truth = (walk[:, 0, -1] - walk[:, 1, -1]) / 2.0

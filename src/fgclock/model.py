@@ -159,7 +159,8 @@ class ClockModelParams:
     def __post_init__(self):
         check_rate(self.lambda_xi, "lambda_xi")
         check_rate(self.lambda_psi, "lambda_psi")
-        sigma_squared(self.sigma, max(self.lambda_xi, self.lambda_psi))
+        # the larger rate compared as Python floats, so that no rate is cast to float32
+        sigma_squared(self.sigma, max(self.lambda_xi, self.lambda_psi, key=float))
         _check_operand(self.d0, "d0", 0.0, FLOAT_MAX)
         _check_operand(self.theta0, "theta0", -FLOAT_MAX, FLOAT_MAX)
         object.__setattr__(self, "rounds", check_count(self.rounds, "rounds"))
@@ -321,27 +322,41 @@ def stream_states(master_seed, axis_index, start, stop):
 
 
 @functools.cache
-def _generated_state_type():
-    """The class of a seed sequence whose ``generate_state(4, np.uint64)`` is given.
+def _state_sequence_type():
+    """The class of a seed sequence that hands out given PCG64 seed states in turn.
 
-    PCG64 reads only that state, so it seeds from one of
-    :func:`stream_states` exactly as from the SeedSequence it stands for.
-    Made on first use: numpy loads ``numpy.random`` only when it is used.
+    PCG64 reads only ``generate_state(4, np.uint64)`` of its seed sequence,
+    once, so each generator built on one of these seeds from its next state
+    exactly as from the SeedSequence that state stands for. Made on first
+    use: numpy loads ``numpy.random`` only when it is used.
     """
 
-    class GeneratedState(np.random.bit_generator.ISeedSequence):
-        def __init__(self, state):
-            self.state = state
+    class StateSequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, states):
+            self._next_state = iter(states).__next__
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
+            return self._next_state()
 
-    return GeneratedState
+    return StateSequence
+
+
+def state_generators(states):
+    """numpy's default generators seeded from ``states``, in order, one per state.
+
+    ``states`` holds PCG64 seed states of :func:`stream_states`, such as the
+    ``(trials, 2, 4)`` array of a block; its last axis is one state. The
+    generators are built as they are taken, on one seed sequence.
+    """
+    states = states.reshape(-1, 4)
+    sequence = _state_sequence_type()(states)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return (generator(pcg64(sequence)) for _ in range(len(states)))
 
 
 def state_generator(state):
     """numpy's default generator seeded from the PCG64 seed ``state`` of :func:`stream_states`."""
-    return np.random.Generator(np.random.PCG64(_generated_state_type()(state)))
+    return next(state_generators(state))
 
 
 def draw_path_noise(rng, out):
@@ -370,7 +385,9 @@ def random_walks(noise, params):
     row 1 at psi_0 = d0 - theta0, and each adds the cumulative sum of the
     N(0, sigma^2) increments ``sigma * noise`` along the last axis.
     """
-    start = np.array([params.d0 + params.theta0, params.d0 - params.theta0])
+    # summed as Python floats: not in float32, in int64 or as an object array
+    d0, theta0 = float(params.d0), float(params.theta0)
+    start = np.array([d0 + theta0, d0 - theta0])
     walk = np.empty(noise.shape[:-1] + (noise.shape[-1] + 1,))
     walk[..., 0] = start
     steps = walk[..., 1:]

@@ -338,6 +338,39 @@ class TestSweep:
         assert "values" in err
 
 
+class TestRepeatedCalls:
+    """``main`` may be called again and again in one process: no call leaves state behind."""
+
+    SWEEP = ("sweep", "--axis", "rounds", "--values", "2,5", "--out", "mse.csv")
+
+    @staticmethod
+    def files_written(capsys, monkeypatch, directory, *argvs):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        for argv in argvs:
+            assert run(capsys, *argv)[0] == EXIT_OK
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    def test_a_sweep_after_another_writes_what_it_writes_first(self, tmp_path, capsys,
+                                                                monkeypatch):
+        first = self.files_written(capsys, monkeypatch, tmp_path / "first", self.SWEEP)
+        after = self.files_written(capsys, monkeypatch, tmp_path / "after",
+                                   (*self.SWEEP, "--seed", "7", "--trials", "3"), self.SWEEP)
+        assert sorted(first) == ["mse.csv", "mse.csv.json", "mse.csv.manifest.json"]
+        assert after == first
+
+    def test_a_usage_error_then_a_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "delay", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == EXIT_USAGE
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "sweep", "--axis", "rounds", "--values", "2",
+                                "--trials", "5", "--out", str(out))
+        assert (code, err) == (EXIT_OK, "") and stdout.startswith("wrote ")
+        assert out.read_text().splitlines()[0] == "axis,estimator,mse,stderr,trials"
+
+
 class TestCompareOracle:
     def test_single_round_zero_deviation(self, capsys):
         code, out, _ = run(capsys, "compare-oracle", "--rounds", "1",

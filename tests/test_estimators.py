@@ -77,6 +77,13 @@ class TestBackwardConstants:
         with pytest.raises(ParameterError):
             backward_constants(0.0, 1.0, 3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_d_is_inf_without_a_warning(self):
+        # D_{N-i} = (i + 1) lam: past the float range it is inf, as the shifts are
+        c = backward_constants(1e308, 1.0, 3)
+        assert c.D.tolist() == [math.inf, math.inf, 1e308]
+        assert _shifts(1e308, 1.0, 3) == c.D.tolist()
+
     def test_two_sigma_squared_overflow_raises(self):
         # lam * sigma**2 is finite but 2 sigma**2 is not: the literal
         # recursion would give C/(2A) = 0/0, while the estimators stay finite

@@ -125,6 +125,23 @@ class TestMseVsRounds:
             assert math.isfinite(row.mse) and row.mse >= 0
             assert row.stderr >= 0
 
+    @pytest.mark.parametrize("lambda_xi, lambda_psi", [(10.0, 10.0), (10.0, 4.0)])
+    def test_sigma_zero_matches_the_analytic_mse(self, lambda_xi, lambda_psi):
+        # At sigma = 0 every estimator is ML, whose error (X_min - Y_min) / 2 has
+        # independent X_min ~ Exp(N lambda_xi) and Y_min ~ Exp(N lambda_psi) with
+        # means a and b: MSE = ((a - b) / 2)**2 + (a**2 + b**2) / 4. Seeding,
+        # draws, transforms, estimates and aggregation are checked together.
+        params = ClockModelParams(lambda_xi, lambda_psi, 0.0, 1.0, 0.5, 1)
+        table = mse_vs_rounds(make_config(params=params, values=(1, 5, 25), trials=5000,
+                                          seed=77))
+        for n in (1, 5, 25):
+            a, b = 1.0 / (n * lambda_xi), 1.0 / (n * lambda_psi)
+            want = ((a - b) / 2.0) ** 2 + (a * a + b * b) / 4.0
+            for tag in ALL_ESTIMATORS:
+                cell = table.cell(n, tag)
+                z = (cell.mse - want) / cell.stderr
+                assert abs(z) <= 4.0, (n, tag, z)
+
     def test_insensitive_to_d0_theta0(self):
         # translation equivariance makes the MSE independent of d0/theta0
         base = make_config(values=(8,), trials=500, seed=11)

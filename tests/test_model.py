@@ -373,6 +373,27 @@ class TestNumpyScalarInputs:
         with pytest.raises(ParameterError, match="overflows"):
             make_params(lambda_xi=1e300, sigma=np.float32(3e38))
 
+    def test_float32_rate_beside_a_huge_rate(self):
+        # the larger rate is chosen by comparing Python floats: 1e308 is not cast to float32
+        params = ClockModelParams(np.float32(0.5), 1e308, 0.1, 1.0, 0.0, 3)
+        assert params.lambda_psi == 1e308
+        with pytest.raises(ParameterError, match="overflows"):
+            ClockModelParams(np.float32(0.5), 1e308, 1e3, 1.0, 0.0, 3)
+
+    def test_float32_theta0_beside_a_huge_d0(self):
+        # xi_0 = d0 + theta0 is summed as Python floats, not in float32, where 1e308 is inf
+        narrow = simulate_paths(ClockModelParams(2.0, 2.0, 0.3, 1e308, np.float32(0.5), 2), 1)
+        wide = simulate_paths(ClockModelParams(2.0, 2.0, 0.3, 1e308, 0.5, 2), 1)
+        assert np.all(np.isfinite(narrow.xi))
+        assert narrow.xi.tobytes() == wide.xi.tobytes()
+        assert narrow.psi.tobytes() == wide.psi.tobytes()
+
+    @pytest.mark.parametrize("big", [np.int64(2**62), 2**62, 2**70])
+    def test_int_walk_start_is_summed_as_floats(self, big):
+        # neither wrapped in int64 nor left as an object array numpy cannot add
+        path = simulate_paths(ClockModelParams(2.0, 2.0, 0.0, big, big, 2), 1)
+        assert path.xi.tolist() == [2.0 * big] * 3 and path.psi.tolist() == [0.0] * 3
+
     def test_float32_zero_rate_refused(self):
         # the smallest rate, 5e-324, is 0 in float32: compared as a float, 0 is below it
         with pytest.raises(ParameterError, match="lambda_xi"):
