@@ -52,7 +52,8 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .model import as_array, check_chain, check_count, density_sigma_squared, sigma_squared
+from .model import (FLOAT_MAX, _check_operand, as_array, check_chain, check_count,
+                    density_sigma_squared, sigma_squared)
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,16 @@ def shift_kernel(constants, k, x):
 
     Evaluated in the equivalent additive form x + D_k * sigma^2, which
     keeps the min/shift algebra exact in floating point and maps +inf to
-    +inf. g_k is monotone increasing, hence distributes over min.
+    +inf. g_k is monotone increasing, hence distributes over min. ``x`` is
+    a number in [-FLOAT_MAX, inf]; a shifted value that overflows is inf.
     """
-    if not 1 <= k <= len(constants.D):
+    if not isinstance(constants, BackwardConstants):
+        raise ParameterError(f"constants must be a BackwardConstants, got {constants!r}")
+    if not 1 <= check_count(k, "level k") <= len(constants.D):
         raise ParameterError(f"level {k} outside 1..{len(constants.D)}")
-    # squared as a Python float, which a float32 sigma cannot overflow
-    return x + constants.D[k - 1] * float(constants.sigma) ** 2
+    x = float(_check_operand(x, "x", -FLOAT_MAX, math.inf))
+    # Python floats: a product or a sum that overflows is inf, without a warning
+    return x + float(constants.D[k - 1]) * float(constants.sigma) ** 2
 
 
 def _shifts(lam, s2, m):

@@ -5,19 +5,9 @@ each estimator's theta_hat_N against the final latent offset theta_N.
 The estimators are the entries of :data:`fgclock.estimators.ESTIMATORS`,
 named in tables by their labels (:data:`ALL_ESTIMATORS`), and
 :class:`SweepConfig` is where every sweep input is checked.
-Per-trial generator seeds are derived from the master seed by a fixed
-counter scheme: the latent path for trial t at axis position i draws from
-``np.random.default_rng([master_seed, i, t, 0])`` and the observations
-from ``[master_seed, i, t, 1]``, so trials are independent and the whole
-table is reproducible bit-for-bit. A cell works in blocks of trials: it
-derives the generator states of a block's trials in one pass
-(:func:`fgclock.model.stream_states`), draws each trial from its own two
-generators, then transforms and estimates the block as ``(block, N)``
-arrays. The trial loop walks the block's rows of path noise and delay
-uniforms in step with the block's generators, which
-:func:`fgclock.model.state_generators` builds in the states' order, a
-trial's path generator and then its observation one, from one seed
-sequence per block: a trial makes its two generators and no other object.
+A cell's trials are drawn in blocks by :func:`fgclock.model.draw_trials`,
+which holds the sweep's seed scheme and draw order, and each block is
+transformed and estimated as ``(block, N)`` arrays.
 """
 
 import csv
@@ -34,12 +24,9 @@ from .model import (
     ClockModelParams,
     check_count,
     check_real,
-    draw_delay_uniforms,
-    draw_path_noise,
+    draw_trials,
     exponential_delays,
     random_walks,
-    state_generators,
-    stream_states,
 )
 
 AXIS_ROUNDS = "rounds"
@@ -186,11 +173,7 @@ def _run_cell(params, axis_index, trials, master_seed, estimators):
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         z, u = noise[: stop - start], uniforms[: stop - start]
-        # one generator per state: a trial's path generator, then its observation one
-        generators = state_generators(stream_states(master_seed, axis_index, start, stop))
-        for z_row, u_row in zip(z, u):
-            draw_path_noise(next(generators), z_row)
-            draw_delay_uniforms(next(generators), u_row)
+        draw_trials(master_seed, axis_index, start, z, u)
         walk = random_walks(z, params)
         obs = walk[..., 1:] + exponential_delays(u, params)
         truth = (walk[:, 0, -1] - walk[:, 1, -1]) / 2.0

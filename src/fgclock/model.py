@@ -168,12 +168,16 @@ class ClockModelParams:
 
 @dataclass(frozen=True)
 class LatentPath:
-    """Hidden per-round state: xi_k and psi_k for k = 0..N."""
+    """Hidden per-round state: xi_k and psi_k for k = 0..N, as float64 arrays.
+
+    An overflowed walk holds inf, which ``theta``, ``d`` and the observations refuse."""
 
     xi: np.ndarray
     psi: np.ndarray
 
     def __post_init__(self):
+        if not all(isinstance(a, np.ndarray) and a.dtype == float for a in (self.xi, self.psi)):
+            raise ParameterError("xi and psi must be float64 arrays")
         if self.xi.shape != self.psi.shape or self.xi.ndim != 1 or len(self.xi) < 2:
             raise ShapeError("xi and psi must be equal-length 1-D arrays of length >= 2")
 
@@ -184,13 +188,13 @@ class LatentPath:
     @property
     def theta(self):
         """Per-index clock offset theta_k = (xi_k - psi_k) / 2, checked finite."""
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return check_chain((self.xi - self.psi) / 2.0, "simulated theta")[0]
 
     @property
     def d(self):
         """Per-index propagation delay d_k = (xi_k + psi_k) / 2, checked finite."""
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return check_chain((self.xi + self.psi) / 2.0, "simulated d")[0]
 
     @property
@@ -201,13 +205,15 @@ class LatentPath:
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """Observed time-stamp differences U_k, V_k for rounds k = 1..N."""
+    """Observed time-stamp differences U_k, V_k for rounds k = 1..N, as finite float64 arrays."""
 
     U: np.ndarray
     V: np.ndarray
 
     def __post_init__(self):
-        if self.U.shape != self.V.shape or self.U.ndim != 1 or len(self.U) < 1:
+        if not all(isinstance(a, np.ndarray) and a.dtype == float for a in (self.U, self.V)):
+            raise ParameterError("U and V must be float64 arrays")
+        if check_chain(self.U, "U")[0].shape != check_chain(self.V, "V")[0].shape:
             raise ShapeError("U and V must be equal-length nonempty 1-D arrays")
 
 
@@ -341,41 +347,24 @@ def _state_sequence_type():
     return StateSequence
 
 
-def state_generators(states):
-    """numpy's default generators seeded from ``states``, in order, one per state.
+def draw_trials(master_seed, axis_index, start, noise, uniforms):
+    """Fill the ``(trials, 2, N)`` rows of trials ``start``, ``start + 1``, ... of one sweep cell.
 
-    ``states`` holds PCG64 seed states of :func:`stream_states`, such as the
-    ``(trials, 2, 4)`` array of a block; its last axis is one state. The
-    generators are built as they are taken, on one seed sequence.
+    This is the sweep's seed scheme. Trial t at axis position ``axis_index``
+    fills ``noise[t - start]`` from the generator that
+    ``np.random.default_rng([master_seed, axis_index, t, 0])`` gives, and
+    ``uniforms[t - start]`` from ``[master_seed, axis_index, t, 1]``, each
+    row 0 before row 1, as :func:`random_walks` and
+    :func:`exponential_delays` read them. The generators are seeded from
+    the :func:`stream_states` of the trials, in order, on one seed
+    sequence: a trial makes its two generators and no other object.
     """
-    states = states.reshape(-1, 4)
-    sequence = _state_sequence_type()(states)
+    states = stream_states(master_seed, axis_index, start, start + len(noise))
+    sequence = _state_sequence_type()(states.reshape(-1, 4))
     generator, pcg64 = np.random.Generator, np.random.PCG64
-    return (generator(pcg64(sequence)) for _ in range(len(states)))
-
-
-def state_generator(state):
-    """numpy's default generator seeded from the PCG64 seed ``state`` of :func:`stream_states`."""
-    return next(state_generators(state))
-
-
-def draw_path_noise(rng, out):
-    """Fill ``out`` (shape (2, N)) with the standard normals of one latent path.
-
-    Both rows come from the generator ``rng``: row 0 (the xi increments)
-    is drawn before row 1 (the psi increments), so the draw order is part
-    of the reproducibility contract.
-    """
-    rng.standard_normal(out=out)
-
-
-def draw_delay_uniforms(rng, out):
-    """Fill ``out`` (shape (2, N)) with the uniforms of one observation series.
-
-    Both rows come from the generator ``rng``: row 0 (the U-side delays)
-    is drawn before row 1 (the V-side delays).
-    """
-    rng.random(out=out)
+    for z, u in zip(noise, uniforms):
+        generator(pcg64(sequence)).standard_normal(out=z)
+        generator(pcg64(sequence)).random(out=u)
 
 
 def random_walks(noise, params):
@@ -414,12 +403,12 @@ def simulate_paths(params, seed):
     """Sample the latent random-walk paths xi_0..xi_N and psi_0..psi_N.
 
     Starts at xi_0 = d0 + theta0, psi_0 = d0 - theta0 and adds i.i.d.
-    N(0, sigma^2) increments drawn by :func:`draw_path_noise`.
+    N(0, sigma^2) increments, drawn from ``np.random.default_rng(seed)``.
     """
     if not isinstance(params, ClockModelParams):
-        params = ClockModelParams(**params)
+        raise ParameterError(f"params must be a ClockModelParams, got {params!r}")
     noise = np.empty((2, params.rounds))
-    draw_path_noise(_generator(seed), noise)
+    _generator(seed).standard_normal(out=noise)
     xi, psi = random_walks(noise, params)
     return LatentPath(xi=xi, psi=psi)
 
@@ -427,16 +416,18 @@ def simulate_paths(params, seed):
 def simulate_observations(path, params, seed):
     """Sample U_k = xi_k + X_k and V_k = psi_k + Y_k for k = 1..N.
 
-    The exponential delays are the inverse-CDF transform of the uniforms
-    drawn by :func:`draw_delay_uniforms` (U-side draws first, then V-side).
-    ParameterError refuses a U or V that overflows.
+    The exponential delays are the :func:`exponential_delays` of uniforms
+    drawn from ``np.random.default_rng(seed)``. ParameterError refuses a U
+    or V that overflows.
     """
+    if not (isinstance(path, LatentPath) and isinstance(params, ClockModelParams)):
+        raise ParameterError("path must be a LatentPath and params a ClockModelParams")
     if path.rounds != params.rounds:
         raise ShapeError(
             f"path has {path.rounds} rounds but params.rounds = {params.rounds}"
         )
     uniforms = np.empty((2, params.rounds))
-    draw_delay_uniforms(_generator(seed), uniforms)
+    _generator(seed).random(out=uniforms)
     with np.errstate(over="ignore"):
         obs = exponential_delays(uniforms, params)
         obs[0] += path.xi[1:]

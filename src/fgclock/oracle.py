@@ -150,7 +150,8 @@ def coordinate_ascent_map(U, lam, sigma, tol=1e-12, max_iters=200_000):
     run on Python floats, with the tie rules of ``min`` and ``max``.
     """
     U, s2 = _validate_chain_args(U, lam, sigma)
-    check_real(tol, "tol", math.ulp(0.0))
+    # a Python float, which compares with Python floats without a cast to float32
+    tol = float(check_real(tol, "tol", math.ulp(0.0)))
     max_iters = check_count(max_iters, "max_iters")
     n = len(U)
     lam_s2 = float(lam) * s2

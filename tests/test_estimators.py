@@ -131,6 +131,22 @@ class TestShiftKernel:
         with pytest.raises(ParameterError):
             shift_kernel(c, 4, 0.0)
 
+    @pytest.mark.parametrize("constants, k, x", [
+        ("c", 1.5, 0.0), ("c", "1", 0.0), ("c", 1, "a"), (None, 1, 0.0), ("c", 1, math.nan),
+        ("c", 1, -math.inf), ("c", True, 0.0),
+    ])
+    def test_bad_arguments_refused(self, constants, k, x):
+        c = backward_constants(1.0, 1.0, 3) if constants == "c" else constants
+        with pytest.raises(ParameterError):
+            shift_kernel(c, k, x)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_shift_is_inf(self):
+        # D_1 sigma**2 = 1e302 * 1e7 overflows: inf, without a warning
+        c = backward_constants(1e300, math.sqrt(1e7), 100)
+        assert math.isfinite(c.D[0]) and shift_kernel(c, 1, 0.0) == math.inf
+        assert shift_kernel(backward_constants(1e300, 1.0, 3), 1, 1.7976931348623157e308) == math.inf
+
     def test_float32_sigma_is_squared_without_overflow(self):
         # 1e40 overflows float32; squared as a Python float it is finite
         c = backward_constants(10.0, np.float32(1e20), 3)

@@ -8,6 +8,7 @@ from fgclock import (
     ClockModelParams,
     DegenerateModelError,
     LatentPath,
+    ObservationSeries,
     ParameterError,
     ShapeError,
     backtrack_estimate,
@@ -22,14 +23,7 @@ from fgclock import (
     simulate_paths,
 )
 from fgclock.estimators import ESTIMATORS, chain_kernel
-from fgclock.model import (
-    check_chain,
-    check_real,
-    draw_delay_uniforms,
-    draw_path_noise,
-    state_generator,
-    stream_states,
-)
+from fgclock.model import check_chain, check_real, draw_trials, stream_states
 
 
 def make_params(**kw):
@@ -154,6 +148,28 @@ class TestSimulatePaths:
         with pytest.raises(ParameterError, match="simulated d"):
             path.d
 
+    def test_infinite_xi_and_psi_refused(self):
+        # inf - inf and inf + -inf are NaN: refused, without an invalid-value warning
+        path = LatentPath(xi=np.array([math.inf, 1.0]), psi=np.array([math.inf, -math.inf]))
+        with pytest.raises(ParameterError, match="simulated theta"):
+            path.theta
+        with pytest.raises(ParameterError, match="simulated d"):
+            path.d
+
+    @pytest.mark.parametrize("xi, psi", [
+        ([1.0, 2.0], [1.0, 2.0]), (np.array([1, 2]), np.array([1, 2])), (None, None),
+    ])
+    def test_non_float_arrays_refused(self, xi, psi):
+        with pytest.raises(ParameterError, match="xi and psi must be float64 arrays"):
+            LatentPath(xi, psi)
+
+    def test_params_must_be_clock_model_params(self):
+        with pytest.raises(ParameterError, match="params must be a ClockModelParams"):
+            simulate_paths(None, 1)
+        with pytest.raises(ParameterError, match="params must be a ClockModelParams"):
+            simulate_paths(dict(lambda_xi=10.0, lambda_psi=10.0, sigma=0.01, d0=1.0,
+                                theta0=0.5, rounds=3), 1)
+
     def test_negative_d_counter(self):
         path = LatentPath(xi=np.array([1.0, -2.0, 1.0]), psi=np.array([1.0, -2.0, 1.0]))
         assert path.negative_d_count == 1
@@ -201,6 +217,30 @@ class TestSimulateObservations:
         path = simulate_paths(params, seed=0)
         with pytest.raises(ShapeError):
             simulate_observations(path, make_params(rounds=6), seed=0)
+
+    def test_path_and_params_types_refused(self):
+        params = make_params(rounds=3)
+        path = simulate_paths(params, seed=0)
+        for bad_path, bad_params in [(path, {"rounds": 3}), (None, params)]:
+            with pytest.raises(ParameterError, match="must be a LatentPath"):
+                simulate_observations(bad_path, bad_params, 1)
+
+
+class TestObservationSeries:
+    @pytest.mark.parametrize("U, V", [
+        ([1.0], [1.0]), (np.array([1, 2]), np.array([1, 2])), (None, np.array([1.0])),
+    ])
+    def test_non_float_arrays_refused(self, U, V):
+        with pytest.raises(ParameterError, match="U and V must be float64 arrays"):
+            ObservationSeries(U, V)
+
+    @pytest.mark.parametrize("U, error", [
+        (np.array([1.0, math.nan]), ParameterError), (np.array([]), ShapeError),
+        (np.ones((1, 2)), ShapeError), (np.ones(3), ShapeError),
+    ])
+    def test_series_checked(self, U, error):
+        with pytest.raises(error):
+            ObservationSeries(U, np.ones(2))
 
 
 class TestLogPosterior:
@@ -283,6 +323,7 @@ class TestLogPosterior:
             assert fmix >= t * fa + (1 - t) * fb - 1e-9
 
 
+@pytest.mark.filterwarnings("error")
 class TestSeeds:
     BAD_SEEDS = [-1, 1.5, "a", [1, -1]]
 
@@ -325,15 +366,21 @@ class TestStreamStates:
                 assert states[t - start, s].tobytes() == want.tobytes(), (t, s)
 
     @pytest.mark.parametrize("master", [0, 2**53])
-    def test_generators_draw_as_default_rng(self, master):
-        start = 2**32 - 1
-        for t, pair in enumerate(stream_states(master, 7, start, start + 2), start):
-            for s, state in enumerate(pair):
-                for draw in (draw_path_noise, draw_delay_uniforms):
-                    got, want = np.empty((2, 50)), np.empty((2, 50))
-                    draw(state_generator(state), got)
-                    draw(np.random.default_rng([master, 7, t, s]), want)
-                    assert got.tobytes() == want.tobytes()
+    def test_draw_trials_draws_as_default_rng(self, master):
+        # trials 2**32 - 3 .. 2**32 + 2: t grows from one 32-bit word to two
+        start, trials = 2**32 - 3, 6
+        whole = np.empty((2, trials, 2, 50))
+        draw_trials(master, 7, start, whole[0], whole[1])
+        # the same trials as two blocks, the second one crossing 2**32
+        split = np.empty_like(whole)
+        draw_trials(master, 7, start, split[0, :2], split[1, :2])
+        draw_trials(master, 7, start + 2, split[0, 2:], split[1, 2:])
+        assert split.tobytes() == whole.tobytes()
+        for t in range(start, start + trials):
+            want = np.empty((2, 2, 50))
+            np.random.default_rng([master, 7, t, 0]).standard_normal(out=want[0])
+            np.random.default_rng([master, 7, t, 1]).random(out=want[1])
+            assert whole[:, t - start].tobytes() == want.tobytes(), t
 
 
 @pytest.mark.filterwarnings("error")

@@ -132,6 +132,12 @@ class TestCoordinateAscent:
         with pytest.raises(ParameterError, match="tol"):
             coordinate_ascent_map([1.0, 2.0], 1.0, 0.1, tol=tol)
 
+    def test_float32_tol_is_compared_as_a_float(self):
+        # 1e185 cast to float32 to be compared with the tolerance would overflow
+        # (pytest makes a RuntimeWarning an error)
+        sol = coordinate_ascent_map([0.0, 1e185], 10.0, 10.0, tol=np.float32(10.0))
+        assert sol.path.tolist() == [0.0, 1000.0]
+
     def test_convergence_error_carries_last_path(self):
         U = random_instance(4, n=8)
         with pytest.raises(ConvergenceError) as exc:
