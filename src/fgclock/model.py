@@ -432,7 +432,10 @@ def simulate_observations(path, params, seed):
         obs = exponential_delays(uniforms, params)
         obs[0] += path.xi[1:]
         obs[1] += path.psi[1:]
-    return ObservationSeries(*check_chain(obs, "simulated U and V", ndims=(2,))[0])
+    try:
+        return ObservationSeries(*obs)
+    except ParameterError:  # a value overflowed: the series checks that each is finite
+        raise ParameterError("simulated U and V must hold finite numbers only") from None
 
 
 def chain_log_posterior(candidate, obs, lam, sigma):

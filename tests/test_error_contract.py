@@ -133,6 +133,9 @@ def numbers(name, result):
 @example(call=("shift_kernel", (CONSTANTS, 1, "a")))
 @example(call=("shift_kernel", (None, 1, 0.0)))
 @example(call=("coordinate_ascent_map", ([0.0, 1e185], 10.0, 10.0, np.float32(10.0), 1000)))
+# chains whose differences overflow in the hull that starts coordinate ascent
+@example(call=("coordinate_ascent_map", ([-1.7e308, 1.7e308], 1.0, 1.0, 1e-12, 1000)))
+@example(call=("coordinate_ascent_map", ([1.7e308, -1.7e308, 1.7e308], 1.0, 1.0, 1e-12, 1000)))
 # calls that raised TypeError or warned before their arguments were checked first
 @example(call=("closed_form_estimate_paper", ([1.0, 2.0], None, 0.01)))
 @example(call=("chain_kernel", ("paper", 1j, 0.01, 2)))

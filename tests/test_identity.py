@@ -1,4 +1,5 @@
-"""``tools/identity.py`` digests the same results on every run, over every variant and path."""
+"""``tools/identity.py`` digests the same results on every run, over every variant, path
+and oracle."""
 
 import subprocess
 import sys
@@ -22,6 +23,8 @@ def test_tiny_digests_repeat_and_cover_every_variant_and_path(tmp_path):
         for path in ("offset", "series", "block"):
             for family in ("model", "signed-zeros-long", "huge", "non-finite", "long"):
                 assert f"{family} {tag} {path}" in groups
+    for oracle in ("exact", "coordinate-ascent", "grid"):
+        assert f"oracle {oracle}" in groups
     for command in ("simulate-long", "estimate-long", "simulate-flat", "estimate-flat",
                     "sweep", "compare-oracle"):
         assert f"cli {command}" in groups

@@ -139,11 +139,25 @@ class TestCoordinateAscent:
         assert sol.path.tolist() == [0.0, 1000.0]
 
     def test_convergence_error_carries_last_path(self):
+        # the sweep from the hull start moves some round by an ulp, which the
+        # smallest tol does not forgive
         U = random_instance(4, n=8)
         with pytest.raises(ConvergenceError) as exc:
-            coordinate_ascent_map(U, 1.0, 0.1, max_iters=1)
+            coordinate_ascent_map(U, 1.0, 0.1, tol=5e-324, max_iters=1)
         path = exc.value.last_path
         assert path.shape == (8,) and np.isfinite(path).all()
+
+    @pytest.mark.parametrize("U, sigma, message", [
+        ([-1.7e308, 1.7e308], 1.0, "chain log posterior"),
+        ([1.7e308, -1.7e308, 1.7e308], 1.0, "candidate"),
+        # lam sigma**2 = 1e308: the hull's value at round 2 is NaN, and starts at U_2
+        ([-1e308, -1.7e308, 1.7e308], 1e154, "chain log posterior"),
+    ])
+    def test_overflowing_hull_differences_leave_the_objective_to_refuse(self, U, sigma, message):
+        # the hull's differences overflow; the sweeps still end where the cold
+        # start's did, at a path whose log posterior is refused
+        with pytest.raises(ParameterError, match=message):
+            coordinate_ascent_map(U, 1.0, sigma)
 
     @pytest.mark.parametrize("max_iters", [2.5, "5", 0])
     def test_max_iters_must_be_a_whole_number(self, max_iters):
@@ -296,12 +310,12 @@ def literal_exact_map(U, lam, sigma):
     return np.minimum(best[2], U), best[0], frozenset(best[1])
 
 
-def literal_coordinate_ascent(U, lam, sigma, tol, max_iters):
-    """The first release's sweeps on numpy scalars: the last path and whether
-    it converged."""
+def literal_coordinate_ascent(U, lam, sigma, start, tol, max_iters):
+    """The first release's sweeps on numpy scalars, from the path ``start``:
+    the last path and whether it converged."""
     n = len(U)
     lam_s2 = lam * sigma**2
-    x = U.astype(float).copy()
+    x = np.array(start, dtype=float)
     for _ in range(max_iters):
         delta = 0.0
         for k in range(n):
@@ -345,17 +359,20 @@ class TestLiteralReferences:
         assert (sol.objective, sol.active_set) == (obj, active)
 
     @pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
-    @pytest.mark.parametrize("max_iters", [3, 200_000])
-    def test_coordinate_ascent_equals_reference(self, case, max_iters):
+    # the hull start meets 1e-12 in one sweep; the smallest tol only a sweep that
+    # changes nothing meets, so one sweep ends in ConvergenceError on many cases
+    @pytest.mark.parametrize("tol, max_iters", [(1e-12, 3), (1e-12, 200_000), (5e-324, 1)])
+    def test_coordinate_ascent_equals_reference(self, case, tol, max_iters):
         U, lam, sigma = LITERAL_CASES[case]
         if len(U) == 1:
             return
-        want, converged = literal_coordinate_ascent(U, lam, sigma, 1e-12, max_iters)
+        start = oracle._hull_path(U.tolist(), lam * sigma**2)
+        want, converged = literal_coordinate_ascent(U, lam, sigma, start, tol, max_iters)
         if converged:
-            got = coordinate_ascent_map(U, lam, sigma, max_iters=max_iters).path
+            got = coordinate_ascent_map(U, lam, sigma, tol, max_iters).path
         else:
             with pytest.raises(ConvergenceError) as exc:
-                coordinate_ascent_map(U, lam, sigma, max_iters=max_iters)
+                coordinate_ascent_map(U, lam, sigma, tol, max_iters)
             got = exc.value.last_path
         assert got.tobytes() == want.tobytes()
 
@@ -512,6 +529,54 @@ class TestTiesAndOverflow:
                 continue
             values = [got] if isinstance(got, float) else [*got.path, got.objective]
             assert all(math.isfinite(v) for v in values)
+
+
+def assert_hull_path_is_the_map(U, lam, sigma):
+    """The hull path agrees with enumeration, and binds at its active set."""
+    sol = exact_map_active_set(U, lam, sigma)
+    x = np.array(oracle._hull_path(U.tolist(), lam * sigma**2))
+    assert np.all(np.abs(x - sol.path) <= 1e-9 * max(1.0, float(np.max(np.abs(U)))))
+    active = frozenset((np.flatnonzero(x == U) + 1).tolist())
+    if active != sol.active_set:
+        # a tie, which enumeration breaks to the lexicographically smallest set:
+        # both sets must be among the best
+        candidates = dense_map_candidates(U, lam, sigma)
+        best = max(candidates.values())
+        near = {frozenset(s) for s, obj in candidates.items()
+                if obj >= best - 1e-12 * max(1.0, abs(best))}
+        assert active in near and sol.active_set in near
+
+
+class TestHullPath:
+    @pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+    def test_literal_cases_equal_enumeration(self, case):
+        assert_hull_path_is_the_map(*LITERAL_CASES[case])
+
+    def test_generated_chains_equal_enumeration(self):
+        # reals, reals rounded to 0.1, and signed zeros and small dyadics, which tie
+        rng = np.random.default_rng(67)
+        for _ in range(2000):
+            n = int(rng.integers(1, 11))
+            kind = rng.integers(3, size=n)
+            U = np.where(kind == 0, rng.uniform(-10.0, 10.0, n),
+                         np.where(kind == 1, np.round(rng.uniform(-10.0, 10.0, n), 1),
+                                  rng.choice([-0.0, 0.0, 0.125, 1.0], n)))
+            lam = float(rng.choice([0.5, 1.0, 10.0, 100.0]))
+            sigma = float(rng.choice([1e-7, 1e-3, 1e-2, 0.1, 0.5, 1.0]))
+            assert_hull_path_is_the_map(U, lam, sigma)
+
+    @pytest.mark.parametrize("U", [[-1e308, -1.7e308, 1.7e308], [-1.7e308, *[1.7e308] * 3]])
+    def test_overflowing_values_are_u(self, U):
+        # at lam sigma**2 = 1e308 the fill overflows to NaN or inf
+        assert oracle._hull_path(U, 1e308) == U
+
+    @pytest.mark.parametrize("n", [1000, 28_800])
+    def test_long_model_chains_take_one_sweep_to_the_map(self, n):
+        # max_iters=1: the sweep from the hull start moves no round by 1e-12
+        U = random_instance(n, n=n, lam=10.0, sigma=1e-2, master=71)
+        got = coordinate_ascent_map(U, 10.0, 1e-2, max_iters=1).path[-1]
+        want = backtrack_estimate(U, 10.0, 1e-2).xi_hat[-1]
+        assert abs(got - want) <= 1e-8 * max(1.0, float(np.max(np.abs(U))))
 
 
 def literal_quad_max_conv(values, c):

@@ -7,7 +7,8 @@ from there, with every warning raised as an error. FILE gets one line per
 group, ``<group> <records> <sha256>``, over two parts:
 
 * a fixed generated corpus of chains, each estimated by every variant
-  through ``fge_offset``, a series kernel and a 2-row block kernel; a
+  through ``fge_offset``, a series kernel and a 2-row block kernel, and
+  each of at most 10 rounds solved by the three exact-MAP oracles; a
   record is the result's type and bytes, or the error's class and message;
 * the standard CLI commands, run in a scratch directory through
   ``fgclock.cli.main``: their exit code, stdout, stderr and the bytes of
@@ -22,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -130,6 +132,23 @@ def digest_corpus(fgclock, scale, groups):
             }
             for path, call in calls.items():
                 groups[f"{family} {tag} {path}"].append(record(call))
+        if n <= 10:
+            digest_oracles(fgclock, U, lam_xi, sigma, groups)
+
+
+def digest_oracles(fgclock, U, lam, sigma, groups):
+    """The three exact-MAP oracles on one chain, the grid spanning the chain's values."""
+    def grid():
+        lo = float(np.min(U)) - 5.0 * sigma * math.sqrt(len(U)) - 0.1
+        return fgclock.grid_max_marginal(U, lam, sigma, lo, float(np.max(U)) + 0.1, 513)
+
+    calls = {
+        "exact": lambda: fgclock.exact_map_active_set(U, lam, sigma),
+        "coordinate-ascent": lambda: fgclock.coordinate_ascent_map(U, lam, sigma),
+        "grid": grid,
+    }
+    for name, call in calls.items():
+        groups[f"oracle {name}"].append(record(call))
 
 
 def commands(scale):
