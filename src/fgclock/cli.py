@@ -3,7 +3,7 @@
 Every subcommand is deterministic given its flags, config file and seed.
 File-writing subcommands drop a JSON manifest next to their outputs so a
 run can be reproduced bit-for-bit. Exit codes: 0 success, 2 usage,
-3 validation, 4 convergence, 5 I/O.
+3 validation, 5 I/O.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, FgclockError, ParameterError, SizeError
+from .errors import FgclockError, ParameterError, SizeError
 from .estimators import ESTIMATORS, chain_kernel, fge_offset
 from .experiments import (
     AXIS_ROUNDS,
@@ -32,7 +32,6 @@ from .oracle import check_enumerable, exact_map_active_set
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
-EXIT_CONVERGENCE = 4
 EXIT_IO = 5
 
 #: Work one ``compare-oracle`` run may do, instances * (2^N - 1 + INSTANCE_SETS) sets.
@@ -42,7 +41,6 @@ INSTANCE_SETS = 2**8
 
 #: Exit code of each error; the first matching row wins.
 EXIT_CODES = (
-    (ConvergenceError, EXIT_CONVERGENCE),
     (SizeError, EXIT_USAGE),
     (MemoryError, EXIT_USAGE),
     (FgclockError, EXIT_VALIDATION),
@@ -51,41 +49,54 @@ EXIT_CODES = (
     (UnicodeDecodeError, EXIT_IO),
 )
 
-_MODEL_DEFAULTS = {
+#: Every setting with its default; each run merges the defaults, then the
+#: ``--config`` file, then the flags given, in :func:`_settings`.
+_DEFAULTS = {
     "lambda_xi": 10.0,
     "lambda_psi": 10.0,
     "sigma": 1e-2,
     "d0": 1.0,
     "theta0": 0.5,
     "rounds": 25,
+    "axis": None,
+    "values": None,
+    "trials": 10_000,
+    "seed": 0,
+    "estimators": ALL_ESTIMATORS,
 }
 
-_MODEL_KEYS = tuple(_MODEL_DEFAULTS)
-_SWEEP_KEYS = ("axis", "values", "trials", "seed", "estimators")
+_MODEL_KEYS = tuple(field.name for field in dataclasses.fields(ClockModelParams))
+_SWEEP_KEYS = tuple(key for key in _DEFAULTS if key not in _MODEL_KEYS)
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ParameterError("config file must hold a JSON object")
-    unknown = set(cfg) - set(_MODEL_KEYS) - set(_SWEEP_KEYS)
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
-def _resolve_model(cfg, args):
-    """Model parameters: defaults, then config file, then flag overrides."""
-    merged = dict(_MODEL_DEFAULTS)
-    merged.update({k: cfg[k] for k in _MODEL_KEYS if k in cfg})
-    for key in _MODEL_KEYS:
+def _settings(args):
+    """Every setting: its default, then its value in the ``--config`` file, then its flag."""
+    settings = dict(_DEFAULTS)
+    if getattr(args, "config", None) is not None:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ParameterError("config file must hold a JSON object")
+        unknown = set(cfg) - set(_DEFAULTS)
+        if unknown:
+            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        settings.update(cfg)
+    for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = flag
-    return ClockModelParams(**merged)
+            settings[key] = _parse_values(flag) if key == "values" else flag
+    return settings
+
+
+def _parse_values(text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ParameterError(f"--values must be comma-separated numbers, got {text!r}") from None
+
+
+def _model(settings):
+    return ClockModelParams(**{key: settings[key] for key in _MODEL_KEYS})
 
 
 def _write_manifest(path, subcommand, config, seed, outputs):
@@ -105,21 +116,18 @@ def _write_json(path, document, sort_keys=False):
         fh.write(json.dumps(document, indent=2, sort_keys=sort_keys) + "\n")
 
 
-def _add_model_flags(parser, with_rounds=True):
+def _add_model_flags(parser):
     parser.add_argument("--lambda-xi", dest="lambda_xi", type=float, default=None)
     parser.add_argument("--lambda-psi", dest="lambda_psi", type=float, default=None)
     parser.add_argument("--sigma", type=float, default=None)
     parser.add_argument("--d0", type=float, default=None)
     parser.add_argument("--theta0", type=float, default=None)
-    if with_rounds:
-        parser.add_argument("--rounds", type=int, default=None)
 
 
 def cmd_simulate(args):
-    cfg = _load_config(args.config)
-    params = _resolve_model(cfg, args)
-    seed = check_count(args.seed if args.seed is not None else cfg.get("seed", 0),
-                       "seed", low=0)
+    settings = _settings(args)
+    params = _model(settings)
+    seed = check_count(settings["seed"], "seed", low=0)
     path = simulate_paths(params, seed=[seed, 0])
     obs = simulate_observations(path, params, seed=[seed, 1])
     theta, d = path.theta, path.d
@@ -186,7 +194,7 @@ def _read_observations(path):
 
 def cmd_estimate(args):
     U, V = _read_observations(args.input)
-    params = _resolve_model({}, args)
+    params = _model(_settings(args))
     out = {}
     for variant in ESTIMATORS if args.variant == "all" else [args.variant]:
         est = fge_offset(U, V, params.lambda_xi, params.lambda_psi, params.sigma, variant)
@@ -200,23 +208,8 @@ def cmd_estimate(args):
 
 
 def cmd_sweep(args):
-    cfg = _load_config(args.config)
-    params = _resolve_model(cfg, args)
-    values = cfg.get("values")
-    if args.values is not None:
-        try:
-            values = [float(v) for v in args.values.split(",")]
-        except ValueError:
-            raise ParameterError(f"--values must be comma-separated numbers, "
-                                 f"got {args.values!r}") from None
-    config = SweepConfig(
-        params=params,
-        axis=args.axis or cfg.get("axis"),
-        values=values,
-        trials=args.trials if args.trials is not None else cfg.get("trials", 10_000),
-        seed=args.seed if args.seed is not None else cfg.get("seed", 0),
-        estimators=cfg.get("estimators", ALL_ESTIMATORS),
-    )
+    settings = _settings(args)
+    config = SweepConfig(params=_model(settings), **{key: settings[key] for key in _SWEEP_KEYS})
     table = mse_vs_rounds(config) if config.axis == AXIS_ROUNDS else mse_vs_sigma(config)
 
     csv_file = args.out
@@ -225,21 +218,19 @@ def cmd_sweep(args):
     with open(csv_file, "w", newline="") as fh:
         fh.write(table.to_csv())
     _write_json(json_file, table.to_json_dict())
-    resolved = dict(dataclasses.asdict(params))
-    resolved.update(
-        axis=config.axis, values=list(config.values), trials=config.trials,
-        seed=config.seed, estimators=list(config.estimators),
-    )
+    resolved = dataclasses.asdict(config.params)
+    resolved.update({key: getattr(config, key) for key in _SWEEP_KEYS})
     _write_manifest(manifest_file, "sweep", resolved, config.seed, [csv_file, json_file])
     print(f"wrote {csv_file}, {json_file}, {manifest_file}")
     return EXIT_OK
 
 
 def cmd_compare_oracle(args):
-    check_enumerable(args.rounds)
+    settings = _settings(args)
+    check_enumerable(settings["rounds"])
     instances = check_count(args.instances, "--instances")
-    seed = check_count(args.seed, "--seed", low=0)
-    params = _resolve_model({}, args)
+    seed = check_count(settings["seed"], "--seed", low=0)
+    params = _model(settings)
     cost = 2**params.rounds - 1 + INSTANCE_SETS
     if instances * cost > MAX_ENUM_SETS:
         raise SizeError(
@@ -283,6 +274,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output file prefix")
     _add_model_flags(p)
+    p.add_argument("--rounds", type=int, default=None)
     p.set_defaults(func="cmd_simulate")
 
     p = sub.add_parser("estimate", help="estimate the offset from a k,U,V CSV")
@@ -292,7 +284,7 @@ def build_parser():
         choices=[*ESTIMATORS, "all"],
         default="all",
     )
-    _add_model_flags(p, with_rounds=False)
+    _add_model_flags(p)
     p.set_defaults(func="cmd_estimate")
 
     p = sub.add_parser("sweep", help="Monte Carlo MSE sweep over rounds or sigma")
@@ -303,6 +295,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
     _add_model_flags(p)
+    p.add_argument("--rounds", type=int, default=None)
     p.set_defaults(func="cmd_sweep")
 
     p = sub.add_parser(
@@ -310,8 +303,8 @@ def build_parser():
     )
     p.add_argument("--rounds", type=int, default=8)
     p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    _add_model_flags(p, with_rounds=False)
+    p.add_argument("--seed", type=int, default=None)
+    _add_model_flags(p)
     p.set_defaults(func="cmd_compare_oracle")
     return parser
 

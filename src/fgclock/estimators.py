@@ -52,7 +52,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .model import (FLOAT_MAX, _check_operand, as_array, check_chain, check_count,
+from .model import (FLOAT_MAX, as_array, check_chain, check_count, check_real,
                     density_sigma_squared, sigma_squared)
 
 
@@ -148,7 +148,7 @@ def shift_kernel(constants, k, x):
         raise ParameterError(f"constants must be a BackwardConstants, got {constants!r}")
     if not 1 <= check_count(k, "level k") <= len(constants.D):
         raise ParameterError(f"level {k} outside 1..{len(constants.D)}")
-    x = float(_check_operand(x, "x", -FLOAT_MAX, math.inf))
+    x = float(check_real(x, "x", -FLOAT_MAX, math.inf))
     # Python floats: a product or a sum that overflows is inf, without a warning
     return x + float(constants.D[k - 1]) * float(constants.sigma) ** 2
 

@@ -30,9 +30,10 @@ COUNT_MAX = 2**53
 
 
 def check_real(value, name, low=-math.inf, high=math.inf):
-    """``value``, unchanged, if it is a real number in [``low``, ``high``].
+    """``value``, unchanged, if it is a real number in [``low``, ``high``] that numpy computes with.
 
-    ParameterError refuses bools, strings, None, NaN and ints too large for a float.
+    ParameterError refuses bools, strings, None, NaN, ints too large for a float,
+    and a real type other than an int, a float or a NumPy number, such as a Fraction.
     A NumPy float is compared as a Python float, so that no bound is cast to float32."""
     number = value
     if type(value) is not float:
@@ -46,22 +47,14 @@ def check_real(value, name, low=-math.inf, high=math.inf):
             number = as_float
     if not low <= number <= high:
         raise ParameterError(f"{name} must be in [{low:.4g}, {high:.4g}], got {value!r}")
-    return value
-
-
-def _check_operand(value, name, low=-math.inf, high=math.inf):
-    """:func:`check_real`, also refusing a real type that numpy cannot compute with.
-
-    numpy computes with ints, floats and its own scalars, not with a Fraction."""
-    check_real(value, name, low, high)
-    if type(value) is not float and not isinstance(value, (int, np.number)):
+    if not isinstance(value, (int, float, np.number)):
         raise ParameterError(f"{name} must be an int or a float, got {value!r}")
     return value
 
 
 def check_rate(lam, name="lam"):
     """Raise ParameterError unless ``lam`` is a finite delay rate > 0."""
-    _check_operand(lam, name, math.ulp(0.0), FLOAT_MAX)
+    check_real(lam, name, math.ulp(0.0), FLOAT_MAX)
 
 
 def as_array(U, name):
@@ -107,7 +100,7 @@ def sigma_squared(sigma, lam):
     """
     check_rate(lam)
     # squared as a Python float, which a float32 or int64 sigma cannot overflow
-    s2 = float(_check_operand(sigma, "sigma", 0.0, SIGMA_MAX)) ** 2
+    s2 = float(check_real(sigma, "sigma", 0.0, SIGMA_MAX)) ** 2
     # Python floats: an overflowing product is inf, without a numpy warning
     if math.isinf(float(lam) * s2):
         raise ParameterError(f"lam * sigma**2 overflows (lam={lam}, sigma={sigma})")
@@ -161,8 +154,8 @@ class ClockModelParams:
         check_rate(self.lambda_psi, "lambda_psi")
         # the larger rate compared as Python floats, so that no rate is cast to float32
         sigma_squared(self.sigma, max(self.lambda_xi, self.lambda_psi, key=float))
-        _check_operand(self.d0, "d0", 0.0, FLOAT_MAX)
-        _check_operand(self.theta0, "theta0", -FLOAT_MAX, FLOAT_MAX)
+        check_real(self.d0, "d0", 0.0, FLOAT_MAX)
+        check_real(self.theta0, "theta0", -FLOAT_MAX, FLOAT_MAX)
         object.__setattr__(self, "rounds", check_count(self.rounds, "rounds"))
 
 

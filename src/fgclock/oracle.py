@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridCoverageError, ParameterError, SizeError
-from .model import (FLOAT_MAX, _chain_log_posterior, _check_operand, check_chain, check_count,
-                    check_real, density_sigma_squared)
+from .model import (FLOAT_MAX, _chain_log_posterior, check_chain, check_count, check_real,
+                    density_sigma_squared)
 
 #: Active-set enumeration is 2^N; keep desk-scale.
 MAX_ENUM_ROUNDS = 12
@@ -299,7 +299,7 @@ def grid_max_marginal(U, lam, sigma, lo, hi, points):
     """
     U, s2 = _validate_chain_args(U, lam, sigma)
     # compared and spaced as Python floats, whatever the bounds' type
-    low, high = float(_check_operand(lo, "lo")), float(_check_operand(hi, "hi"))
+    low, high = float(check_real(lo, "lo")), float(check_real(hi, "hi"))
     if not (low < high and math.isfinite(high - low)):
         raise ParameterError(f"need lo < hi with hi - lo finite, got lo={lo}, hi={hi}")
     points = check_count(points, "points", low=2)

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from fgclock import cli
 from fgclock.cli import (
+    _DEFAULTS,
     _MODEL_KEYS,
-    _SWEEP_KEYS,
-    EXIT_CONVERGENCE,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -338,6 +337,58 @@ class TestSweep:
         assert "values" in err
 
 
+# each setting's config value, its flag's text and the value that flag gives;
+# only the config file sets the estimators
+PRECEDENCE = {
+    "lambda_xi": (2.0, "3.0", 3.0),
+    "lambda_psi": (4.0, "5.0", 5.0),
+    "sigma": (0.02, "0.03", 0.03),
+    "d0": (1.5, "2.5", 2.5),
+    "theta0": (-0.25, "0.75", 0.75),
+    "rounds": (3, "4", 4),
+    "axis": ("sigma", "rounds", "rounds"),
+    "values": ([2, 4], "3,5", [3, 5]),
+    "trials": (3, "4", 4),
+    "seed": (5, "6", 6),
+    "estimators": (["ml"], None, None),
+}
+# what a sweep needs when the setting under test comes from elsewhere
+SWEEP_BASE = {"axis": "rounds", "values": [2], "trials": 2}
+PRECEDENCE_CASES = [
+    (command, key, source)
+    for command, keys in (("simulate", [*_MODEL_KEYS, "seed"]), ("sweep", list(_DEFAULTS)))
+    for key in keys
+    for source in ("flag", "config", "default")
+    if not (key == "estimators" and source == "flag")
+]
+
+
+class TestPrecedence:
+    @pytest.mark.parametrize("command, key, source", PRECEDENCE_CASES)
+    def test_flag_then_config_then_default(self, tmp_path, capsys, command, key, source):
+        config_value, flag, flag_value = PRECEDENCE[key]
+        config = {k: v for k, v in SWEEP_BASE.items() if k != key} if command == "sweep" else {}
+        argv = []
+        if source != "default":
+            config[key] = config_value
+        if source == "flag":
+            argv = [f"--{key.replace('_', '-')}", flag]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        code, _, err = run(capsys, command, "--config", str(cfg), *argv, "--out", str(out))
+        expected = {"flag": flag_value, "config": config_value, "default": _DEFAULTS[key]}[source]
+        if expected is None:
+            # axis and values have no default, and a sweep needs both
+            assert code == EXIT_VALIDATION and key in err
+            return
+        assert code == EXIT_OK
+        suffix = "_manifest.json" if command == "simulate" else ".manifest.json"
+        manifest = json.loads(Path(f"{out}{suffix}").read_text())
+        recorded = {**manifest["config"], "seed": manifest["seed"]}[key]
+        assert recorded == json.loads(json.dumps(expected))
+
+
 class TestRepeatedCalls:
     """``main`` may be called again and again in one process: no call leaves state behind."""
 
@@ -481,7 +532,7 @@ VALID_CONFIGS = st.fixed_dictionaries({
 CONFIGS = st.builds(
     lambda valid, replaced: {**valid, **replaced},
     VALID_CONFIGS,
-    st.lists(st.sampled_from([*_MODEL_KEYS, *_SWEEP_KEYS]), max_size=3, unique=True)
+    st.lists(st.sampled_from(list(_DEFAULTS)), max_size=3, unique=True)
     .flatmap(lambda keys: st.fixed_dictionaries(
         {key: COUNTS if key in COUNT_KEYS else ANY_JSON for key in keys})),
 )
@@ -522,14 +573,15 @@ COMMAND_FLAGS = st.sampled_from(sorted(FLAGS)).flatmap(lambda command: st.tuples
 
 
 class TestErrorContract:
-    def test_convergence_error_exits_4(self, monkeypatch, capsys):
-        # no subcommand raises ConvergenceError today; the table still maps it
+    def test_convergence_error_exits_3(self, monkeypatch, capsys):
+        # no subcommand calls coordinate_ascent_map, the one source of
+        # ConvergenceError; reaching main, it exits 3 like any FgclockError
         def stalled(args):
             raise ConvergenceError("did not converge", last_path=None)
 
         monkeypatch.setattr(cli, "cmd_compare_oracle", stalled)
         code, out, err = run(capsys, "compare-oracle")
-        assert code == EXIT_CONVERGENCE
+        assert code == EXIT_VALIDATION
         assert out == "" and err.splitlines() == ["error: did not converge"]
 
     @given(command=st.sampled_from(["simulate", "sweep"]), config=CONFIGS)

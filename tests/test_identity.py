@@ -28,3 +28,8 @@ def test_tiny_digests_repeat_and_cover_every_variant_and_path(tmp_path):
     for command in ("simulate-long", "estimate-long", "simulate-flat", "estimate-flat",
                     "sweep", "compare-oracle"):
         assert f"cli {command}" in groups
+    for command in ("simulate", "sweep"):
+        for form in ("config", "override", "unknown-key", "refused-count"):
+            assert f"cli {command}-{form}" in groups
+    for command in ("simulate", "estimate", "sweep", "compare-oracle"):
+        assert f"cli help-{command}" in groups

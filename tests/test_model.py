@@ -82,14 +82,14 @@ class TestParams:
 
 class TestCheckReal:
     @pytest.mark.parametrize(
-        "value", [10, 2.5, -0.0, np.float64(0.5), np.int64(3), Fraction(1, 3), math.inf]
+        "value", [10, 2.5, -0.0, np.float64(0.5), np.int64(3), math.inf]
     )
     def test_returns_value_unchanged(self, value):
         assert check_real(value, "x") is value
 
     @pytest.mark.parametrize(
         "value",
-        [True, "1", None, math.nan, np.float64(math.nan), [1.0], 1j,
+        [True, "1", None, math.nan, np.float64(math.nan), [1.0], 1j, Fraction(1, 3),
          pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
     )
     def test_refused(self, value):

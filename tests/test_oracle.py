@@ -249,8 +249,9 @@ class TestGridMaxMarginal:
         # lam * hi does not, but the two rounds' messages add up past the limit
         ([1e10, 1e12], 1e298, 1e-145, 1e10 - 1e8, 1e10 + 2e8, 4097),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_max_marginals_are_refused(self, U, lam, sigma, lo, hi, points):
-        # refused with no overflow warning (pytest makes a RuntimeWarning an error)
+        # refused with no warning of any kind
         with pytest.raises(ParameterError, match="max-marginals overflow"):
             grid_max_marginal(U, lam, sigma, lo, hi, points)
 

@@ -12,7 +12,10 @@ group, ``<group> <records> <sha256>``, over two parts:
   record is the result's type and bytes, or the error's class and message;
 * the standard CLI commands, run in a scratch directory through
   ``fgclock.cli.main``: their exit code, stdout, stderr and the bytes of
-  every file they write.
+  every file they write. ``simulate`` and ``sweep`` also run with one
+  config file that sets every setting, alone, overridden by flags, with
+  an unknown key and with a refused count; and every subcommand prints
+  its ``--help``.
 
 Run it on two trees and ``diff`` the files: a differing line names the
 corpus family, variant and path, or the command, that changed. ``--tiny``
@@ -23,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import sys
@@ -152,9 +156,10 @@ def digest_oracles(fgclock, U, lam, sigma, groups):
 
 
 def commands(scale):
+    """``(group, argv, config)`` of each command; ``config`` is written to config.json first."""
     rounds, trials = ("28800", "2000") if scale > 1 else ("300", "20")
     oracle = ("8", "200") if scale > 1 else ("4", "5")
-    return [
+    runs = [
         ("simulate-long", ["simulate", "--rounds", rounds, "--seed", "3", "--out", "long"]),
         ("estimate-long", ["estimate", "--input", "long_observations.csv", "--variant", "all"]),
         ("simulate-flat", ["simulate", "--rounds", rounds, "--seed", "3", "--sigma", "0",
@@ -165,6 +170,27 @@ def commands(scale):
                    "--out", "sweep.csv"]),
         ("compare-oracle", ["compare-oracle", "--rounds", oracle[0], "--instances", oracle[1]]),
     ]
+    runs = [(group, argv, None) for group, argv in runs]
+    config = {"lambda_xi": 8.0, "lambda_psi": 4.0, "sigma": 0.02, "d0": 1.5, "theta0": -0.25,
+              "rounds": 6, "axis": "rounds", "values": [2, 5], "trials": int(trials),
+              "seed": 11, "estimators": ["fge-recursive", "ml"]}
+    overrides = ["--lambda-xi", "6", "--sigma", "0.05", "--rounds", "4", "--seed", "12"]
+    for command, suffix, extra in (
+        ("simulate", "", []),
+        ("sweep", ".csv", ["--axis", "sigma", "--values", "0.005,0.05", "--trials", "7"]),
+    ):
+        forms = {
+            "config": (config, []),
+            "override": (config, [*overrides, *extra]),
+            "unknown-key": ({**config, "sigmas": 0.02}, []),
+            "refused-count": ({**config, "rounds": 2.5}, []),
+        }
+        for form, (form_config, flags) in forms.items():
+            argv = [command, "--config", "config.json", *flags, "--out", form + suffix]
+            runs.append((f"{command}-{form}", argv, form_config))
+    for command in ("simulate", "estimate", "sweep", "compare-oracle"):
+        runs.append((f"help-{command}", [command, "--help"], None))
+    return runs
 
 
 def digest_commands(fgclock, scale, groups):
@@ -172,7 +198,9 @@ def digest_commands(fgclock, scale, groups):
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
-            for name, argv in commands(scale):
+            for name, argv, config in commands(scale):
+                if config is not None:
+                    Path("config.json").write_text(json.dumps(config))
                 before = set(os.listdir())
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
