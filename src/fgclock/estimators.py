@@ -10,9 +10,10 @@ per-level clipping at U_k yields the chain estimate, and the offset
 estimate is theta_hat = (xi_hat_N - psi_hat_N) / 2.
 
 The table :data:`ESTIMATORS` holds every estimator of xi_hat_N, keyed by
-variant tag. :func:`chain_kernel` is the one checked way to get one: the
+variant tag: a module-level function of the observations, their min, lam
+and sigma**2. :func:`chain_kernel` is the one checked way to call one: the
 offset estimators, the experiments and the CLI all go through it, and
-``Variant.build`` is its unchecked internal. The variants are:
+``Variant.estimate`` is its unchecked internal. The variants are:
 
 * ``recursive`` — forward backtracking with the D-constants produced by
   the backward recursion (D_{N-i} = (i+1) * lam), i.e. cumulative shifts
@@ -235,7 +236,7 @@ def _total(low, shifts):
     return low
 
 
-def _recursive_estimator(lam, sigma, n):
+def _recursive(U, low, lam, s2):
     """xi_hat_N of :func:`backtrack_estimate`, without keeping the levels.
 
     The pass runs from +inf over the window of the last rounds that
@@ -258,42 +259,36 @@ def _recursive_estimator(lam, sigma, n):
     sign, else that. A series with U_N above its min takes fl(min U + 0.0)
     and reads no round again.
     """
-    s2 = sigma_squared(sigma, lam)
-    unit = float(lam) * s2
-    shifts = partial(_shifts, lam, s2)
-
-    def estimate(U, low):
-        if s2 < sys.float_info.min:
-            if U.ndim == 1 and U[-1] > low:
-                return float(low) + 0.0
-            last = U[..., -1]
-            bar = np.minimum.reduce(U[..., :-1], axis=-1, initial=math.inf) + 0.0
-            xi = np.where(last < bar, last, bar)
-            return xi if U.ndim == 2 else float(xi)
-        window = _window(U, low, unit, lambda units: math.sqrt(2.0 * units), shifts, _total)
-        U = U[..., n - len(window):]
-        if U.ndim == 1:
-            prev = math.inf
-            for shift, u in zip(window, memoryview(U)):
-                bar = prev + shift
-                prev = u if u < bar else bar
-            return prev
-        prev = U[:, 0].copy()
-        smaller = np.empty(len(prev), dtype=bool)
-        # a shifted value that overflows is +inf and loses the min to U_k
-        with np.errstate(over="ignore"):
-            for k in range(1, len(window)):
-                np.add(prev, window[k], out=prev)
-                # u replaces bar only where strictly smaller, as in min(bar, u):
-                # a 0.0/-0.0 tie keeps bar
-                np.less(U[:, k], prev, out=smaller)
-                np.copyto(prev, U[:, k], where=smaller)
+    if s2 < sys.float_info.min:
+        if U.ndim == 1 and U[-1] > low:
+            return float(low) + 0.0
+        last = U[..., -1]
+        bar = np.minimum.reduce(U[..., :-1], axis=-1, initial=math.inf) + 0.0
+        xi = np.where(last < bar, last, bar)
+        return xi if U.ndim == 2 else float(xi)
+    window = _window(U, low, float(lam) * s2, lambda units: math.sqrt(2.0 * units),
+                     partial(_shifts, lam, s2), _total)
+    U = U[..., U.shape[-1] - len(window):]
+    if U.ndim == 1:
+        prev = math.inf
+        for shift, u in zip(window, memoryview(U)):
+            bar = prev + shift
+            prev = u if u < bar else bar
         return prev
+    prev = U[:, 0].copy()
+    smaller = np.empty(len(prev), dtype=bool)
+    # a shifted value that overflows is +inf and loses the min to U_k
+    with np.errstate(over="ignore"):
+        for k in range(1, len(window)):
+            np.add(prev, window[k], out=prev)
+            # u replaces bar only where strictly smaller, as in min(bar, u):
+            # a 0.0/-0.0 tie keeps bar
+            np.less(U[:, k], prev, out=smaller)
+            np.copyto(prev, U[:, k], where=smaller)
+    return prev
 
-    return estimate
 
-
-def _paper_estimator(lam, sigma, n):
+def _paper(U, low, lam, s2):
     """min over k of U_k + (N - k) * lam * sigma^2, along the last axis.
 
     The min runs over the window of the last rounds that :func:`_window`
@@ -305,54 +300,45 @@ def _paper_estimator(lam, sigma, n):
     term is +0.0 and the window's min is bit for bit the whole chain's.
     Where unit is 0, a series's min is min U + 0.0.
     """
-    # checked before float(lam), which would raise on a lam of the wrong type
-    s2 = sigma_squared(sigma, lam)
     unit = float(lam) * s2
+    if U.ndim == 1 and not unit:
+        return low + 0.0
 
     def shifts(m):
         shifts = np.arange(m - 1, -1, -1, dtype=float)
-        # in place, as the terms are built: where a chain is long, every
-        # fresh array of its length costs page faults, more than filling it
+        # in place: where a chain is long, every fresh array of its length
+        # costs page faults, more than filling it
         shifts *= unit
         return shifts
 
-    def estimate(U, low):
-        if U.ndim == 1 and not unit:
-            return low + 0.0
-        # unit is finite, so an overflowing shift or term is +inf, never
-        # inf * 0, and loses the min
-        with np.errstate(over="ignore"):
-            window = _window(U, low, unit, lambda units: units, shifts,
-                             lambda low, window: low + float(window[0]))
-            if U.ndim == 2:
-                return np.minimum.reduce(U[:, n - len(window):] + window, axis=-1)
-            # a series's terms U_k + s_k take the place of its shifts
-            window += U[n - len(window):]
-            return np.minimum.reduce(window)
-
-    return estimate
+    # unit is finite, so an overflowing shift or term is +inf, never
+    # inf * 0, and loses the min
+    with np.errstate(over="ignore"):
+        window = _window(U, low, unit, lambda units: units, shifts,
+                         lambda low, window: low + float(window[0]))
+        return np.minimum.reduce(U[..., U.shape[-1] - len(window):] + window, axis=-1)
 
 
-def _ml_estimator(lam, sigma, n):
-    """The min of U along the last axis, the check's ``low`` for a series; lam, sigma unused."""
-    return lambda U, low: low if U.ndim == 1 else U.min(axis=-1)
+def _ml(U, low, lam, s2):
+    """The min of U along the last axis, the check's ``low`` for a series; lam, s2 unused."""
+    return low if U.ndim == 1 else U.min(axis=-1)
 
 
-Variant = namedtuple("Variant", "build label oracle_key")
+Variant = namedtuple("Variant", "estimate label oracle_key")
 
 #: The estimator table, keyed by variant tag, in report order: every variant
-#: dispatch is a lookup here. ``build(lam, sigma, n)`` checks lam and sigma
-#: and returns the unchecked estimator ``estimate(U, low)`` of xi_hat_N for a
-#: series or block of n rounds with min ``low``, which computes on each call
-#: only the shifts of the window :func:`_window` finds for it and lets no
-#: overflow warn; only :func:`chain_kernel` calls it. ``label`` names the
-#: variant's rows in sweep tables; ``oracle_key`` names its deviation from
-#: the exact MAP in the compare-oracle report (None for ML, not a
-#: factor-graph estimate).
+#: dispatch is a lookup here. ``estimate(U, low, lam, s2)`` is the unchecked
+#: estimator of xi_hat_N for a series or ``(trials, n)`` block U with min
+#: ``low``, rate lam and sigma**2 ``s2`` as :func:`fgclock.model.sigma_squared`
+#: checked them (``ml`` reads neither). It computes only the shifts of the
+#: window :func:`_window` finds for U and lets no overflow warn; only
+#: :func:`chain_kernel` calls it. ``label`` names the variant's rows in sweep
+#: tables; ``oracle_key`` names its deviation from the exact MAP in the
+#: compare-oracle report (None for ML, not a factor-graph estimate).
 ESTIMATORS = {
-    "recursive": Variant(_recursive_estimator, "fge-recursive", "max_abs_dev_backtrack"),
-    "paper": Variant(_paper_estimator, "fge-paper", "max_abs_dev_paper_closed_form"),
-    "ml": Variant(_ml_estimator, "ml", None),
+    "recursive": Variant(_recursive, "fge-recursive", "max_abs_dev_backtrack"),
+    "paper": Variant(_paper, "fge-paper", "max_abs_dev_paper_closed_form"),
+    "ml": Variant(_ml, "ml", None),
 }
 
 
@@ -365,20 +351,21 @@ def chain_kernel(variant, lam, sigma, n):
     row bit for bit the series result. The check's min/max pass is the
     only full read of a series: its min sizes the window, or is the ``ml``
     estimate. Each call computes only the shifts of its window, which for a
-    block is sized by the largest U_N of any row.
+    block is sized by the largest U_N of any row. ``ml`` reads neither lam
+    nor sigma, so they are not checked for it.
     """
     try:
-        build = ESTIMATORS[variant].build
+        estimate = ESTIMATORS[variant].estimate
     except (KeyError, TypeError):
         raise ParameterError(f"unknown variant {variant!r}") from None
     n = check_count(n, "n")
-    estimate = build(lam, sigma, n)
+    s2 = None if estimate is _ml else sigma_squared(sigma, lam)
 
     def kernel(U):
         U, low = check_chain(U, "observations", ndims=(1, 2))
         if U.shape[-1] != n:
             raise ShapeError(f"expected {n} rounds, got {U.shape[-1]}")
-        return estimate(U, low)
+        return estimate(U, low, lam, s2)
 
     return kernel
 
@@ -399,7 +386,12 @@ def closed_form_estimate_paper(U, lam, sigma):
     return float(chain_kernel("paper", lam, sigma, _series_length(U))(U))
 
 
-def _offset(U, V, variant, lambda_xi, lambda_psi, sigma):
+def fge_offset(U, V, lambda_xi, lambda_psi, sigma, variant="recursive"):
+    """Offset estimate theta_hat_N = (xi_hat_N - psi_hat_N) / 2.
+
+    Runs the estimator of ``variant``, a tag of :data:`ESTIMATORS`, on
+    (U, lambda_xi) and the same estimator on (V, lambda_psi).
+    """
     U, V = as_array(U, "U"), as_array(V, "V")
     if U.shape != V.shape:
         raise ShapeError(f"U and V shapes differ: {U.shape} vs {V.shape}")
@@ -410,19 +402,10 @@ def _offset(U, V, variant, lambda_xi, lambda_psi, sigma):
     return OffsetEstimate(xi_n, psi_n, xi_n / 2.0 - psi_n / 2.0, variant)
 
 
-def fge_offset(U, V, lambda_xi, lambda_psi, sigma, variant="recursive"):
-    """Offset estimate theta_hat_N = (xi_hat_N - psi_hat_N) / 2.
-
-    Runs the estimator of ``variant``, a tag of :data:`ESTIMATORS`, on
-    (U, lambda_xi) and the same estimator on (V, lambda_psi).
-    """
-    return _offset(U, V, variant, lambda_xi, lambda_psi, sigma)
-
-
 def ml_offset(U, V):
     """ML offset estimate: half the difference of the running minima.
 
     Independent of lam and sigma; equals both factor-graph variants in
     the sigma -> 0 limit.
     """
-    return _offset(U, V, "ml", None, None, None)
+    return fge_offset(U, V, None, None, None, "ml")

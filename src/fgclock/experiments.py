@@ -40,7 +40,10 @@ ALL_ESTIMATORS = tuple(_TAGS)
 
 #: Trial-rounds per block: a cell of N rounds is evaluated
 #: ``block_trials(N)`` trials at a time, so its memory does not grow with
-#: the trial count.
+#: the trial count. A block's draws take 32 B per trial-round, and the seed
+#: pass of :func:`fgclock.model.stream_states` about 208 B per trial, so a
+#: trial counts as at least 8 rounds: a block holds at most
+#: ``BLOCK_ROUNDS // 8`` trials.
 BLOCK_ROUNDS = 1 << 16
 
 CSV_HEADER = ("axis", "estimator", "mse", "stderr", "trials")
@@ -153,7 +156,7 @@ class MseTable:
 
 def block_trials(rounds):
     """Trials per block in a cell of ``rounds`` rounds."""
-    return max(1, BLOCK_ROUNDS // rounds)
+    return max(1, BLOCK_ROUNDS // max(rounds, 8))
 
 
 def _run_cell(params, axis_index, trials, master_seed, estimators):

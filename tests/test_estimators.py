@@ -39,8 +39,8 @@ def chain_shifts(lam, sigma, n):
 
 def build(tag, lam, sigma, n):
     """The unchecked estimator of ``tag``, handed the min of U as the kernel's check finds it."""
-    estimate = ESTIMATORS[tag].build(lam, sigma, n)
-    return lambda U: estimate(U, check_chain(U, ndims=(1, 2))[1])
+    estimate, s2 = ESTIMATORS[tag].estimate, sigma_squared(sigma, lam)
+    return lambda U: estimate(U, check_chain(U, ndims=(1, 2))[1], lam, s2)
 
 
 class TestBackwardConstants:
@@ -411,6 +411,15 @@ class TestChainKernel:
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
             chain_kernel("bogus", 1.0, 0.1, 3)
+
+    def test_ml_reads_neither_rate_nor_sigma(self):
+        U, V = [3.0, 1.5, 2.0], [0.5, 4.0, 1.0]
+        assert chain_kernel("ml", None, None, 3)(U) == 1.5
+        est = fge_offset(U, V, None, "x", -1.0, "ml")
+        assert (est.xi_hat_N, est.psi_hat_N) == (1.5, 0.5)
+        # the factor-graph variants check the rate when the kernel is built
+        with pytest.raises(ParameterError):
+            chain_kernel("recursive", None, 0.1, 3)
 
     @pytest.mark.parametrize("variant", ["recursive", "paper", "ml"])
     @pytest.mark.parametrize("bad", [

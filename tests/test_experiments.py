@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,18 @@ class TestBatchedCell:
             for tag in ALL_ESTIMATORS:
                 assert table.cell(v, tag).mse == float(np.mean(ref[tag]))
 
+    def test_one_round_cell_memory_is_bounded_by_its_block(self):
+        # the seed pass costs about 208 B per trial: 65 536 one-round trials in
+        # one block peaked at 17.3 MB, eight blocks of 8192 at 4.8 MB
+        params = ClockModelParams(10.0, 7.0, 1e-2, 1.0, 0.5, 1)
+        tracemalloc.start()
+        try:
+            _run_cell(params, 0, 1 << 16, 3, ALL_ESTIMATORS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 def default_rng_cell(params, axis_index, trials, master_seed, estimators):
     """:func:`_run_cell` with every trial seeded by its own two default_rng calls."""
@@ -284,13 +297,14 @@ def default_rng_cell(params, axis_index, trials, master_seed, estimators):
 class TestBlockSeeding:
     """Tables seeded from block-derived states equal per-trial default_rng ones, byte for byte."""
 
-    @pytest.mark.parametrize("block_rounds", [experiments.BLOCK_ROUNDS, 7])
+    @pytest.mark.parametrize("block_rounds", [experiments.BLOCK_ROUNDS, 7, 56])
     @pytest.mark.parametrize(
         "axis, values", [("rounds", (1, 2, 25)), ("sigma", (0.0, 1e-3, 0.2))]
     )
     def test_tables_equal_default_rng_tables(self, monkeypatch, block_rounds, axis, values):
         monkeypatch.setattr(experiments, "BLOCK_ROUNDS", block_rounds)
-        # the last block is partly filled at N = 25, and at N = 1 and 2 for 7
+        # the last block is partly filled at N = 25, and at N = 1 and 2 for 56;
+        # for 7 every block holds one trial
         trials = block_trials(25) + 10
         params = ClockModelParams(10.0, 7.0, 1e-2, 1.0, 0.5, 25)
         cfg = make_config(params=params, axis=axis, values=values, trials=trials,

@@ -19,14 +19,16 @@ def test_tiny_digests_repeat_and_cover_every_variant_and_path(tmp_path):
         digests.append(out.read_text())
     assert digests[0] == digests[1]
     groups = {line.rsplit(" ", 2)[0] for line in digests[0].splitlines()}
-    for tag in ESTIMATORS:
-        for path in ("offset", "series", "block"):
-            for family in ("model", "signed-zeros-long", "huge", "non-finite", "long"):
+    for family in ("model", "signed-zeros-long", "huge", "non-finite", "long"):
+        for tag in ESTIMATORS:
+            for path in ("offset", "series", "block"):
                 assert f"{family} {tag} {path}" in groups
+        for path in ("ml_offset", "closed_form_estimate_paper"):
+            assert f"{family} {path}" in groups
     for oracle in ("exact", "coordinate-ascent", "grid"):
         assert f"oracle {oracle}" in groups
     for command in ("simulate-long", "estimate-long", "simulate-flat", "estimate-flat",
-                    "sweep", "compare-oracle"):
+                    "sweep", "sweep-blocks", "compare-oracle"):
         assert f"cli {command}" in groups
     for command in ("simulate", "sweep"):
         for form in ("config", "override", "unknown-key", "refused-count"):

@@ -7,15 +7,17 @@ from there, with every warning raised as an error. FILE gets one line per
 group, ``<group> <records> <sha256>``, over two parts:
 
 * a fixed generated corpus of chains, each estimated by every variant
-  through ``fge_offset``, a series kernel and a 2-row block kernel, and
-  each of at most 10 rounds solved by the three exact-MAP oracles; a
-  record is the result's type and bytes, or the error's class and message;
+  through ``fge_offset``, a series kernel and a 2-row block kernel, by
+  ``ml_offset`` and by ``closed_form_estimate_paper``, and each of at
+  most 10 rounds solved by the three exact-MAP oracles; a record is the
+  result's type and bytes, or the error's class and message;
 * the standard CLI commands, run in a scratch directory through
   ``fgclock.cli.main``: their exit code, stdout, stderr and the bytes of
   every file they write. ``simulate`` and ``sweep`` also run with one
   config file that sets every setting, alone, overridden by flags, with
-  an unknown key and with a refused count; and every subcommand prints
-  its ``--help``.
+  an unknown key and with a refused count; a rounds sweep at N = 1 and 2
+  runs 8200 trials, one more block than 8192 trials; and every
+  subcommand prints its ``--help``.
 
 Run it on two trees and ``diff`` the files: a differing line names the
 corpus family, variant and path, or the command, that changed. ``--tiny``
@@ -136,6 +138,9 @@ def digest_corpus(fgclock, scale, groups):
             }
             for path, call in calls.items():
                 groups[f"{family} {tag} {path}"].append(record(call))
+        groups[f"{family} ml_offset"].append(record(lambda: fgclock.ml_offset(U, V)))
+        groups[f"{family} closed_form_estimate_paper"].append(
+            record(lambda: fgclock.closed_form_estimate_paper(U, lam_xi, sigma)))
         if n <= 10:
             digest_oracles(fgclock, U, lam_xi, sigma, groups)
 
@@ -168,6 +173,8 @@ def commands(scale):
                            "--sigma", "0"]),
         ("sweep", ["sweep", "--axis", "rounds", "--values", "2,5,10,25", "--trials", trials,
                    "--out", "sweep.csv"]),
+        ("sweep-blocks", ["sweep", "--axis", "rounds", "--values", "1,2", "--trials", "8200",
+                          "--out", "blocks.csv"]),
         ("compare-oracle", ["compare-oracle", "--rounds", oracle[0], "--instances", oracle[1]]),
     ]
     runs = [(group, argv, None) for group, argv in runs]
