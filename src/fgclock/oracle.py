@@ -9,9 +9,10 @@ subject to x_k <= U_k. The flat-prior root variable x_0 is eliminated
 analytically (its optimum is x_0 = x_1, zeroing the first increment).
 Three independent routes to the same optimum are provided: active-set
 enumeration with tridiagonal equality solves, which walks only the feasible
-sets, cyclic coordinate ascent, and a discretized max-product sweep on a
-grid, whose envelopes take one vector pass where the input allows. Each
-shortcut gives, bit for bit, the results of the full loop it skips.
+sets and scores exactly only those a vector pass puts near the best, cyclic
+coordinate ascent, and a discretized max-product sweep on a grid, whose
+envelopes take one vector pass where the input allows. Each shortcut
+gives, bit for bit, the results of the full loop it skips.
 Coordinate ascent starts its sweeps at the O(N) lower-hull path, the
 optimum up to rounding, so that one sweep usually meets its tolerance: the
 sweeps reach the unique maximum from any start, so the answer is still
@@ -19,6 +20,7 @@ their own fixed point, and the start decides only how many sweeps it takes.
 None of the oracles shares code with the estimators they validate.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -106,9 +108,19 @@ def exact_map_active_set(U, lam, sigma):
     + tol, so a set is feasible exactly when each of its pieces is: only the
     paths -1 -> n through feasible pieces are walked, not all 2^n - 1 sets.
     The paths through b extend those ending at a = -1, 0, ..., b - 1 in
-    turn, which by induction lists their masks in increasing order: scored
-    in that order with the arithmetic of ``chain_log_posterior``, as a loop
-    over every set would, they give the same result to the bit.
+    turn, which by induction lists their masks in increasing order.
+
+    One vector pass scores every feasible set approximately, and only the
+    sets within 1e-6 (1 + S) of the best approximate score, S the largest
+    quad + lam sum |x|, are scored exactly, in mask order, with the
+    arithmetic of ``chain_log_posterior``. This gives the bits of a loop
+    that scores every set: the tie tolerance never exceeds 1e-12 (1 + S),
+    so a set below a wider gap neither replaces a set above it nor keeps
+    its place against one, and the answer depends only on the sets linked
+    to the best by steps within the tolerance. At most 4094 steps span
+    4.1e-9 (1 + S), which the margin holds with room for the rounding of
+    both scores. Where a score could near the float limit every set is
+    scored, so the first one refused, if any, is the same.
     """
     U, s2 = _validate_chain_args(U, lam, sigma)
     n = len(U)
@@ -129,9 +141,21 @@ def exact_map_active_set(U, lam, sigma):
                 x += u[b:b + 1]
                 if not any(v > c for v, c in zip(x, cap[a + 1:])):
                     ends[b] += [(mask | 1 << b, head + x) for mask, head in ends[a]]
-    best = None
     bounds = np.concatenate((U[:1], U))  # of the root, pinned at x_1, and of x
-    for mask, x in ends[n]:
+    rows = np.minimum([x[:1] + x for _, x in ends[n]], bounds)  # each set's candidate
+    with np.errstate(over="ignore", invalid="ignore"):
+        incr = rows[:, 1:] - rows[:, :-1]
+        sq = (incr * incr).sum(axis=1)
+        quad = sq / (2.0 * s2)
+        approx = lam * rows[:, 1:].sum(axis=1) - quad
+        scale = quad + lam * np.abs(rows[:, 1:]).sum(axis=1)
+        # then no score overflows, so none is refused, and each is within rounding of approx
+        safe = np.all((sq < FLOAT_MAX / 4) & (scale < FLOAT_MAX / 4))
+        # 1e-6 (1 + S) holds the 4094 tie steps of at most 1e-12 (1 + S) that can
+        # link a set to the best, and the rounding of both scores, with room to spare
+        keep = (approx >= approx.max() - 1e-6 * (1.0 + scale.max())) | (not safe)
+    best = None
+    for mask, x in itertools.compress(ends[n], keep.tolist()):
         candidate = np.minimum(x[:1] + x, bounds)
         obj = _chain_log_posterior(candidate, lam, s2)
         members = tuple(k + 1 for k in range(n) if mask >> k & 1)

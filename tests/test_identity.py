@@ -26,7 +26,8 @@ def test_tiny_digests_repeat_and_cover_every_variant_and_path(tmp_path):
         for path in ("ml_offset", "closed_form_estimate_paper"):
             assert f"{family} {path}" in groups
     for oracle in ("exact", "coordinate-ascent", "grid"):
-        assert f"oracle {oracle}" in groups
+        for family in ("oracle", "oracle-cap"):
+            assert f"{family} {oracle}" in groups
     for command in ("simulate-long", "estimate-long", "simulate-flat", "estimate-flat",
                     "sweep", "sweep-blocks", "compare-oracle"):
         assert f"cli {command}" in groups

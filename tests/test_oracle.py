@@ -348,6 +348,55 @@ LITERAL_CASES = [
 ]
 
 
+def rounded(U, lam, sigma):
+    """``U`` rounded to multiples of lam sigma**2, where free segments meet it and sets tie."""
+    a = lam * sigma**2
+    return np.round(U / a) * a
+
+
+# the enumeration cap: model chains, the same rounded (at lam sigma**2 = 1, 2 to 4 sets
+# tie), and constant chains, where all 2047 or 4095 sets are feasible and tie
+CAP_CASES = [
+    *((U, lam, sigma) for n in (11, 12) for lam, sigma in [(10.0, 1e-2), (1.0, 1.0)]
+      for U in (random_instance(n, n=n, lam=lam, sigma=sigma, master=73),
+                rounded(random_instance(n, n=n, lam=lam, sigma=sigma, master=73), lam, sigma))),
+    (np.full(11, -0.75), 1.0, 1e-7),
+    (np.full(12, 2.5), 1.0, 1e-7),
+]
+
+
+def literal_candidates(U, lam, sigma):
+    """The bytes of each feasible set's clipped path, its root pinned at x_1, in mask order."""
+    candidates = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, x in literal_feasible_sets(U, lam, sigma):
+            path = np.minimum(x, U)
+            candidates.append(np.concatenate(([path[0]], path)).tobytes())
+    return candidates
+
+
+def scored_candidates(U, lam, sigma, monkeypatch):
+    """The bytes of each candidate that enumeration scores, in turn, whether or not it raises."""
+    scored = []
+
+    def record(candidate, *args):
+        scored.append(candidate.tobytes())
+        return core(candidate, *args)
+
+    core = oracle._chain_log_posterior
+    monkeypatch.setattr(oracle, "_chain_log_posterior", record)
+    try:
+        exact_map_active_set(U, lam, sigma)
+    except ParameterError:
+        pass
+    return scored
+
+
+def is_subsequence(short, long):
+    rest = iter(long)
+    return all(any(item == other for other in rest) for item in short)
+
+
 class TestLiteralReferences:
     """The oracles' Python-float loops give the numpy-scalar loops' bits."""
 
@@ -395,23 +444,57 @@ class TestLiteralReferences:
         assert sol.path.tobytes() == path.tobytes()
         assert (sol.objective, sol.active_set) == (obj, active)
 
-    @pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
-    def test_objective_scores_each_feasible_set_once_in_mask_order(self, case, monkeypatch):
-        U, lam, sigma = LITERAL_CASES[case]
-        scored = []
+    @pytest.mark.parametrize("case", range(len(CAP_CASES)))
+    def test_exact_map_at_the_cap_equals_reference(self, case):
+        U, lam, sigma = CAP_CASES[case]
+        sol = exact_map_active_set(U, lam, sigma)
+        path, obj, active = literal_exact_map(U, lam, sigma)
+        assert sol.path.tobytes() == path.tobytes()
+        assert (sol.objective, sol.active_set) == (obj, active)
 
-        def record(candidate, *args):
-            scored.append(candidate.tobytes())
-            return core(candidate, *args)
+    @pytest.mark.parametrize("U, lam, sigma", [
+        *LITERAL_CASES, *CAP_CASES,
+        # three sets within 1.5e-7 of the best, which the tie rule tells apart
+        (np.array([0.0, 3e-7, 1e-7, 4e-7, 2e-7]), 1.0, 1e-4),
+    ])
+    def test_objective_scores_the_sets_near_the_best_in_mask_order(self, U, lam, sigma,
+                                                                   monkeypatch):
+        scored = scored_candidates(U, lam, sigma, monkeypatch)
+        want = literal_candidates(U, lam, sigma)
+        # each set at most once, in mask order
+        assert is_subsequence(scored, want)
+        objectives, scales = [], []
+        for candidate in map(np.frombuffer, want):
+            incr = np.diff(candidate)
+            objectives.append(chain_log_posterior(candidate, U, lam, sigma))
+            scales.append(incr @ incr / (2.0 * sigma**2) + lam * np.abs(candidate[1:]).sum())
+        low = max(objectives) - 1e-6 * (1.0 + max(scales))
+        near = [c for c, obj in zip(want, objectives) if obj >= low]
+        assert is_subsequence(near, scored)
 
-        core = oracle._chain_log_posterior
-        monkeypatch.setattr(oracle, "_chain_log_posterior", record)
-        exact_map_active_set(U, lam, sigma)
+    @pytest.mark.parametrize("U, lam, sigma", [
+        # from TestTiesAndOverflow, each refused at its first set
+        *((U, lam, sigma) for U in ([-1e308] * 4, [1e308, 1.5e308, 1.7e308, 1.79e308],
+                                    [-1.7976931348623157e308] * 3)
+          for lam, sigma in [(1.0, 1.0), (1e-3, 1e150)]),
+        # the second set's log posterior overflows, where the screen's would drop it
+        ([0.0, 1e308], 1.0, 1.0),
+        ([0.0, 1e308], 1e-3, 1e150),
+        # every lam * sum |x| is 1e308, past the screen's limit, and every set is finite
+        ([5e307, 5e307], 1.0, 1.0),
+    ], ids=str)
+    def test_chains_near_the_float_limit_score_every_feasible_set(self, U, lam, sigma,
+                                                                  monkeypatch):
+        U = np.array(U)
+        # up to the first refused set, so that the same one is refused with the same message
         want = []
-        for _, x in literal_feasible_sets(U, lam, sigma):
-            path = np.minimum(x, U)
-            want.append(np.concatenate(([path[0]], path)).tobytes())
-        assert scored == want
+        for candidate in literal_candidates(U, lam, sigma):
+            want.append(candidate)
+            try:
+                oracle._chain_log_posterior(np.frombuffer(candidate), lam, sigma**2)
+            except ParameterError:
+                break
+        assert scored_candidates(U, lam, sigma, monkeypatch) == want
 
 
 class TestOraclesConsistent:

@@ -9,8 +9,11 @@ group, ``<group> <records> <sha256>``, over two parts:
 * a fixed generated corpus of chains, each estimated by every variant
   through ``fge_offset``, a series kernel and a 2-row block kernel, by
   ``ml_offset`` and by ``closed_form_estimate_paper``, and each of at
-  most 10 rounds solved by the three exact-MAP oracles; a record is the
-  result's type and bytes, or the error's class and message;
+  most 10 rounds solved by the three exact-MAP oracles; and, in the
+  ``oracle-cap`` groups, model chains at enumeration's cap of 11 and 12
+  rounds, as drawn and rounded to multiples of lam sigma**2, where sets
+  tie, solved by the same oracles; a record is the result's type and
+  bytes, or the error's class and message;
 * the standard CLI commands, run in a scratch directory through
   ``fgclock.cli.main``: their exit code, stdout, stderr and the bytes of
   every file they write. ``simulate`` and ``sweep`` also run with one
@@ -143,9 +146,24 @@ def digest_corpus(fgclock, scale, groups):
             record(lambda: fgclock.closed_form_estimate_paper(U, lam_xi, sigma)))
         if n <= 10:
             digest_oracles(fgclock, U, lam_xi, sigma, groups)
+    for U, lam, sigma in cap_chains(np.random.default_rng(20261020), scale):
+        digest_oracles(fgclock, U, lam, sigma, groups, "oracle-cap")
 
 
-def digest_oracles(fgclock, U, lam, sigma, groups):
+def cap_chains(rng, scale):
+    """``(U, lam, sigma)`` at 11 and 12 rounds: a model chain, then it rounded to multiples
+    of lam sigma**2, which at lam sigma**2 near the spread of U makes sets tie."""
+    for _ in range(scale):
+        for n in (11, 12):
+            lam = float(rng.choice([1.0, 10.0]))
+            sigma = float(rng.choice([1e-2, 1.0 / math.sqrt(lam)]))
+            U = model_chain(rng, n, lam, sigma)
+            a = lam * sigma**2
+            yield U, lam, sigma
+            yield np.round(U / a) * a, lam, sigma
+
+
+def digest_oracles(fgclock, U, lam, sigma, groups, family="oracle"):
     """The three exact-MAP oracles on one chain, the grid spanning the chain's values."""
     def grid():
         lo = float(np.min(U)) - 5.0 * sigma * math.sqrt(len(U)) - 0.1
@@ -157,7 +175,7 @@ def digest_oracles(fgclock, U, lam, sigma, groups):
         "grid": grid,
     }
     for name, call in calls.items():
-        groups[f"oracle {name}"].append(record(call))
+        groups[f"{family} {name}"].append(record(call))
 
 
 def commands(scale):
