@@ -27,6 +27,7 @@ from .experiments import (
     mse_vs_sigma,
 )
 from .model import ClockModelParams, check_count, simulate_observations, simulate_paths
+from .model import DOMAIN_COMPARE_ORACLE, DOMAIN_SIMULATE, SEED_SCHEME, seed_stream
 from .oracle import check_enumerable, exact_map_active_set
 
 EXIT_OK = 0
@@ -104,6 +105,7 @@ def _write_manifest(path, subcommand, config, seed, outputs):
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
+        "seed_scheme": SEED_SCHEME,
         "artifact_version": __version__,
         "outputs": outputs,
     }
@@ -128,8 +130,9 @@ def cmd_simulate(args):
     settings = _settings(args)
     params = _model(settings)
     seed = check_count(settings["seed"], "seed", low=0)
-    path = simulate_paths(params, seed=[seed, 0])
-    obs = simulate_observations(path, params, seed=[seed, 1])
+    rng = seed_stream(seed, DOMAIN_SIMULATE)  # the path's normals, then the uniforms
+    path = simulate_paths(params, rng)
+    obs = simulate_observations(path, params, rng)
     theta, d = path.theta, path.d
 
     obs_file = f"{args.out}_observations.csv"
@@ -245,8 +248,9 @@ def cmd_compare_oracle(args):
     }
     worst = dict.fromkeys(estimators, (-1.0, None))
     for i in range(instances):
-        path = simulate_paths(params, seed=[seed, i, 0])
-        obs = simulate_observations(path, params, seed=[seed, i, 1])
+        rng = seed_stream(seed, DOMAIN_COMPARE_ORACLE, [0, 0, 0, i])
+        path = simulate_paths(params, rng)
+        obs = simulate_observations(path, params, rng)
         exact = exact_map_active_set(obs.U, params.lambda_xi, params.sigma).path[-1]
         for key, estimate in estimators.items():
             dev = abs(estimate(obs.U) - exact)

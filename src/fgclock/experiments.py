@@ -40,10 +40,11 @@ ALL_ESTIMATORS = tuple(_TAGS)
 
 #: Trial-rounds per block: a cell of N rounds is evaluated
 #: ``block_trials(N)`` trials at a time, so its memory does not grow with
-#: the trial count. A block's draws take 32 B per trial-round, and the seed
-#: pass of :func:`fgclock.model.stream_states` about 208 B per trial, so a
-#: trial counts as at least 8 rounds: a block holds at most
-#: ``BLOCK_ROUNDS // 8`` trials.
+#: the trial count. A block's draws take 32 B per trial-round, and its
+#: walks, delays and errors about 120 B more per trial at any N, so a trial
+#: counts as at least 8 rounds: a block holds at most ``BLOCK_ROUNDS // 8``
+#: trials. At N = 1, 65 536 trials in one block peaked at 9.4 MB, and eight
+#: blocks of 8192 at 3.5 MB.
 BLOCK_ROUNDS = 1 << 16
 
 CSV_HEADER = ("axis", "estimator", "mse", "stderr", "trials")

@@ -11,7 +11,6 @@ imperfection makes the offset drift, so xi and psi each follow a
 Gaussian random walk with increment standard deviation sigma.
 """
 
-import functools
 import math
 import numbers
 import sys
@@ -220,144 +219,39 @@ def _generator(seed):
         ) from None
 
 
-_MASK32 = 0xFFFF_FFFF
-_SHIFT = np.uint32(16)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+#: The seed scheme that manifests record. Each stream is numpy's Philox4x64
+#: generator (Salmon et al., SC 2011) keyed by ``[seed, domain]``, and each
+#: subcommand draws in a domain of its own.
+SEED_SCHEME = 2
+DOMAIN_SWEEP, DOMAIN_SIMULATE, DOMAIN_COMPARE_ORACLE = 0, 1, 2
 
 
-def _hash_constants(init, mult, count):
-    """``init * mult**k`` mod 2**32 for k = 0..count, as a uint32 column."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-#: The hash constants of numpy's SeedSequence with its pool of 4 words. Mixing
-#: in entropy, hashmix call k xors with _MIX_HASH[k] and multiplies by
-#: _MIX_HASH[k + 1]: calls 0-15 for the first 4 words, then 4 for each further
-#: word, whose constants are _MIX_STEP times those of the word before.
-_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 20)
-_MIX_STEP = np.uint32(pow(0x931E8875, 4, 1 << 32))
-#: The constants of ``generate_state``: its word w, of 8, xors with
-#: _STATE_HASH[w] and multiplies by _STATE_HASH[w + 1].
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8).ravel()
-
-
-def _uint32_words(value):
-    """Whole number ``value`` >= 0 as 32-bit words, the lowest first, as SeedSequence reads it."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _hashmix(values, consts):
-    """SeedSequence's hashmix of ``values`` with the hash constants ``consts``."""
-    values = values ^ consts[:-1]
-    values *= consts[1:]
-    values ^= values >> _SHIFT
-    return values
-
-
-def _mix(x, y):
-    x = x * _MIX_L
-    x -= y * _MIX_R
-    x ^= x >> _SHIFT
-    return x
-
-
-def _pool_states(entropy, out):
-    """Write ``generate_state(4, np.uint64)`` of the SeedSequence of each column of ``entropy``.
-
-    ``entropy`` is a (words, columns) uint32 array with at least 4 words,
-    and ``out`` a little-endian uint32 array that gets 8 words per column,
-    in column order: each column's state, read as 4 little-endian 64-bit
-    words as numpy reads it. The uint32 arithmetic wraps as numpy's does,
-    over the pool's 4 lanes and every column at once.
-    """
-    pool = _hashmix(entropy[:4], _MIX_HASH[:5])
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        k = 4 + 3 * src
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _MIX_HASH[k:k + 4]))
-    consts = _MIX_HASH[16:].copy()
-    for word in entropy[4:]:
-        pool = _mix(pool, _hashmix(word, consts))
-        consts *= _MIX_STEP
-    # the state's 8 words hash the pool's 4 twice over, written in place
-    words = out.reshape(-1, 2, 4)
-    np.bitwise_xor(pool.T[:, None], _STATE_HASH[:-1].reshape(2, 4), out=words)
-    words *= _STATE_HASH[1:].reshape(2, 4)
-    words ^= words >> _SHIFT
-
-
-def stream_states(master_seed, axis_index, start, stop):
-    """The PCG64 seed states of the sweep streams of trials ``start`` to ``stop``.
-
-    Entry ``[t - start, s]`` of the ``(stop - start, 2, 4)`` uint64 result
-    is ``np.random.SeedSequence([master_seed, axis_index, t, s])
-    .generate_state(4, np.uint64)``, the state ``default_rng`` seeds PCG64
-    with, for s = 0 and 1 and 0 <= t < 2**64. numpy's documented hash is
-    computed for all of them in one pass per number of 32-bit words of t.
-    """
-    prefix = _uint32_words(master_seed) + _uint32_words(axis_index)
-    states = np.empty((stop - start, 2, 8), dtype="<u4")
-    lo = start
-    while lo < stop:
-        t_words = len(_uint32_words(lo))
-        hi = min(stop, 1 << 32 * t_words)
-        t = np.arange(lo, hi, dtype=np.uint64)
-        entropy = np.empty((len(prefix) + t_words + 1, hi - lo, 2), dtype=np.uint32)
-        entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None, None]
-        for j in range(t_words):
-            # the low 32 bits, as the uint32 cast keeps them
-            entropy[len(prefix) + j] = (t >> np.uint64(32 * j))[:, None]
-        entropy[-1] = np.array([0, 1], dtype=np.uint32)
-        _pool_states(entropy.reshape(len(entropy), -1), states[lo - start : hi - start])
-        lo = hi
-    return states.view("<u8").astype(np.uint64, copy=False)
-
-
-@functools.cache
-def _state_sequence_type():
-    """The class of a seed sequence that hands out given PCG64 seed states in turn.
-
-    PCG64 reads only ``generate_state(4, np.uint64)`` of its seed sequence,
-    once, so each generator built on one of these seeds from its next state
-    exactly as from the SeedSequence that state stands for. Made on first
-    use: numpy loads ``numpy.random`` only when it is used.
-    """
-
-    class StateSequence(np.random.bit_generator.ISeedSequence):
-        def __init__(self, states):
-            self._next_state = iter(states).__next__
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self._next_state()
-
-    return StateSequence
+def seed_stream(seed, domain, counter=0):
+    """The generator of ``np.random.Philox(key=[seed, domain], counter=counter)``."""
+    return np.random.Generator(np.random.Philox(key=[seed, domain], counter=counter))
 
 
 def draw_trials(master_seed, axis_index, start, noise, uniforms):
     """Fill the ``(trials, 2, N)`` rows of trials ``start``, ``start + 1``, ... of one sweep cell.
 
-    This is the sweep's seed scheme. Trial t at axis position ``axis_index``
-    fills ``noise[t - start]`` from the generator that
-    ``np.random.default_rng([master_seed, axis_index, t, 0])`` gives, and
-    ``uniforms[t - start]`` from ``[master_seed, axis_index, t, 1]``, each
-    row 0 before row 1, as :func:`random_walks` and
-    :func:`exponential_delays` read them. The generators are seeded from
-    the :func:`stream_states` of the trials, in order, on one seed
-    sequence: a trial makes its two generators and no other object.
+    Trial t at axis position ``axis_index`` fills ``noise[t - start]``, then
+    ``uniforms[t - start]``, row 0 before row 1, from the one stream
+    ``seed_stream(master_seed, DOMAIN_SWEEP, [0, 0, axis_index, t])``.
+    Streams sit at least 2**128 Philox blocks apart, so a trial draws the
+    same numbers in any block. One generator moves from trial to trial by
+    its counter: a Philox constructor also reads OS entropy a key leaves unused.
     """
-    states = stream_states(master_seed, axis_index, start, start + len(noise))
-    sequence = _state_sequence_type()(states.reshape(-1, 4))
-    generator, pcg64 = np.random.Generator, np.random.PCG64
-    for z, u in zip(noise, uniforms):
-        generator(pcg64(sequence)).standard_normal(out=z)
-        generator(pcg64(sequence)).random(out=u)
+    bits = np.random.Philox(key=[master_seed, DOMAIN_SWEEP])
+    generator, state = np.random.Generator(bits), bits.state
+    counter = state["state"]["counter"]
+    counter[2] = axis_index
+    # as constructed: the buffer is spent, so the first draw advances the counter
+    state["buffer_pos"], state["has_uint32"] = 4, 0
+    for t, (z, u) in enumerate(zip(noise, uniforms), start):
+        counter[3] = t
+        bits.state = state
+        generator.standard_normal(out=z)
+        generator.random(out=u)
 
 
 def random_walks(noise, params):

@@ -6,11 +6,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fgclock import cli
+from fgclock import ClockModelParams, cli, experiments, model
 from fgclock.cli import (
     _DEFAULTS,
     _MODEL_KEYS,
@@ -46,7 +47,7 @@ class TestSimulate:
         assert len(latent.read_text().splitlines()) == 6
         doc = json.loads(manifest.read_text())
         assert doc["subcommand"] == "simulate"
-        assert doc["seed"] == 3
+        assert doc["seed"] == 3 and doc["seed_scheme"] == 2
         assert doc["config"]["rounds"] == 4
 
     def test_invalid_sigma_names_field(self, tmp_path, capsys):
@@ -266,7 +267,7 @@ class TestSweep:
         doc = json.loads((tmp_path / "sweep.csv.json").read_text())
         assert len(doc["rows"]) == 6
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
-        assert manifest["subcommand"] == "sweep"
+        assert manifest["subcommand"] == "sweep" and manifest["seed_scheme"] == 2
         assert manifest["config"]["axis"] == "sigma"
 
     def test_unknown_axis_is_usage_error(self, tmp_path, capsys):
@@ -420,6 +421,82 @@ class TestRepeatedCalls:
                                 "--trials", "5", "--out", str(out))
         assert (code, err) == (EXIT_OK, "") and stdout.startswith("wrote ")
         assert out.read_text().splitlines()[0] == "axis,estimator,mse,stderr,trials"
+
+
+def philox_path(params, key, counter=0):
+    """The latent path and observations drawn, in that order, from one Philox constructor."""
+    rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    path = model.simulate_paths(params, rng)
+    return path, model.simulate_observations(path, params, rng)
+
+
+class TestSeedDomains:
+    """Each subcommand draws from streams of its own, replayable from the Philox constructor."""
+
+    PARAMS = ClockModelParams(10.0, 10.0, 1e-2, 1.0, 0.5, 4)
+
+    @staticmethod
+    def walks(monkeypatch, capsys, *argv):
+        """The bytes of each latent walk a run draws: each simulated path, each sweep trial's."""
+        walks = []
+
+        def recorded_paths(params, seed):
+            path = model.simulate_paths(params, seed)
+            walks.append(np.stack([path.xi, path.psi]).tobytes())
+            return path
+
+        def recorded_walks(noise, params):
+            walk = model.random_walks(noise, params)
+            walks.extend(trial.tobytes() for trial in walk)
+            return walk
+
+        monkeypatch.setattr(cli, "simulate_paths", recorded_paths)
+        monkeypatch.setattr(experiments, "random_walks", recorded_walks)
+        assert run(capsys, *argv)[0] == EXIT_OK
+        return walks
+
+    def test_one_seed_draws_apart_in_each_subcommand(self, tmp_path, capsys, monkeypatch):
+        # numpy pads [5, 0], [5, 0, 0] and [5, 0, 0, 0] to one entropy, so the
+        # first scheme drew these three first paths from one stream
+        monkeypatch.chdir(tmp_path)
+        flags = ("--rounds", "4", "--seed", "5")
+        simulate = self.walks(monkeypatch, capsys, "simulate", *flags, "--out", "s")
+        oracle = self.walks(monkeypatch, capsys, "compare-oracle", *flags, "--instances", "3")
+        sweep = self.walks(monkeypatch, capsys, "sweep", *flags, "--axis", "rounds",
+                           "--values", "4", "--trials", "3", "--out", "w.csv")
+        assert (len(simulate), len(oracle), len(sweep)) == (1, 3, 3)
+        assert len(set(simulate + oracle + sweep)) == 7
+
+    def test_a_two_word_seed_is_not_another_subcommands_instance(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # numpy reads [2**32, 0] and [0, 1, 0] as the same words [0, 1, 0], so the
+        # first scheme drew simulate --seed 2**32 as compare-oracle --seed 0 instance 1
+        monkeypatch.chdir(tmp_path)
+        simulate = self.walks(monkeypatch, capsys, "simulate", "--rounds", "4",
+                              "--seed", str(2**32), "--out", "s")
+        oracle = self.walks(monkeypatch, capsys, "compare-oracle", "--rounds", "4",
+                            "--seed", "0", "--instances", "2")
+        assert simulate[0] not in oracle
+
+    def test_simulate_replays_from_its_stream(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "simulate", "--rounds", "4", "--seed", "9", "--out", "s")[0] == EXIT_OK
+        path, obs = philox_path(self.PARAMS, key=[9, 1])
+        with open("s_observations.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["U"]) for r in rows] == obs.U.tolist()
+        assert [float(r["V"]) for r in rows] == obs.V.tolist()
+        with open("s_latent.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["xi"]) for r in rows] == path.xi.tolist()
+        assert [float(r["psi"]) for r in rows] == path.psi.tolist()
+
+    def test_compare_oracle_instances_replay_from_their_streams(self, capsys, monkeypatch):
+        oracle = self.walks(monkeypatch, capsys, "compare-oracle", "--rounds", "4",
+                            "--seed", "9", "--instances", "3")
+        for i, walk in enumerate(oracle):
+            path, _ = philox_path(self.PARAMS, key=[9, 2], counter=[0, 0, 0, i])
+            assert walk == np.stack([path.xi, path.psi]).tobytes()
 
 
 class TestCompareOracle:

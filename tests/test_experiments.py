@@ -198,12 +198,19 @@ class TestCsvAndJson:
         assert doc["rows"][0]["estimator"] == table.rows[0].estimator
 
 
+def trial_stream(seed, axis_index, t):
+    """Trial t's generator at axis position ``axis_index``, from the Philox constructor."""
+    return np.random.Generator(np.random.Philox(key=[seed, 0], counter=[0, 0, axis_index, t]))
+
+
 def reference_cell(params, axis_index, trials, seed):
     """Per-trial squared errors from the public single-series functions."""
     sq = {tag: np.empty(trials) for tag in ALL_ESTIMATORS}
     for t in range(trials):
-        path = simulate_paths(params, seed=[seed, axis_index, t, 0])
-        obs = simulate_observations(path, params, seed=[seed, axis_index, t, 1])
+        # one stream per trial: the path's normals, then the observations' uniforms
+        rng = trial_stream(seed, axis_index, t)
+        path = simulate_paths(params, rng)
+        obs = simulate_observations(path, params, rng)
         truth = float(path.theta[-1])
         estimates = {
             "fge-recursive": fge_offset(obs.U, obs.V, params.lambda_xi,
@@ -255,8 +262,8 @@ class TestBatchedCell:
                 assert table.cell(v, tag).mse == float(np.mean(ref[tag]))
 
     def test_one_round_cell_memory_is_bounded_by_its_block(self):
-        # the seed pass costs about 208 B per trial: 65 536 one-round trials in
-        # one block peaked at 17.3 MB, eight blocks of 8192 at 4.8 MB
+        # a block costs about 120 B per trial besides its draws: 65 536 one-round
+        # trials in one block peaked at 9.4 MB, eight blocks of 8192 at 3.5 MB
         params = ClockModelParams(10.0, 7.0, 1e-2, 1.0, 0.5, 1)
         tracemalloc.start()
         try:
@@ -267,8 +274,8 @@ class TestBatchedCell:
         assert peak < 8e6
 
 
-def default_rng_cell(params, axis_index, trials, master_seed, estimators):
-    """:func:`_run_cell` with every trial seeded by its own two default_rng calls."""
+def philox_cell(params, axis_index, trials, master_seed, estimators):
+    """:func:`_run_cell` with every trial drawn from its own Philox constructor."""
     n = params.rounds
     label = {"fge-recursive": "recursive", "fge-paper": "paper", "ml": "ml"}
     kernels = {
@@ -283,8 +290,9 @@ def default_rng_cell(params, axis_index, trials, master_seed, estimators):
         z = np.empty((stop - start, 2, n))
         u = np.empty((stop - start, 2, n))
         for b, t in enumerate(range(start, stop)):
-            np.random.default_rng([master_seed, axis_index, t, 0]).standard_normal(out=z[b])
-            np.random.default_rng([master_seed, axis_index, t, 1]).random(out=u[b])
+            rng = trial_stream(master_seed, axis_index, t)
+            rng.standard_normal(out=z[b])
+            rng.random(out=u[b])
         walk = random_walks(z, params)
         obs = walk[..., 1:] + exponential_delays(u, params)
         truth = (walk[:, 0, -1] - walk[:, 1, -1]) / 2.0
@@ -295,13 +303,13 @@ def default_rng_cell(params, axis_index, trials, master_seed, estimators):
 
 
 class TestBlockSeeding:
-    """Tables seeded from block-derived states equal per-trial default_rng ones, byte for byte."""
+    """Tables drawn in blocks equal per-trial Philox ones, and each other, byte for byte."""
 
     @pytest.mark.parametrize("block_rounds", [experiments.BLOCK_ROUNDS, 7, 56])
     @pytest.mark.parametrize(
         "axis, values", [("rounds", (1, 2, 25)), ("sigma", (0.0, 1e-3, 0.2))]
     )
-    def test_tables_equal_default_rng_tables(self, monkeypatch, block_rounds, axis, values):
+    def test_tables_equal_philox_tables(self, monkeypatch, block_rounds, axis, values):
         monkeypatch.setattr(experiments, "BLOCK_ROUNDS", block_rounds)
         # the last block is partly filled at N = 25, and at N = 1 and 2 for 56;
         # for 7 every block holds one trial
@@ -311,6 +319,23 @@ class TestBlockSeeding:
                           seed=2**32 + 5)
         sweep = mse_vs_rounds if axis == "rounds" else mse_vs_sigma
         got = sweep(cfg).to_csv()
-        monkeypatch.setattr(experiments, "_run_cell", default_rng_cell)
+        monkeypatch.setattr(experiments, "_run_cell", philox_cell)
         assert got == sweep(cfg).to_csv()
+
+    @pytest.mark.parametrize(
+        "axis, values", [("rounds", (1, 2, 25)), ("sigma", (0.0, 1e-3, 0.2))]
+    )
+    def test_tables_do_not_depend_on_the_block_size(self, monkeypatch, axis, values):
+        # needs no per-trial reference, so it holds for any scheme that gives
+        # each trial its own stream
+        # 7: one trial per block; 56: blocks of 7 trials at N = 1 and 2, the
+        # last one partly filled, and of 2 at N = 25; 65 536: one block per cell
+        params = ClockModelParams(10.0, 7.0, 1e-2, 1.0, 0.5, 25)
+        cfg = make_config(params=params, axis=axis, values=values, trials=300, seed=2**32 + 5)
+        sweep = mse_vs_rounds if axis == "rounds" else mse_vs_sigma
+        tables = set()
+        for block_rounds in (7, 56, 65_536):
+            monkeypatch.setattr(experiments, "BLOCK_ROUNDS", block_rounds)
+            tables.add(sweep(cfg).to_csv())
+        assert len(tables) == 1
 

@@ -23,7 +23,7 @@ from fgclock import (
     simulate_paths,
 )
 from fgclock.estimators import ESTIMATORS, chain_kernel
-from fgclock.model import check_chain, check_real, draw_trials, stream_states
+from fgclock.model import check_chain, check_real, draw_trials
 
 
 def make_params(**kw):
@@ -349,25 +349,32 @@ class TestSeeds:
 
 
 
+def philox_trial(master, axis_index, t, rounds):
+    """Trial t's normals and uniforms, replayed from the Philox constructor of seed scheme 2."""
+    rng = np.random.Generator(
+        np.random.Philox(key=[master, 0], counter=[0, 0, axis_index, t]))
+    return np.stack([rng.standard_normal((2, rounds)), rng.random((2, rounds))])
+
+
 @pytest.mark.filterwarnings("error")
-class TestStreamStates:
-    """The block-derived PCG64 states are numpy's own SeedSequence states."""
+class TestDrawTrials:
+    """Each trial's draws are its own Philox stream's, in any block."""
 
     @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**53])
     @pytest.mark.parametrize("axis_index", [0, 7, 2**32 + 1])
-    @pytest.mark.parametrize("start, stop", [(0, 300), (2**32 - 3, 2**32 + 3)])
-    def test_states_equal_seed_sequence_states(self, master, axis_index, start, stop):
-        states = stream_states(master, axis_index, start, stop)
-        assert states.shape == (stop - start, 2, 4) and states.dtype == np.uint64
+    # a sweep's last trial is at most COUNT_MAX - 1 = 2**53 - 1
+    @pytest.mark.parametrize("start, stop", [(0, 300), (2**32 - 3, 2**32 + 3),
+                                             (2**53 - 5, 2**53)])
+    def test_rows_equal_the_philox_constructor_rows(self, master, axis_index, start, stop):
+        rows = np.empty((2, stop - start, 2, 3))
+        draw_trials(master, axis_index, start, rows[0], rows[1])
         for t in range(start, stop):
-            for s in (0, 1):
-                seq = np.random.SeedSequence([master, axis_index, t, s])
-                want = seq.generate_state(4, np.uint64)
-                assert states[t - start, s].tobytes() == want.tobytes(), (t, s)
+            want = philox_trial(master, axis_index, t, 3)
+            assert rows[:, t - start].tobytes() == want.tobytes(), t
 
     @pytest.mark.parametrize("master", [0, 2**53])
-    def test_draw_trials_draws_as_default_rng(self, master):
-        # trials 2**32 - 3 .. 2**32 + 2: t grows from one 32-bit word to two
+    def test_two_blocks_replay_from_the_philox_constructor(self, master):
+        # trials 2**32 - 3 .. 2**32 + 2: t grows past one 32-bit word
         start, trials = 2**32 - 3, 6
         whole = np.empty((2, trials, 2, 50))
         draw_trials(master, 7, start, whole[0], whole[1])
@@ -377,9 +384,7 @@ class TestStreamStates:
         draw_trials(master, 7, start + 2, split[0, 2:], split[1, 2:])
         assert split.tobytes() == whole.tobytes()
         for t in range(start, start + trials):
-            want = np.empty((2, 2, 50))
-            np.random.default_rng([master, 7, t, 0]).standard_normal(out=want[0])
-            np.random.default_rng([master, 7, t, 1]).random(out=want[1])
+            want = philox_trial(master, 7, t, 50)
             assert whole[:, t - start].tobytes() == want.tobytes(), t
 
 

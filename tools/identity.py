@@ -20,7 +20,10 @@ group, ``<group> <records> <sha256>``, over two parts:
   config file that sets every setting, alone, overridden by flags, with
   an unknown key and with a refused count; a rounds sweep at N = 1 and 2
   runs 8200 trials, one more block than 8192 trials; and every
-  subcommand prints its ``--help``.
+  subcommand prints its ``--help``. These groups hold draws of the seed
+  scheme that the manifests record (``fgclock.model.SEED_SCHEME``): a new
+  scheme moves the ``simulate``, ``sweep`` and ``compare-oracle`` groups,
+  and the ``estimate`` groups that read ``simulate``'s files, and no other.
 
 Run it on two trees and ``diff`` the files: a differing line names the
 corpus family, variant and path, or the command, that changed. ``--tiny``
