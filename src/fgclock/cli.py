@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import FgclockError, ParameterError, SizeError
-from .estimators import ESTIMATORS, chain_kernel, fge_offset
+from .estimators import ESTIMATORS, fge_offset, final_estimate
 from .experiments import (
     AXIS_ROUNDS,
     AXIS_SIGMA,
@@ -118,10 +118,14 @@ def _write_json(path, document, sort_keys=False):
         fh.write(json.dumps(document, indent=2, sort_keys=sort_keys) + "\n")
 
 
-def _add_model_flags(parser):
+def _add_estimator_flags(parser):
     parser.add_argument("--lambda-xi", dest="lambda_xi", type=float, default=None)
     parser.add_argument("--lambda-psi", dest="lambda_psi", type=float, default=None)
     parser.add_argument("--sigma", type=float, default=None)
+
+
+def _add_model_flags(parser):
+    _add_estimator_flags(parser)
     parser.add_argument("--d0", type=float, default=None)
     parser.add_argument("--theta0", type=float, default=None)
 
@@ -198,6 +202,7 @@ def _read_observations(path):
 def cmd_estimate(args):
     U, V = _read_observations(args.input)
     params = _model(_settings(args))
+    used = {key: getattr(params, key) for key in ("lambda_xi", "lambda_psi", "sigma")}
     out = {}
     for variant in ESTIMATORS if args.variant == "all" else [args.variant]:
         est = fge_offset(U, V, params.lambda_xi, params.lambda_psi, params.sigma, variant)
@@ -206,7 +211,7 @@ def cmd_estimate(args):
             "psi_hat_N": est.psi_hat_N,
             "theta_hat_N": est.theta_hat_N,
         }
-    print(json.dumps({"rounds": len(U), "estimates": out}, indent=2))
+    print(json.dumps({"rounds": len(U), "params": used, "estimates": out}, indent=2))
     return EXIT_OK
 
 
@@ -241,19 +246,16 @@ def cmd_compare_oracle(args):
             f"active sets, at most {MAX_ENUM_SETS}; got {instances} * {cost}"
         )
     # the factor-graph variants, each against the exact MAP
-    estimators = {
-        variant.oracle_key: chain_kernel(tag, params.lambda_xi, params.sigma, params.rounds)
-        for tag, variant in ESTIMATORS.items()
-        if variant.oracle_key is not None
-    }
+    estimators = {variant.oracle_key: tag for tag, variant in ESTIMATORS.items()
+                  if variant.oracle_key is not None}
     worst = dict.fromkeys(estimators, (-1.0, None))
     for i in range(instances):
         rng = seed_stream(seed, DOMAIN_COMPARE_ORACLE, [0, 0, 0, i])
         path = simulate_paths(params, rng)
         obs = simulate_observations(path, params, rng)
         exact = exact_map_active_set(obs.U, params.lambda_xi, params.sigma).path[-1]
-        for key, estimate in estimators.items():
-            dev = abs(estimate(obs.U) - exact)
+        for key, tag in estimators.items():
+            dev = abs(final_estimate(tag, obs.U, params.lambda_xi, params.sigma) - exact)
             if dev > worst[key][0]:
                 worst[key] = (dev, i)
     report = {"rounds": params.rounds, "instances": instances, "seed": seed}
@@ -288,7 +290,7 @@ def build_parser():
         choices=[*ESTIMATORS, "all"],
         default="all",
     )
-    _add_model_flags(p)
+    _add_estimator_flags(p)
     p.set_defaults(func="cmd_estimate")
 
     p = sub.add_parser("sweep", help="Monte Carlo MSE sweep over rounds or sigma")

@@ -11,7 +11,7 @@ estimate is theta_hat = (xi_hat_N - psi_hat_N) / 2.
 
 The table :data:`ESTIMATORS` holds every estimator of xi_hat_N, keyed by
 variant tag: a module-level function of the observations, their min, lam
-and sigma**2. :func:`chain_kernel` is the one checked way to call one: the
+and sigma**2. :func:`final_estimate` is the one checked way to call one: the
 offset estimators, the experiments and the CLI all go through it, and
 ``Variant.estimate`` is its unchecked internal. The variants are:
 
@@ -39,8 +39,8 @@ the same rounding, lies strictly above the largest U_N of any row, so
 every result is bit for bit the whole chain's: about
 sqrt(2 (U_N - min U) / (lam sigma^2)) rounds for ``recursive``, whose
 shifts add up triangularly, and (U_N - min U) / (lam sigma^2) for
-``paper``. The whole chain is read once, by the check's min/max pass, and
-the window reuses its min.
+``paper``. Outside the window, the chain is read only by the check, whose
+min and max are two full reductions, and the window reuses its min.
 """
 
 import math
@@ -332,7 +332,7 @@ Variant = namedtuple("Variant", "estimate label oracle_key")
 #: ``low``, rate lam and sigma**2 ``s2`` as :func:`fgclock.model.sigma_squared`
 #: checked them (``ml`` reads neither). It computes only the shifts of the
 #: window :func:`_window` finds for U and lets no overflow warn; only
-#: :func:`chain_kernel` calls it. ``label`` names the variant's rows in sweep
+#: :func:`final_estimate` calls it. ``label`` names the variant's rows in sweep
 #: tables; ``oracle_key`` names its deviation from the exact MAP in the
 #: compare-oracle report (None for ML, not a factor-graph estimate).
 ESTIMATORS = {
@@ -342,39 +342,29 @@ ESTIMATORS = {
 }
 
 
-def chain_kernel(variant, lam, sigma, n):
-    """The checked estimator of ``variant`` for one chain of ``n`` rounds.
+def final_estimate(variant, U, lam, sigma):
+    """xi_hat_N of ``variant``, checked, for a series U or a ``(trials, N)`` block.
 
-    Returns a function that checks its observations once, finite values
-    as a 1-D series of ``n`` rounds or a ``(trials, n)`` block, and maps
-    a series to xi_hat_N and a block to the ``(trials,)`` estimates, each
-    row bit for bit the series result. The check's min/max pass is the
-    only full read of a series: its min sizes the window, or is the ``ml``
-    estimate. Each call computes only the shifts of its window, which for a
-    block is sized by the largest U_N of any row. ``ml`` reads neither lam
-    nor sigma, so they are not checked for it.
+    Checks lam and sigma, then the observations, which must be finite
+    numbers, and maps a series to xi_hat_N and a block to the ``(trials,)``
+    estimates, each row bit for bit the series result. N is the length of
+    the last axis. The check's min sizes the window, or is the ``ml``
+    estimate, and only the shifts of the window are computed; a block's is
+    sized by the largest U_N of any row. ``ml`` reads neither lam nor
+    sigma, so they are not checked for it.
     """
     try:
         estimate = ESTIMATORS[variant].estimate
     except (KeyError, TypeError):
         raise ParameterError(f"unknown variant {variant!r}") from None
-    n = check_count(n, "n")
     s2 = None if estimate is _ml else sigma_squared(sigma, lam)
-
-    def kernel(U):
-        U, low = check_chain(U, "observations", ndims=(1, 2))
-        if U.shape[-1] != n:
-            raise ShapeError(f"expected {n} rounds, got {U.shape[-1]}")
-        return estimate(U, low, lam, s2)
-
-    return kernel
+    U, low = check_chain(U, "observations", ndims=(1, 2))
+    return estimate(U, low, lam, s2)
 
 
-def _series_length(U):
-    shape = U.shape
-    if len(shape) != 1 or not shape[0]:
-        raise ShapeError(f"a series must be a nonempty 1-D sequence, got shape {shape}")
-    return shape[0]
+def _check_series(U):
+    if U.ndim != 1 or not U.size:
+        raise ShapeError(f"a series must be a nonempty 1-D sequence, got shape {U.shape}")
 
 
 def closed_form_estimate_paper(U, lam, sigma):
@@ -383,7 +373,8 @@ def closed_form_estimate_paper(U, lam, sigma):
     Returns min over k = 1..N of U_k + (N - k) * lam * sigma^2.
     """
     U = as_array(U, "U")
-    return float(chain_kernel("paper", lam, sigma, _series_length(U))(U))
+    _check_series(U)
+    return float(final_estimate("paper", U, lam, sigma))
 
 
 def fge_offset(U, V, lambda_xi, lambda_psi, sigma, variant="recursive"):
@@ -395,9 +386,9 @@ def fge_offset(U, V, lambda_xi, lambda_psi, sigma, variant="recursive"):
     U, V = as_array(U, "U"), as_array(V, "V")
     if U.shape != V.shape:
         raise ShapeError(f"U and V shapes differ: {U.shape} vs {V.shape}")
-    n = _series_length(U)
-    xi_n = float(chain_kernel(variant, lambda_xi, sigma, n)(U))
-    psi_n = float(chain_kernel(variant, lambda_psi, sigma, n)(V))
+    _check_series(U)
+    xi_n = float(final_estimate(variant, U, lambda_xi, sigma))
+    psi_n = float(final_estimate(variant, V, lambda_psi, sigma))
     # halved first, so that estimates near the float limit give a finite offset
     return OffsetEstimate(xi_n, psi_n, xi_n / 2.0 - psi_n / 2.0, variant)
 

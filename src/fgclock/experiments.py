@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FgclockError, ParameterError
-from .estimators import ESTIMATORS, chain_kernel
+from .estimators import ESTIMATORS, final_estimate
 from .model import (
     ClockModelParams,
     check_count,
@@ -163,13 +163,6 @@ def block_trials(rounds):
 def _run_cell(params, axis_index, trials, master_seed, estimators):
     """Squared errors of every estimator over ``trials`` independent runs."""
     n = params.rounds
-    kernels = {
-        tag: (
-            chain_kernel(_TAGS[tag], params.lambda_xi, params.sigma, n),
-            chain_kernel(_TAGS[tag], params.lambda_psi, params.sigma, n),
-        )
-        for tag in estimators
-    }
     sq = {tag: np.empty(trials) for tag in estimators}
     block = min(block_trials(n), trials)
     noise = np.empty((block, 2, n))
@@ -181,8 +174,10 @@ def _run_cell(params, axis_index, trials, master_seed, estimators):
         walk = random_walks(z, params)
         obs = walk[..., 1:] + exponential_delays(u, params)
         truth = (walk[:, 0, -1] - walk[:, 1, -1]) / 2.0
-        for tag, (xi_kernel, psi_kernel) in kernels.items():
-            err = (xi_kernel(obs[:, 0]) - psi_kernel(obs[:, 1])) / 2.0 - truth
+        for tag in estimators:
+            xi = final_estimate(_TAGS[tag], obs[:, 0], params.lambda_xi, params.sigma)
+            psi = final_estimate(_TAGS[tag], obs[:, 1], params.lambda_psi, params.sigma)
+            err = (xi - psi) / 2.0 - truth
             sq[tag][start:stop] = err * err
     return sq
 

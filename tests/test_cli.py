@@ -175,6 +175,23 @@ class TestEstimate:
         doc = json.loads(out)
         assert doc["estimates"]["recursive"]["theta_hat_N"] == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("flags, sigma", [(["--sigma", "0"], 0.0), ([], 0.01)])
+    def test_params_used_are_reported(self, tmp_path, capsys, flags, sigma):
+        csv = tmp_path / "obs.csv"
+        write_obs(csv, [(1, 3.0, 1.0), (2, 2.0, 2.0), (3, 4.0, 3.0)])
+        code, out, _ = run(capsys, "estimate", "--input", str(csv), "--lambda-psi", "4", *flags)
+        assert code == EXIT_OK
+        assert json.loads(out)["params"] == {"lambda_xi": 10.0, "lambda_psi": 4.0, "sigma": sigma}
+
+    @pytest.mark.parametrize("flag", ["--d0", "--theta0"])
+    def test_no_estimator_reads_d0_or_theta0(self, tmp_path, capsys, flag):
+        csv = tmp_path / "obs.csv"
+        write_obs(csv, [(1, 3.0, 1.0), (2, 2.0, 2.0), (3, 4.0, 3.0)])
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", str(csv), flag, "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_all_variants_in_table_order(self, tmp_path, capsys):
         csv = tmp_path / "obs.csv"
         write_obs(csv, [(1, 3.0, 1.0), (2, 2.0, 2.0), (3, 4.0, 3.0)])
@@ -622,8 +639,8 @@ CONFIGS = st.builds(
 REFUSED_COUNTS = st.integers(-50, 0) | st.integers(2**53 + 1, 10**25)
 FLAG_COUNTS = st.integers(1, 50) | REFUSED_COUNTS | st.integers(10**15, 2**53)
 FLAG_REALS = st.floats(1e-3, 1e3) | st.floats()
-MODEL_FLAGS = dict.fromkeys(("--lambda-xi", "--lambda-psi", "--sigma", "--d0", "--theta0"),
-                            FLAG_REALS)
+ESTIMATE_FLAGS = dict.fromkeys(("--lambda-xi", "--lambda-psi", "--sigma"), FLAG_REALS)
+MODEL_FLAGS = {**ESTIMATE_FLAGS, "--d0": FLAG_REALS, "--theta0": FLAG_REALS}
 SWEEP_VALUES = st.text(max_size=5) | st.lists(
     st.integers(1, 50) | st.integers(10**15, 10**25) | st.floats(), min_size=1, max_size=4
 ).map(lambda values: ",".join(map(repr, sorted(values, key=float))))
@@ -636,7 +653,7 @@ FLAGS = {
         {"--rounds": FLAG_COUNTS, "--seed": FLAG_COUNTS, **MODEL_FLAGS},
     ),
     "estimate": ({}, {"--variant": st.sampled_from(["recursive", "paper", "ml", "all"]),
-                      **MODEL_FLAGS}),
+                      **ESTIMATE_FLAGS}),
     "compare-oracle": (
         {"--rounds": st.integers(1, 6) | REFUSED_COUNTS | st.integers(10**15, 2**53),
          "--instances": st.integers(1, 50) | REFUSED_COUNTS | st.integers(10**15, 2**53)},

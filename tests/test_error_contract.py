@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fgclock
 from fgclock import ClockModelParams, FgclockError, LatentPath, ObservationSeries
-from fgclock.estimators import chain_kernel
+from fgclock.estimators import final_estimate
 from fgclock.model import COUNT_MAX
 
 PARAMS = ClockModelParams(10.0, 10.0, 0.01, 1.0, 0.5, 4)
@@ -57,10 +57,6 @@ OBJECTS = MODELS | PATHS | BACKWARD | st.sampled_from([
 ])
 
 
-def kernel(variant, lam, sigma, n, U):
-    return chain_kernel(variant, lam, sigma, n)(U)
-
-
 #: Each entry, and the kind of each of its arguments.
 ENTRIES = {
     "ClockModelParams": (ClockModelParams, [NUMBERS] * 5 + [COUNTS]),
@@ -80,8 +76,7 @@ ENTRIES = {
     "coordinate_ascent_map": (fgclock.coordinate_ascent_map,
                               [CHAINS] + [NUMBERS] * 3 + [COUNTS]),
     "grid_max_marginal": (fgclock.grid_max_marginal, [CHAINS] + [NUMBERS] * 4 + [COUNTS]),
-    "chain_kernel": (chain_kernel, [VARIANTS, NUMBERS, NUMBERS, COUNTS]),
-    "kernel": (kernel, [VARIANTS, NUMBERS, NUMBERS, COUNTS, CHAINS]),
+    "final_estimate": (final_estimate, [VARIANTS, CHAINS, NUMBERS, NUMBERS]),
 }
 
 
@@ -138,7 +133,7 @@ def numbers(name, result):
 @example(call=("coordinate_ascent_map", ([1.7e308, -1.7e308, 1.7e308], 1.0, 1.0, 1e-12, 1000)))
 # calls that raised TypeError or warned before their arguments were checked first
 @example(call=("closed_form_estimate_paper", ([1.0, 2.0], None, 0.01)))
-@example(call=("chain_kernel", ("paper", 1j, 0.01, 2)))
+@example(call=("final_estimate", ("paper", [1.0, 2.0], 1j, 0.01)))
 @example(call=("fge_offset", ([1.0, 2.0], [1.0, 2.0], 10**400, 1.0, 0.01, "paper")))
 @example(call=("ClockModelParams", (np.float32(0.5), 1e308, 0.1, 1.0, 0.0, 3)))
 @example(call=("simulate_paths", (ClockModelParams(2.0, 2.0, 0.3, 1e308, np.float32(0.5), 2), 1)))

@@ -23,7 +23,7 @@ from fgclock import (
     simulate_paths,
 )
 from fgclock import estimators
-from fgclock.estimators import ESTIMATORS, _shifts, chain_kernel
+from fgclock.estimators import ESTIMATORS, _shifts, final_estimate
 from fgclock.experiments import ALL_ESTIMATORS, SweepConfig, mse_vs_sigma
 from fgclock.model import check_chain, sigma_squared
 
@@ -38,7 +38,7 @@ def chain_shifts(lam, sigma, n):
 
 
 def build(tag, lam, sigma, n):
-    """The unchecked estimator of ``tag``, handed the min of U as the kernel's check finds it."""
+    """The unchecked estimator of ``tag``, handed the min of U as check_chain finds it."""
     estimate, s2 = ESTIMATORS[tag].estimate, sigma_squared(sigma, lam)
     return lambda U: estimate(U, check_chain(U, ndims=(1, 2))[1], lam, s2)
 
@@ -270,7 +270,7 @@ class TestOffsets:
         lambda: fge_offset([[1.0, 2.0], [3.0]], [[1.0, 2.0], [3.0]], 10, 10, 0.1),
         lambda: fge_offset([1.0, 2.0], [[1.0], [2.0, 3.0]], 1.0, 1.0, 0.1),
         lambda: closed_form_estimate_paper([[1.0, 2.0], [3.0]], 1.0, 0.1),
-        lambda: chain_kernel("ml", 1.0, 0.1, 2)([[1.0, 2.0], [3.0]]),
+        lambda: final_estimate("ml", [[1.0, 2.0], [3.0]], 1.0, 0.1),
         lambda: exact_map_active_set([[1.0], [2.0, 3.0]], 10, 0.1),
     ])
     def test_ragged_nested_lists_are_shape_errors(self, call):
@@ -352,8 +352,8 @@ CHAIN_ESTIMATORS = {
     "fge-paper": lambda U: fge_offset(U, [1.0, 1.0, 1.0], 2.0, 2.0, 0.1, "paper"),
     "ml": lambda U: ml_offset(U, [1.0, 1.0, 1.0]),
     "ml-v": lambda U: ml_offset([1.0, 1.0, 1.0], U),
-    "kernel": lambda U: chain_kernel("recursive", 2.0, 0.1, 3)(np.array([U])),
-    "kernel-series": lambda U: chain_kernel("ml", 2.0, 0.1, 3)(U),
+    "final-block": lambda U: final_estimate("recursive", np.array([U]), 2.0, 0.1),
+    "final-series": lambda U: final_estimate("ml", U, 2.0, 0.1),
 }
 
 
@@ -365,20 +365,16 @@ class TestNonFiniteObservations:
         with pytest.raises(ParameterError, match="finite"):
             CHAIN_ESTIMATORS[estimator]([0.5, bad, 0.7])
 
-    def test_kernel_checks_shape(self):
-        kernel = chain_kernel("paper", 2.0, 0.1, 3)
+    def test_final_estimate_checks_shape(self):
         U = np.array([0.4, 1.0, 0.7])
         want = np.float64(closed_form_estimate_paper(U, 2.0, 0.1))
-        assert kernel(U).tobytes() == want.tobytes()
-        with pytest.raises(ShapeError):
-            kernel(np.ones((2, 4)))
-        with pytest.raises(ShapeError):
-            kernel(np.ones(4))
-        with pytest.raises(ShapeError):
-            kernel(np.ones((2, 1, 3)))
+        assert final_estimate("paper", U, 2.0, 0.1).tobytes() == want.tobytes()
+        for bad in (np.ones((2, 1, 3)), np.ones((2, 0)), np.ones(0)):
+            with pytest.raises(ShapeError):
+                final_estimate("paper", bad, 2.0, 0.1)
 
 
-class TestChainKernel:
+class TestFinalEstimate:
     @pytest.mark.parametrize("variant", ["recursive", "paper", "ml"])
     @pytest.mark.parametrize("sigma", [0.0, 1e-2, 0.7])
     @pytest.mark.parametrize("n", [1, 2, 9])
@@ -390,13 +386,13 @@ class TestChainKernel:
             "paper": lambda row: closed_form_estimate_paper(row, 3.0, sigma),
             "ml": lambda row: ml_offset(row, row).xi_hat_N,
         }[variant]
-        got = chain_kernel(variant, 3.0, sigma, n)(U)
+        got = final_estimate(variant, U, 3.0, sigma)
         want = np.array([single(row) for row in U])
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("variant", ["recursive", "paper"])
     @pytest.mark.parametrize("shape", [(1000,), (4, 1000)])
-    def test_each_build_checks_sigma_once(self, monkeypatch, variant, shape):
+    def test_each_call_checks_sigma_once(self, monkeypatch, variant, shape):
         calls = []
 
         def counting(sigma, lam):
@@ -405,37 +401,36 @@ class TestChainKernel:
 
         monkeypatch.setattr(estimators, "sigma_squared", counting)
         U = np.random.default_rng(3).uniform(0.0, 2.0, shape)
-        chain_kernel(variant, 3.0, 1e-2, shape[-1])(U)
+        final_estimate(variant, U, 3.0, 1e-2)
         assert len(calls) == 1
+        final_estimate(variant, U, 3.0, 1e-2)
+        assert len(calls) == 2
 
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
-            chain_kernel("bogus", 1.0, 0.1, 3)
+            final_estimate("bogus", [1.0, 2.0], 1.0, 0.1)
 
     def test_ml_reads_neither_rate_nor_sigma(self):
         U, V = [3.0, 1.5, 2.0], [0.5, 4.0, 1.0]
-        assert chain_kernel("ml", None, None, 3)(U) == 1.5
+        assert final_estimate("ml", U, None, None) == 1.5
         est = fge_offset(U, V, None, "x", -1.0, "ml")
         assert (est.xi_hat_N, est.psi_hat_N) == (1.5, 0.5)
-        # the factor-graph variants check the rate when the kernel is built
+        # the factor-graph variants check the rate
         with pytest.raises(ParameterError):
-            chain_kernel("recursive", None, 0.1, 3)
+            final_estimate("recursive", U, None, 0.1)
 
     @pytest.mark.parametrize("variant", ["recursive", "paper", "ml"])
     @pytest.mark.parametrize("bad", [
-        np.array([1.0, 2.0]), [1.0, math.nan, 2.0, 3.0, 4.0], [math.inf] * 5,
+        [1.0, math.nan, 2.0, 3.0, 4.0], [math.inf] * 5,
         np.full((2, 5), -math.inf), np.float64(1.0), np.ones((1, 2, 5)), list("abcde"),
         ["1", "2", "3", "4", "5"], [None] * 5, [True] * 5, np.ones((0, 5)),
     ])
     def test_malformed_observations_refused(self, variant, bad):
-        # an unchecked builder estimates a 2-round series with the shifts of 5 rounds
         with pytest.raises(FgclockError):
-            chain_kernel(variant, 10.0, 0.1, 5)(bad)
+            final_estimate(variant, bad, 10.0, 0.1)
 
     @pytest.mark.parametrize("n", [True, "3", 2.5])
     def test_round_count_must_be_a_whole_number(self, n):
-        with pytest.raises(ParameterError):
-            chain_kernel("paper", 1.0, 0.1, n)
         with pytest.raises(ParameterError):
             backward_constants(1.0, 0.1, n)
 
@@ -455,7 +450,7 @@ def test_extreme_sigma_stays_in_error_contract(sigma, underflows):
         "paper": lambda s: closed_form_estimate_paper(U, 10.0, s),
         "fge-recursive": lambda s: fge_offset(U, V, 10.0, 7.0, s).theta_hat_N,
         "fge-paper": lambda s: fge_offset(U, V, 10.0, 7.0, s, "paper").theta_hat_N,
-        "kernel": lambda s: chain_kernel("recursive", 10.0, s, 3)(np.array([U]))[0],
+        "final-block": lambda s: final_estimate("recursive", np.array([U]), 10.0, s)[0],
     }
 
     def sweep():
@@ -492,9 +487,9 @@ SHIFTED_ESTIMATORS = {
     "paper": lambda lam, s: closed_form_estimate_paper([1.0, 0.4, 0.8], lam, s),
     "fge-recursive": lambda lam, s: fge_offset([1.0, 0.4], [0.9, 1.1], lam, 1.0, s),
     "fge-paper": lambda lam, s: fge_offset([1.0, 0.4], [0.9, 1.1], 1.0, lam, s, "paper"),
-    "kernel-recursive": lambda lam, s: chain_kernel("recursive", lam, s, 3),
-    "kernel-paper": lambda lam, s: chain_kernel("paper", lam, s, 3),
-    "kernel-series": lambda lam, s: chain_kernel("recursive", lam, s, 3)([1.0, 0.4, 0.8]),
+    "final-recursive": lambda lam, s: final_estimate("recursive", [[1.0, 0.4, 0.8]], lam, s),
+    "final-paper": lambda lam, s: final_estimate("paper", [[1.0, 0.4, 0.8]], lam, s),
+    "final-series": lambda lam, s: final_estimate("recursive", [1.0, 0.4, 0.8], lam, s),
     "backward_constants": lambda lam, s: backward_constants(lam, s, 3),
 }
 
@@ -609,7 +604,7 @@ class TestFastRecursivePath:
         rng = np.random.default_rng(5)
         block = rng.choice([-0.0, 0.0], size=(37, 6))
         block[:2] = [[-0.0, -0.0, 0.0, -0.0, -0.0, -0.0], [0.0, -0.0, -0.0, -0.0, 0.0, -0.0]]
-        rows = chain_kernel("recursive", 2.0, 0.0, 6)(block)
+        rows = final_estimate("recursive", block, 2.0, 0.0)
         want = np.array([literal_backtrack(u, np.zeros(6))[0][-1] for u in block])
         # bar = prev + 0.0 is +0.0, and every tie keeps it
         assert not np.signbit(want).any() and np.signbit(block[:, -1]).sum() > 9
@@ -627,7 +622,7 @@ class TestFastRecursivePath:
         U = np.random.default_rng(6).uniform(0.0, 2.0, n)
         self.assert_all_equal_reference(U, U[::-1].copy(), lam, sigma)
         assert closed_form_estimate_paper(U, lam, sigma) == np.min(U + paper_shifts)
-        assert chain_kernel("paper", lam, sigma, n)(U[None, :]).tolist() == [
+        assert final_estimate("paper", U[None, :], lam, sigma).tolist() == [
             np.min(U + paper_shifts)
         ]
 
@@ -670,7 +665,7 @@ class TestFastRecursivePath:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_bounds_do_not_warn(self, sign):
-        # the table's estimator called directly, outside the kernel's errstate:
+        # the table's estimator called directly, outside any errstate:
         # near 1.7e308 the running minimum plus a finite shift overflows, and
         # distant shifts are inf; pytest makes an overflow warning an error
         lam, sigma, n = 10.0, 1e153, 60
@@ -686,7 +681,7 @@ class TestFastRecursivePath:
 
     @FAST_PATH_GRID
     def test_shifts_of_a_suffix_are_a_suffix_of_the_shifts(self, lam, sigma, n):
-        # the windows rest on this: a kernel keeps one shift array and slices it
+        # the windows rest on this: the shifts of a chain's last m rounds do not depend on N
         self.assert_suffix_lemma(lam, sigma, n)
 
     @pytest.mark.parametrize("lam", [0.1, 7.1])
@@ -713,7 +708,7 @@ class TestFastRecursivePath:
             U[-1] = min(spread * unit, 1.7e308)
             # the full pass, which the literal recursion checks above
             want = backtrack_estimate(U, lam, sigma).xi_hat[-1]
-            got = chain_kernel("recursive", lam, sigma, n)(U)
+            got = final_estimate("recursive", U, lam, sigma)
             assert np.float64(got).tobytes() == want.tobytes()
         # a flat series reads its last two rounds
         assert min(window_lengths) == min(n, 2)
@@ -728,7 +723,7 @@ class TestFastRecursivePath:
         U[-1] = 0.8 * s2
         with np.errstate(over="ignore"):
             want = literal_backtrack(U, chain_shifts(lam, sigma, n))[0][-1]
-        got = chain_kernel("recursive", lam, sigma, n)(U)
+        got = final_estimate("recursive", U, lam, sigma)
         assert np.float64(got).tobytes() == want.tobytes()
         assert window_lengths == [3]
 
@@ -744,8 +739,8 @@ class TestFastRecursivePath:
         U = np.zeros(n)
         U[-1] = 1e-296
         want = literal_backtrack(U, np.zeros(n))[0][-1]
-        assert np.float64(chain_kernel("recursive", lam, sigma, n)(U)).tobytes() == want.tobytes()
-        rows = chain_kernel("recursive", lam, sigma, n)(np.array([U, U]))
+        assert np.float64(final_estimate("recursive", U, lam, sigma)).tobytes() == want.tobytes()
+        rows = final_estimate("recursive", np.array([U, U]), lam, sigma)
         assert rows.tobytes() == np.array([want, want]).tobytes()
         assert window_lengths == []
 
@@ -816,7 +811,7 @@ class TestFastRecursivePath:
         n = 28_800
         for seed in range(4):
             U = model_chain(n, 10.0, 1e-2, seed)
-            got = chain_kernel("recursive", 10.0, 1e-2, n)(U)
+            got = final_estimate("recursive", U, 10.0, 1e-2)
             want = literal_backtrack(U, chain_shifts(10.0, 1e-2, n))[0][-1]
             assert np.float64(got).tobytes() == want.tobytes()
         assert len(window_lengths) == 4 and max(window_lengths) < 200
@@ -827,10 +822,10 @@ class TestFastRecursivePath:
         n = 28_800
         block = np.array([model_chain(n, 10.0, 1e-2, seed) for seed in (5, 6)])
         for tag in ("recursive", "paper"):
-            kernel = chain_kernel(tag, 10.0, 1e-2, n)
-            rows = kernel(block)
+            rows = final_estimate(tag, block, 10.0, 1e-2)
             assert window_lengths.pop() < n // 2, tag
-            assert rows.tobytes() == np.array([kernel(U) for U in block]).tobytes(), tag
+            series = [final_estimate(tag, U, 10.0, 1e-2) for U in block]
+            assert rows.tobytes() == np.array(series).tobytes(), tag
 
     def test_block_rows_far_apart_read_the_whole_chain(self, window_lengths):
         # the second row's U_N lies 1e4 above the first's: the block's window,
@@ -841,9 +836,8 @@ class TestFastRecursivePath:
         block = np.array([U, U])
         block[1, -1] += 1e4
         for tag in ("recursive", "paper"):
-            kernel = chain_kernel(tag, 10.0, 1e-2, n)
-            rows = kernel(block)
-            series = [kernel(row) for row in block]
+            rows = final_estimate(tag, block, 10.0, 1e-2)
+            series = [final_estimate(tag, row, 10.0, 1e-2) for row in block]
             assert rows.tobytes() == np.array(series).tobytes(), tag
             assert window_lengths[0] == n and window_lengths[1] < n // 2, tag
             window_lengths.clear()
@@ -903,9 +897,9 @@ class TestFastRecursivePath:
                                          [1.0, 0.0], [1.0, -0.0], [-1.0, 2.0, -1.0])]
         for U in chains:
             want = literal_backtrack(U, np.zeros(len(U)))[0][-1]
-            got = chain_kernel("recursive", 2.0, sigma, len(U))(U)
+            got = final_estimate("recursive", U, 2.0, sigma)
             assert np.float64(got).tobytes() == want.tobytes()
-            got = chain_kernel("paper", 2.0, sigma, len(U))(U)
+            got = final_estimate("paper", U, 2.0, sigma)
             assert np.float64(got).tobytes() == paper_reference(U, 2.0, sigma).tobytes()
         # paper's shifts 2 sigma**2 d are subnormal, not zero, at sigma = 1e-155
         assert window_lengths == ([len(U) for U in chains] if sigma == 1e-155 else [])
@@ -942,12 +936,11 @@ class TestFastRecursivePath:
         chain = model_chain(4000, 10.0, 1e-2, 8)
         for U in (chain[::2], chain.astype(np.float32), np.round(chain * 1e3).astype(int)):
             copy = np.ascontiguousarray(U, dtype=float)
-            n = len(U)
             for tag in ("recursive", "paper"):
                 for lam, sigma in ((10.0, 1e-2), (1e-3, 1.0)):
-                    kernel = chain_kernel(tag, lam, sigma, n)
-                    got = np.float64(kernel(U)).tobytes()
-                    assert got == np.float64(kernel(copy)).tobytes(), (tag, U.dtype)
+                    got = np.float64(final_estimate(tag, U, lam, sigma)).tobytes()
+                    want = np.float64(final_estimate(tag, copy, lam, sigma)).tobytes()
+                    assert got == want, (tag, U.dtype)
                     assert got == np.float64(fge_offset(U, copy, lam, lam, sigma, tag)
                                               .psi_hat_N).tobytes()
         assert min(window_lengths) < 1000
@@ -962,7 +955,7 @@ class TestFastRecursivePath:
                 "paper": paper_reference(U, lam, sigma),
             }
         for tag, value in want.items():
-            got = chain_kernel(tag, lam, sigma, n)(U)
+            got = final_estimate(tag, U, lam, sigma)
             assert np.float64(got).tobytes() == value.tobytes(), tag
 
     @staticmethod
@@ -978,7 +971,7 @@ class TestFastRecursivePath:
         assert np.array([est.xi_hat_N, est.psi_hat_N]).tobytes() == np.array(
             [want_hat[-1], want_psi[-1]]
         ).tobytes()
-        rows = chain_kernel("recursive", lam, sigma, n)(np.array([U, V]))
+        rows = final_estimate("recursive", np.array([U, V]), lam, sigma)
         assert rows.tobytes() == np.array([want_hat[-1], want_psi[-1]]).tobytes()
 
 
@@ -1002,7 +995,7 @@ class TestEstimatorTable:
             singles = np.array([estimate(row) for row in block])
             assert estimate(block).tobytes() == singles.tobytes(), tag
             final[tag] = singles[0]
-            series = chain_kernel(tag, lam, sigma, len(U))(U)
+            series = final_estimate(tag, U, lam, sigma)
             offset = fge_offset(U, U[::-1], lam, lam, sigma, tag).xi_hat_N
             assert np.float64(series).tobytes() == np.float64(offset).tobytes(), tag
         want = backtrack_estimate(U, lam, sigma).xi_hat[-1]
@@ -1024,7 +1017,7 @@ class TestEstimatorTable:
         block = np.array([U, U[::-1]])
         series = {}
         for tag in ESTIMATORS:
-            series[tag] = np.float64(chain_kernel(tag, lam, sigma, n)(U))
+            series[tag] = np.float64(final_estimate(tag, U, lam, sigma))
             rows = build(tag, lam, sigma, n)(block)
             assert series[tag].tobytes() == rows[0].tobytes(), tag
         want = literal_backtrack(U, chain_shifts(lam, sigma, n))[0][-1]

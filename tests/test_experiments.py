@@ -14,7 +14,7 @@ from fgclock import (
     simulate_paths,
 )
 from fgclock import experiments
-from fgclock.estimators import chain_kernel
+from fgclock.estimators import final_estimate
 from fgclock.experiments import (
     ALL_ESTIMATORS,
     CSV_HEADER,
@@ -278,11 +278,6 @@ def philox_cell(params, axis_index, trials, master_seed, estimators):
     """:func:`_run_cell` with every trial drawn from its own Philox constructor."""
     n = params.rounds
     label = {"fge-recursive": "recursive", "fge-paper": "paper", "ml": "ml"}
-    kernels = {
-        tag: (chain_kernel(label[tag], params.lambda_xi, params.sigma, n),
-              chain_kernel(label[tag], params.lambda_psi, params.sigma, n))
-        for tag in estimators
-    }
     sq = {tag: np.empty(trials) for tag in estimators}
     block = min(block_trials(n), trials)
     for start in range(0, trials, block):
@@ -296,8 +291,10 @@ def philox_cell(params, axis_index, trials, master_seed, estimators):
         walk = random_walks(z, params)
         obs = walk[..., 1:] + exponential_delays(u, params)
         truth = (walk[:, 0, -1] - walk[:, 1, -1]) / 2.0
-        for tag, (xi_kernel, psi_kernel) in kernels.items():
-            err = (xi_kernel(obs[:, 0]) - psi_kernel(obs[:, 1])) / 2.0 - truth
+        for tag in estimators:
+            xi = final_estimate(label[tag], obs[:, 0], params.lambda_xi, params.sigma)
+            psi = final_estimate(label[tag], obs[:, 1], params.lambda_psi, params.sigma)
+            err = (xi - psi) / 2.0 - truth
             sq[tag][start:stop] = err * err
     return sq
 

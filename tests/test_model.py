@@ -22,7 +22,7 @@ from fgclock import (
     simulate_observations,
     simulate_paths,
 )
-from fgclock.estimators import ESTIMATORS, chain_kernel
+from fgclock.estimators import ESTIMATORS, final_estimate
 from fgclock.model import check_chain, check_real, draw_trials
 
 
@@ -410,8 +410,8 @@ class TestNumpyScalarInputs:
             assert (fge_offset(U, V, lam, lam, sigma, variant)
                     == fge_offset(U, V, lam64, lam64, sigma64, variant))
             np.testing.assert_array_equal(
-                chain_kernel(variant, lam, sigma, 4)(np.stack([U, V])),
-                chain_kernel(variant, lam64, sigma64, 4)(np.stack([U, V])))
+                final_estimate(variant, np.stack([U, V]), lam, sigma),
+                final_estimate(variant, np.stack([U, V]), lam64, sigma64))
         np.testing.assert_array_equal(exact_map_active_set(U, lam, sigma).path,
                                       exact_map_active_set(U, lam64, sigma64).path)
         assert (grid_max_marginal(U[:3], lam, sigma, dtype(0.5), dtype(1.5), 256)
@@ -461,7 +461,7 @@ class TestNumpyScalarInputs:
         calls = [
             lambda: fge_offset(U, V, Fraction(2), 2.0, 0.01),
             lambda: fge_offset(U, V, 2.0, 2.0, Fraction(1, 100), "paper"),
-            lambda: chain_kernel("recursive", Fraction(2), 0.01, 4),
+            lambda: final_estimate("recursive", U, Fraction(2), 0.01),
             lambda: exact_map_active_set(U, Fraction(2), 0.01),
             lambda: grid_max_marginal(U, Fraction(2), 0.01, 0.5, 1.5, 64),
             lambda: grid_max_marginal(U, 2.0, 0.01, Fraction(1, 2), 1.5, 64),
@@ -560,8 +560,8 @@ class TestCheckChain:
             lambda: fge_offset(big, ok, 10.0, 10.0, 1e-2),
             lambda: fge_offset(ok, big, 10.0, 10.0, 1e-2, "paper"),
             lambda: ml_offset(big, ok),
-            lambda: chain_kernel("recursive", 10.0, 1e-2, 2)(big),
-            lambda: chain_kernel("ml", 10.0, 1e-2, 2)(np.stack([big, big])),
+            lambda: final_estimate("recursive", big, 10.0, 1e-2),
+            lambda: final_estimate("ml", np.stack([big, big]), 10.0, 1e-2),
             lambda: backtrack_estimate(big, 10.0, 1e-2),
             lambda: closed_form_estimate_paper(big, 10.0, 1e-2),
             lambda: exact_map_active_set(big, 10.0, 1e-2),

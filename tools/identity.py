@@ -7,13 +7,13 @@ from there, with every warning raised as an error. FILE gets one line per
 group, ``<group> <records> <sha256>``, over two parts:
 
 * a fixed generated corpus of chains, each estimated by every variant
-  through ``fge_offset``, a series kernel and a 2-row block kernel, by
-  ``ml_offset`` and by ``closed_form_estimate_paper``, and each of at
-  most 10 rounds solved by the three exact-MAP oracles; and, in the
-  ``oracle-cap`` groups, model chains at enumeration's cap of 11 and 12
-  rounds, as drawn and rounded to multiples of lam sigma**2, where sets
-  tie, solved by the same oracles; a record is the result's type and
-  bytes, or the error's class and message;
+  through ``fge_offset`` and through ``final_estimate``, as a series and
+  in a 2-row block, by ``ml_offset`` and by ``closed_form_estimate_paper``,
+  and each of at most 10 rounds solved by the three exact-MAP oracles;
+  and, in the ``oracle-cap`` groups, model chains at enumeration's cap of
+  11 and 12 rounds, as drawn and rounded to multiples of lam sigma**2,
+  where sets tie, solved by the same oracles; a record is the result's
+  type and bytes, or the error's class and message;
 * the standard CLI commands, run in a scratch directory through
   ``fgclock.cli.main``: their exit code, stdout, stderr and the bytes of
   every file they write. ``simulate`` and ``sweep`` also run with one
@@ -133,14 +133,14 @@ def corpus(rng, scale):
 
 
 def digest_corpus(fgclock, scale, groups):
-    kernel = fgclock.estimators.chain_kernel
+    final_estimate = fgclock.estimators.final_estimate
     for family, U, V, lam_xi, lam_psi, sigma in corpus(np.random.default_rng(20261019), scale):
         n = len(U)
         for tag in fgclock.estimators.ESTIMATORS:
             calls = {
                 "offset": lambda: fgclock.fge_offset(U, V, lam_xi, lam_psi, sigma, tag),
-                "series": lambda: kernel(tag, lam_xi, sigma, n)(U),
-                "block": lambda: kernel(tag, lam_xi, sigma, n)(np.array([U, V])),
+                "series": lambda: final_estimate(tag, U, lam_xi, sigma),
+                "block": lambda: final_estimate(tag, np.array([U, V]), lam_xi, sigma),
             }
             for path, call in calls.items():
                 groups[f"{family} {tag} {path}"].append(record(call))
