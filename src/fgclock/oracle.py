@@ -8,11 +8,13 @@ taking logs and dropping constants,
 subject to x_k <= U_k. The flat-prior root variable x_0 is eliminated
 analytically (its optimum is x_0 = x_1, zeroing the first increment).
 Three independent routes to the same optimum are provided: active-set
-enumeration with tridiagonal equality solves, which walks only the feasible
-sets and scores exactly only those a vector pass puts near the best, cyclic
+enumeration with tridiagonal equality solves, one forward elimination shared
+by the pieces that start at each round, which walks only the feasible sets
+and scores exactly only those a vector pass puts near the best, cyclic
 coordinate ascent, and a discretized max-product sweep on a grid, whose
-envelopes take one vector pass where the input allows. Each shortcut
-gives, bit for bit, the results of the full loop it skips.
+envelopes take one vector pass where the input allows and are read out in
+linear time. Each shortcut gives, bit for bit, the results of the full loop
+it skips.
 Coordinate ascent starts its sweeps at the O(N) lower-hull path, the
 optimum up to rounding, so that one sweep usually meets its tolerance: the
 sweeps reach the unique maximum from any start, so the answer is still
@@ -65,34 +67,45 @@ def _objective(path, lam, s2):
     return _chain_log_posterior(np.concatenate((path[:1], path)), lam, s2)
 
 
-def _free_segment(U, lo, hi, n, lam_s2):
-    """The stationary point x[lo..hi] of one free segment, as a list.
+def _pieces(u, cap, a, lam_s2):
+    """The free rounds x[a+1..b-1] of each piece (a, b), b = a+1, a+2, ..., as lists.
 
-    Anchors are x[lo-1] = U[lo-1] when lo > 0 and x[hi+1] = U[hi+1] when
-    hi < n-1 (at least one exists because the active set is nonempty).
-    The stationarity conditions form a symmetric tridiagonal system with off-diagonal
-    -1 and diagonal equal to the number of chain neighbors; solved by the Thomas algorithm.
+    Anchors are x[a] = u[a] when a >= 0 and x[b] = u[b] when b < n; a = -1
+    stops at b = n - 1, since a piece needs an anchor. The stationarity
+    conditions form a symmetric tridiagonal system with off-diagonal -1 and
+    diagonal equal to the number of chain neighbors. The systems of the
+    pieces from a share every row but the last, so one Thomas forward
+    elimination serves them all: each piece eliminates only its own last
+    row and back-substitutes, operation for operation as the Thomas
+    algorithm on its own system. A piece is None once a round of it rises
+    above ``cap`` (a NaN does not), and the rest of it is not solved.
     """
-    m = hi - lo + 1
-    diag = [2.0] * m
-    rhs = [lam_s2] * m
-    if lo == 0:
-        diag[0] = 1.0
-    else:
-        rhs[0] += U[lo - 1]
-    if hi == n - 1:
-        diag[-1] = 1.0
-    else:
-        rhs[-1] += U[hi + 1]
-    # Thomas forward elimination (off-diagonals are -1).
-    for i in range(1, m):
-        w = -1.0 / diag[i - 1]
-        diag[i] += w
-        rhs[i] -= w * rhs[i - 1]
-    x = [rhs[m - 1] / diag[m - 1]] * m
-    for i in range(m - 2, -1, -1):
-        x[i] = (rhs[i] + x[i + 1]) / diag[i]
-    return x
+    n = len(u)
+    diag, rhs = [], []  # rows a+1, a+2, ..., eliminated as rows that are not the last
+    first = (2.0, lam_s2 + u[a]) if a >= 0 else (1.0, lam_s2)
+    yield []
+    for b in range(a + 2, n + 1 if a >= 0 else n):
+        d, r = (2.0, lam_s2) if diag else first
+        if b == n:
+            d = 1.0
+        else:
+            r += u[b]
+        if diag:
+            w = -1.0 / diag[-1]
+            d += w
+            r -= w * rhs[-1]
+            row = (2.0 + w, lam_s2 - w * rhs[-1])
+        else:
+            row = first
+        x = [r / d] * (len(diag) + 1)
+        k = len(diag)  # x[k] is round a+1+k; back-substitute while each is within cap
+        while k >= 0 and not x[k] > cap[a + 1 + k]:
+            k -= 1
+            if k >= 0:
+                x[k] = (rhs[k] + x[k + 1]) / diag[k]
+        diag.append(row[0])
+        rhs.append(row[1])
+        yield x if k < 0 else None
 
 
 def exact_map_active_set(U, lam, sigma):
@@ -103,12 +116,17 @@ def exact_map_active_set(U, lam, sigma):
     whose equality-constrained maximizer is feasible; ties keep the
     lexicographically smallest set. A maximizer is pieced together from its
     free segments, each fixed by the active rounds a < b around it (a = -1
-    and b = n where there are none), so its (n + 1)(n + 2) / 2 - 1 pieces
-    are solved once, on Python floats. An active round has x_k = U_k <= U_k
-    + tol, so a set is feasible exactly when each of its pieces is: only the
-    paths -1 -> n through feasible pieces are walked, not all 2^n - 1 sets.
-    The paths through b extend those ending at a = -1, 0, ..., b - 1 in
-    turn, which by induction lists their masks in increasing order.
+    and b = n where there are none), so each of its (n + 1)(n + 2) / 2 - 1
+    pieces is solved at most once, on Python floats, by :func:`_pieces`:
+    the pieces from one round a share one forward elimination, and a piece
+    is dropped at its first round above U + tol. An active round has
+    x_k = U_k <= U_k + tol, so a set is feasible exactly when each of its
+    pieces is: only the paths -1 -> n through feasible pieces are walked,
+    not all 2^n - 1 sets. The walk takes a = -1, 0, ..., n - 1 in turn, once
+    every path to a is listed, and extends those paths through each b > a,
+    so the paths through b extend those ending at a = -1, 0, ..., b - 1 in
+    turn, which by induction lists their masks in increasing order. The
+    feasible paths are gathered into one 2-D array of candidates.
 
     One vector pass scores every feasible set approximately, and only the
     sets within 1e-6 (1 + S) of the best approximate score, S the largest
@@ -132,17 +150,17 @@ def exact_map_active_set(U, lam, sigma):
     cap = [v + feas_tol for v in u]
     # ends[b]: (mask of its rounds and b, x[0..b]) of each path -1 -> b, in mask order; piece
     # (a, b) holds x[a+1..b], feasible unless above U + tol (a NaN is; the objective refuses it)
-    ends = {-1: [(0, [])]}
-    for b in range(n + 1):
-        ends[b] = []
-        for a in range(-1, b):
-            if ends[a] and (a, b) != (-1, n):  # the empty set has no anchor
-                x = _free_segment(u, a + 1, b - 1, n, lam_s2) if b > a + 1 else []
-                x += u[b:b + 1]
-                if not any(v > c for v, c in zip(x, cap[a + 1:])):
+    ends = {-1: [(0, [])], **{b: [] for b in range(n + 1)}}
+    for a in range(-1, n):
+        if ends[a]:
+            for b, x in enumerate(_pieces(u, cap, a, lam_s2), a + 1):
+                if x is not None:  # x[b] = u[b] <= cap[b]
+                    x += u[b:b + 1]
                     ends[b] += [(mask | 1 << b, head + x) for mask, head in ends[a]]
+    masks, paths = zip(*ends[n])
+    xs = np.fromiter(itertools.chain.from_iterable(paths), float, n * len(paths)).reshape(-1, n)
     bounds = np.concatenate((U[:1], U))  # of the root, pinned at x_1, and of x
-    rows = np.minimum([x[:1] + x for _, x in ends[n]], bounds)  # each set's candidate
+    rows = np.minimum(np.concatenate((xs[:, :1], xs), axis=1), bounds)  # each set's candidate
     with np.errstate(over="ignore", invalid="ignore"):
         incr = rows[:, 1:] - rows[:, :-1]
         sq = (incr * incr).sum(axis=1)
@@ -155,16 +173,17 @@ def exact_map_active_set(U, lam, sigma):
         # link a set to the best, and the rounding of both scores, with room to spare
         keep = (approx >= approx.max() - 1e-6 * (1.0 + scale.max())) | (not safe)
     best = None
-    for mask, x in itertools.compress(ends[n], keep.tolist()):
-        candidate = np.minimum(x[:1] + x, bounds)
+    for j in np.flatnonzero(keep).tolist():
+        candidate = rows[j]
         obj = _chain_log_posterior(candidate, lam, s2)
-        members = tuple(k + 1 for k in range(n) if mask >> k & 1)
+        members = tuple(k + 1 for k in range(n) if masks[j] >> k & 1)
         tie_tol = 1e-12 * max(1.0, abs(best[0])) if best else 0.0
         if (best is None or obj > best[0] + tie_tol
                 or (obj > best[0] - tie_tol and members < best[1])):
             best = (obj, members, candidate[1:])
     obj, members, path = best  # the set of every round is always feasible
-    return MapSolution(path=path, objective=obj, active_set=frozenset(members))
+    # a copy: a view would hold every candidate
+    return MapSolution(path=path.copy(), objective=obj, active_set=frozenset(members))
 
 
 def _hull_path(u, a):
@@ -274,19 +293,24 @@ def _quad_max_conv(values, step_sq_half_inv):
     strictly increase, as for every concave input and so every grid
     message, the loop would pop nothing and they are its envelope, bit for
     bit. Otherwise the loop runs, on Python floats and ints read through
-    memoryviews. The breakpoints never decrease, so the parabola at each i
-    is found by one binary search.
+    memoryviews. The breakpoints never decrease, so the parabola v[m]
+    covers the grid points i with z[m-1] < i <= z[m], floor(z[m]) -
+    floor(z[m-1]) of them with z clipped to [-1, n - 1], and the read-out
+    repeats each parabola that many times: it is linear, as the scalar
+    loop's read-out is, and picks the parabola that a binary search for
+    each i would.
     """
     n = len(values)
     finite = np.flatnonzero(np.isfinite(values))
     if len(finite) == 0:
         return np.full(n, -math.inf)
     c = step_sq_half_inv
-    q, p = finite[1:], finite[:-1]
+    top = values[finite]       # apexes and roots of the parabolas in the envelope
+    v = finite.astype(float)
+    q, p = v[1:], v[:-1]
     with np.errstate(over="ignore"):
-        z = ((q * q - p * p) - (values[q] - values[p]) / c) / (2.0 * (q - p))
-    v = finite                 # indices of parabolas in the envelope
-    if n > 2**31 or not np.all(z[1:] > z[:-1]):  # int64 squares of indices wrap past 2**31
+        z = ((q * q - p * p) - (top[1:] - top[:-1]) / c) / (2.0 * (q - p))
+    if n > 2**26 or not np.all(z[1:] > z[:-1]):  # float squares of indices round past 2**26
         f = memoryview(values)
         v = [int(finite[0])]
         z = [-math.inf, math.inf]  # breakpoints between them
@@ -303,13 +327,17 @@ def _quad_max_conv(values, step_sq_half_inv):
             v.append(q)
             z[-1] = s
             z.append(math.inf)
-        v, z = np.array(v), z[1:-1]
-    i = np.arange(n)
-    p = v[np.searchsorted(z, i, "left")]
-    d = (i - p).astype(float)
+        top, v, z = values[v], np.array(v, dtype=float), z[1:-1]
+    # floor(z[m]) + 1 grid points lie at or below z[m], with z clipped to [-1, n - 1]
+    last = np.empty(len(v) + 1)
+    last[0], last[-1] = -1.0, n - 1.0
+    inner = last[1:-1]
+    np.floor(np.clip(z, -1.0, n - 1.0, out=inner), out=inner)
+    counts = (last[1:] - last[:-1]).astype(np.intp)
+    d = np.arange(n, dtype=float) - np.repeat(v, counts)
     # c (i - p)^2 in the order of the scalar form; one that overflows is inf
     with np.errstate(over="ignore"):
-        return values[p] - (c * d) * d
+        return np.repeat(top, counts) - (c * d) * d
 
 
 def grid_max_marginal(U, lam, sigma, lo, hi, points):
@@ -334,18 +362,20 @@ def grid_max_marginal(U, lam, sigma, lo, hi, points):
                    math.ulp(0.0), FLOAT_MAX)
     # round each constraint boundary to the nearest grid point; flooring it
     # would bias every level's cut downward by up to a full step (Python
-    # floats: a bound that overflows is inf and cuts nothing)
-    cut = [v + h / 2.0 for v in U.tolist()]
+    # floats: a bound that overflows is inf and cuts nothing). The grid
+    # never decreases, so the points above a cut are the suffix from its
+    # index, and the grid misses U_1 when that index is 0
+    cut = np.searchsorted(grid, [v + h / 2.0 for v in U.tolist()], "right").tolist()
     try:
         with np.errstate(over="raise"):
             linear = lam * grid
-            msg = linear.copy()
-            msg[grid > cut[0]] = -math.inf
-            if not np.any(np.isfinite(msg)):
+            if cut[0] == 0:
                 raise GridCoverageError("grid lies entirely above U_1; no feasible point")
+            msg = linear.copy()
+            msg[cut[0]:] = -math.inf
             for k in range(1, len(U)):
                 msg = _quad_max_conv(msg, c) + linear
-                msg[grid > cut[k]] = -math.inf
+                msg[cut[k]:] = -math.inf
     except FloatingPointError:
         raise ParameterError(f"the max-marginals overflow on the grid (lam={lam}, "
                              f"lo={lo}, hi={hi})") from None

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -397,6 +398,79 @@ def is_subsequence(short, long):
     return all(any(item == other for other in rest) for item in short)
 
 
+def thomas_free_segment(u, lo, hi, n, lam_s2):
+    """The stationary point x[lo..hi] of one free segment, as a list: each piece's own
+    Thomas solve, as enumeration ran it before the pieces from one round shared their
+    forward elimination; the reference."""
+    m = hi - lo + 1
+    diag = [2.0] * m
+    rhs = [lam_s2] * m
+    if lo == 0:
+        diag[0] = 1.0
+    else:
+        rhs[0] += u[lo - 1]
+    if hi == n - 1:
+        diag[-1] = 1.0
+    else:
+        rhs[-1] += u[hi + 1]
+    for i in range(1, m):
+        w = -1.0 / diag[i - 1]
+        diag[i] += w
+        rhs[i] -= w * rhs[i - 1]
+    x = [rhs[m - 1] / diag[m - 1]] * m
+    for i in range(m - 2, -1, -1):
+        x[i] = (rhs[i] + x[i + 1]) / diag[i]
+    return x
+
+
+def piece_chains():
+    """``(U, lam, sigma)`` of 1 to 12 rounds: model chains, the same rounded to multiples
+    of lam sigma**2, where free segments meet U, signed zeros, and values from +-1e300 to
+    +-1.7e308, whose sums overflow to inf."""
+    rng = np.random.default_rng(83)
+    for i in range(60):
+        n = 1 + i % 12
+        lam, sigma = [(10.0, 1e-2), (1.0, 1.0), (0.5, 0.5)][i % 3]
+        U = random_instance(i, n=n, lam=lam, sigma=sigma, master=89)
+        yield U, lam, sigma
+        yield rounded(U, lam, sigma), lam, sigma
+        yield rng.choice([0.0, -0.0, -2.0**-10, 2.0**-10], n), 1.0, 2.0**-5
+        yield rng.choice([1e300, -1e300, 1.7e308, -1.7e308, 0.0, -0.0], n), lam, sigma
+
+
+class TestSharedElimination:
+    """Each piece from one start round, solved by the shared forward elimination, gives
+    the bits of its own Thomas solve."""
+
+    def test_every_piece_equals_its_own_thomas_solve(self):
+        checked = 0
+        for U, lam, sigma in piece_chains():
+            n, u, lam_s2 = len(U), U.tolist(), lam * sigma**2
+            for a in range(-1, n):
+                pieces = list(oracle._pieces(u, [math.inf] * n, a, lam_s2))
+                # a piece needs an anchor, so a = -1 stops short of b = n
+                ends = range(a + 1, n + 1 if a >= 0 else n)
+                assert len(pieces) == len(ends)
+                for b, x in zip(ends, pieces):
+                    want = thomas_free_segment(u, a + 1, b - 1, n, lam_s2) if b > a + 1 else []
+                    assert np.array(x, dtype=float).tobytes() == np.array(want, float).tobytes()
+                    checked += 1
+        assert checked == sum((n + 1) * (n + 2) // 2 - 1 for n in range(1, 13)) * 20
+
+    def test_a_piece_above_cap_is_dropped(self):
+        for U, lam, sigma in piece_chains():
+            n, u, lam_s2 = len(U), U.tolist(), lam * sigma**2
+            tol = 1e-9 * max(1.0, float(np.max(np.abs(U))))
+            cap = [v + tol for v in u]
+            for a in range(-1, n):
+                full = oracle._pieces(u, [math.inf] * n, a, lam_s2)
+                for x, capped in zip(full, oracle._pieces(u, cap, a, lam_s2)):
+                    if any(v > c for v, c in zip(x, cap[a + 1:])):
+                        assert capped is None
+                    else:
+                        assert np.array(capped, float).tobytes() == np.array(x, float).tobytes()
+
+
 class TestLiteralReferences:
     """The oracles' Python-float loops give the numpy-scalar loops' bits."""
 
@@ -702,6 +776,23 @@ def brute_quad_max_conv(values, c):
     return np.max(values[None, :] - c * (i[:, None] - i[None, :]) ** 2, axis=1)
 
 
+def grid_messages(monkeypatch, chains, points):
+    """``(values, c)`` of each envelope the grid oracle takes on the ``(U, lo, hi)`` of
+    ``chains`` at lam = 10, sigma = 1e-2."""
+    captured = []
+
+    def capture(values, c):
+        captured.append((values.copy(), c))
+        return conv(values, c)
+
+    conv = oracle._quad_max_conv
+    monkeypatch.setattr(oracle, "_quad_max_conv", capture)
+    for U, lo, hi in chains:
+        grid_max_marginal(U, 10.0, 1e-2, lo, hi, points)
+    monkeypatch.undo()
+    return captured
+
+
 class TestQuadMaxConv:
     @pytest.mark.parametrize("c", [1e-3, 0.37, 1.0, 50.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 513])
@@ -729,19 +820,12 @@ class TestQuadMaxConv:
     def test_concave_inputs_take_the_vector_pass(self, monkeypatch):
         # a grid message is a ramp cut at U_k + h/2, max-convolved with a
         # concave quadratic: concave, so its breakpoints strictly increase
-        captured = []
-
-        def capture(values, c):
-            captured.append((values.copy(), c))
-            return conv(values, c)
-
-        conv = oracle._quad_max_conv
-        monkeypatch.setattr(oracle, "_quad_max_conv", capture)
+        chains = []
         for i in range(15):
             n = 2 + i % 5
             U = random_instance(i, n=n, lam=10.0, sigma=1e-2, master=47)
-            lo = float(np.min(U)) - 5e-2 * math.sqrt(n) - 0.1
-            grid_max_marginal(U, 10.0, 1e-2, lo, float(np.max(U)) + 0.1, 513)
+            chains.append((U, float(np.min(U)) - 5e-2 * math.sqrt(n) - 0.1, float(np.max(U)) + 0.1))
+        captured = grid_messages(monkeypatch, chains, 513)
         assert len(captured) == sum(1 + i % 5 for i in range(15))
         rng = np.random.default_rng(53)
         i = np.arange(64.0)
@@ -793,3 +877,67 @@ class TestQuadMaxConv:
             got = _quad_max_conv(values, c)
             assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
         assert _quad_max_conv(constant, c).tobytes() == constant.tobytes()
+
+    def test_benchmark_grid_messages(self, monkeypatch):
+        # the oracle-check benchmark's grids: 3-round model chains at 4096
+        # points, from 5 sigma sqrt(3) + 0.1 below the chain to 0.1 above it
+        chains = []
+        for i in range(4):
+            U = random_instance(i, n=3, lam=10.0, sigma=1e-2, master=97)
+            chains.append((U, float(np.min(U)) - 5e-2 * math.sqrt(3) - 0.1, float(np.max(U)) + 0.1))
+        captured = grid_messages(monkeypatch, chains, 4096)
+        assert len(captured) == 8
+        for values, c in captured:
+            assert len(values) == 4096
+            assert _quad_max_conv(values, c).tobytes() == literal_quad_max_conv(values, c).tobytes()
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_breakpoints_on_grid_points(self, c):
+        # a ramp of slope (1 - 2s) c has every breakpoint at p + s, a grid point
+        # for 0 <= p + s <= 39, below 0 or above 39 for the others; integer
+        # values put many of the loop's breakpoints on grid points too
+        i = np.arange(40.0)
+        cases = [(1.0 - 2.0 * s) * c * i for s in range(-45, 46)]
+        rng = np.random.default_rng(71)
+        cases += [rng.integers(-20, 20, 40).astype(float) for _ in range(40)]
+        cases += [np.where(rng.random(40) < 0.3, -math.inf, case) for case in cases[-40:]]
+        on_points = below = above = 0
+        for values in cases:
+            z = neighbour_breakpoints(values, c)
+            on_points += sum(0.0 <= b <= 39.0 and b == math.floor(b) for b in z)
+            below += sum(b < 0.0 for b in z)
+            above += sum(b > 39.0 for b in z)
+            assert _quad_max_conv(values, c).tobytes() == literal_quad_max_conv(values, c).tobytes()
+        assert min(on_points, below, above) > 100
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-3, 1.0])
+    def test_breakpoints_at_infinity(self, c):
+        # value steps near the float limit overflow, over c, to +-inf breakpoints,
+        # first and last in a run the vector pass takes, and anywhere in the loop's
+        top = 1.7e308
+        cases = [np.array([-top, top, top, -top]), np.array([-top, 0.0, -1.0, -3.0, -6.0, -top]),
+                 np.array([-top, top, -top, 0.0]), np.array([top, -top])]
+        rng = np.random.default_rng(73)
+        cases += [rng.choice([top, -top, 1e300, 0.0, -math.inf], int(rng.integers(2, 9)))
+                  for _ in range(200)]
+        infinite = 0
+        for values in cases:
+            with np.errstate(over="ignore"):
+                infinite += sum(math.isinf(b) for b in neighbour_breakpoints(values, c))
+                want = literal_quad_max_conv(values, c)
+            assert _quad_max_conv(values, c).tobytes() == want.tobytes()
+        with np.errstate(over="ignore"):
+            z = neighbour_breakpoints(cases[0], c)
+        assert z[0] == -math.inf and z[-1] == math.inf
+        assert all(right > left for left, right in zip(z, z[1:]))
+        assert infinite > 50
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 50.0])
+    def test_one_and_two_points(self, c):
+        entries = [-math.inf, -1e300, -1.0, -0.0, 0.0, 2.5, 1e300]
+        for n in (1, 2):
+            for values in itertools.product(entries, repeat=n):
+                values = np.array(values)
+                with np.errstate(over="ignore"):
+                    want = literal_quad_max_conv(values, c)
+                assert _quad_max_conv(values, c).tobytes() == want.tobytes()

@@ -9,11 +9,12 @@ group, ``<group> <records> <sha256>``, over two parts:
 * a fixed generated corpus of chains, each estimated by every variant
   through ``fge_offset`` and through ``final_estimate``, as a series and
   in a 2-row block, by ``ml_offset`` and by ``closed_form_estimate_paper``,
-  and each of at most 10 rounds solved by the three exact-MAP oracles;
-  and, in the ``oracle-cap`` groups, model chains at enumeration's cap of
-  11 and 12 rounds, as drawn and rounded to multiples of lam sigma**2,
-  where sets tie, solved by the same oracles; a record is the result's
-  type and bytes, or the error's class and message;
+  and each of at most 10 rounds solved by the three exact-MAP oracles,
+  the grid at 513 points and, in the ``grid-4096`` groups, at the
+  benchmark's 4096; and, in the ``oracle-cap`` groups, model chains at
+  enumeration's cap of 11 and 12 rounds, as drawn and rounded to multiples
+  of lam sigma**2, where sets tie, solved by the same oracles; a record is
+  the result's type and bytes, or the error's class and message;
 * the standard CLI commands, run in a scratch directory through
   ``fgclock.cli.main``: their exit code, stdout, stderr and the bytes of
   every file they write. ``simulate`` and ``sweep`` also run with one
@@ -167,15 +168,17 @@ def cap_chains(rng, scale):
 
 
 def digest_oracles(fgclock, U, lam, sigma, groups, family="oracle"):
-    """The three exact-MAP oracles on one chain, the grid spanning the chain's values."""
-    def grid():
+    """The three exact-MAP oracles on one chain, the grid spanning the chain's values at 513
+    points and, as the benchmark's ``oracle-check`` runs it, at 4096."""
+    def grid(points):
         lo = float(np.min(U)) - 5.0 * sigma * math.sqrt(len(U)) - 0.1
-        return fgclock.grid_max_marginal(U, lam, sigma, lo, float(np.max(U)) + 0.1, 513)
+        return fgclock.grid_max_marginal(U, lam, sigma, lo, float(np.max(U)) + 0.1, points)
 
     calls = {
         "exact": lambda: fgclock.exact_map_active_set(U, lam, sigma),
         "coordinate-ascent": lambda: fgclock.coordinate_ascent_map(U, lam, sigma),
-        "grid": grid,
+        "grid": lambda: grid(513),
+        "grid-4096": lambda: grid(4096),
     }
     for name, call in calls.items():
         groups[f"{family} {name}"].append(record(call))
