@@ -6,7 +6,6 @@ oracles and a Monte Carlo MSE harness.
 """
 
 from .errors import (
-    ConvergenceError,
     DegenerateModelError,
     FgclockError,
     GridCoverageError,
@@ -35,10 +34,11 @@ from .model import (
 )
 from .oracle import (
     MapSolution,
-    coordinate_ascent_map,
     exact_map_active_set,
     grid_max_marginal,
+    hull_map,
 )
+from .oracle import coordinate_ascent_map  # the benchmark's name for hull_map, not in __all__
 
 __version__ = "0.1.0"
 
@@ -60,13 +60,12 @@ __all__ = [
     "ml_offset",
     "MapSolution",
     "exact_map_active_set",
-    "coordinate_ascent_map",
+    "hull_map",
     "grid_max_marginal",
     "FgclockError",
     "ParameterError",
     "ShapeError",
     "DegenerateModelError",
     "SizeError",
-    "ConvergenceError",
     "GridCoverageError",
 ]

@@ -68,10 +68,13 @@ _DEFAULTS = {
 
 _MODEL_KEYS = tuple(field.name for field in dataclasses.fields(ClockModelParams))
 _SWEEP_KEYS = tuple(key for key in _DEFAULTS if key not in _MODEL_KEYS)
+#: The model settings the estimators read.
+_ESTIMATOR_KEYS = ("lambda_xi", "lambda_psi", "sigma")
 
 
 def _settings(args):
-    """Every setting: its default, then its value in the ``--config`` file, then its flag."""
+    """Every setting: its default, then its value in the ``--config`` file or in the
+    manifest of a simulated ``--input``, then its flag."""
     settings = dict(_DEFAULTS)
     if getattr(args, "config", None) is not None:
         with open(args.config) as fh:
@@ -82,11 +85,37 @@ def _settings(args):
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         settings.update(cfg)
+    if getattr(args, "input", None) is not None:
+        settings.update(_simulated_model(args.input))
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = _parse_values(flag) if key == "values" else flag
     return settings
+
+
+def _simulated_model(path):
+    """The estimator settings of the manifest that ``simulate`` wrote beside ``path``.
+
+    ``simulate --out p`` writes ``p_observations.csv`` and ``p_manifest.json``;
+    any other input, or one with no manifest beside it, has none.
+    """
+    prefix = path.removesuffix("_observations.csv")
+    if prefix == path:
+        return {}
+    manifest_file = f"{prefix}_manifest.json"
+    try:
+        fh = open(manifest_file)
+    except FileNotFoundError:
+        return {}
+    with fh:
+        manifest = json.load(fh)
+    simulated = isinstance(manifest, dict) and manifest.get("subcommand") == "simulate"
+    config = manifest.get("config") if simulated else None
+    if not isinstance(config, dict) or not set(_ESTIMATOR_KEYS) <= set(config):
+        raise ParameterError(f"{manifest_file}: not a simulate manifest with "
+                             f"{', '.join(_ESTIMATOR_KEYS)} in its config")
+    return {key: config[key] for key in _ESTIMATOR_KEYS}
 
 
 def _parse_values(text):
@@ -202,7 +231,7 @@ def _read_observations(path):
 def cmd_estimate(args):
     U, V = _read_observations(args.input)
     params = _model(_settings(args))
-    used = {key: getattr(params, key) for key in ("lambda_xi", "lambda_psi", "sigma")}
+    used = {key: getattr(params, key) for key in _ESTIMATOR_KEYS}
     out = {}
     for variant in ESTIMATORS if args.variant == "all" else [args.variant]:
         est = fge_offset(U, V, params.lambda_xi, params.lambda_psi, params.sigma, variant)

@@ -21,16 +21,5 @@ class SizeError(FgclockError, ValueError):
     """Problem size exceeds what an exhaustive solver supports."""
 
 
-class ConvergenceError(FgclockError, RuntimeError):
-    """Iterative solver did not reach its tolerance within max_iters.
-
-    Carries the last iterate so callers can inspect how far it got.
-    """
-
-    def __init__(self, message, last_path=None):
-        super().__init__(message)
-        self.last_path = last_path
-
-
 class GridCoverageError(FgclockError, RuntimeError):
     """The discretization grid does not cover the feasible optimum."""

@@ -21,7 +21,6 @@ from fgclock.cli import (
     EXIT_VALIDATION,
     main,
 )
-from fgclock.errors import ConvergenceError
 from fgclock.experiments import ALL_ESTIMATORS
 
 
@@ -256,6 +255,47 @@ class TestEstimate:
         code, out, _ = run(capsys, "estimate", "--input", str(csv))
         assert code == EXIT_IO
         assert out == ""
+
+    def test_a_simulated_log_is_estimated_with_its_model(self, tmp_path, capsys):
+        out = tmp_path / "flat"
+        run(capsys, "simulate", "--rounds", "30", "--sigma", "0", "--lambda-psi", "4",
+            "--out", str(out))
+        code, printed, _ = run(capsys, "estimate", "--input", f"{out}_observations.csv")
+        assert code == EXIT_OK
+        doc = json.loads(printed)
+        assert doc["params"] == {"lambda_xi": 10.0, "lambda_psi": 4.0, "sigma": 0.0}
+        # at sigma = 0 every variant is the ML estimate
+        assert len({v["theta_hat_N"] for v in doc["estimates"].values()}) == 1
+
+    def test_a_flag_overrides_the_manifest(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run(capsys, "simulate", "--rounds", "30", "--sigma", "0", "--lambda-psi", "4",
+            "--out", str(out))
+        code, printed, _ = run(capsys, "estimate", "--input", f"{out}_observations.csv",
+                               "--sigma", "0.02")
+        assert code == EXIT_OK
+        assert json.loads(printed)["params"] == {"lambda_xi": 10.0, "lambda_psi": 4.0,
+                                                 "sigma": 0.02}
+
+    @pytest.mark.parametrize("manifest, expected", [
+        ("{not json", EXIT_IO),
+        (b"\xff\xfe", EXIT_IO),
+        ("[]", EXIT_VALIDATION),
+        ('{"subcommand": "sweep", "config": {}}', EXIT_VALIDATION),
+        ('{"subcommand": "simulate", "config": {"lambda_xi": 10.0, "sigma": 0.0}}',
+         EXIT_VALIDATION),
+        ('{"subcommand": "simulate", "config": {"lambda_xi": 10.0, "lambda_psi": 10.0, '
+         '"sigma": -1.0}}', EXIT_VALIDATION),
+    ])
+    def test_a_manifest_that_cannot_be_used_is_an_error(self, tmp_path, capsys, manifest,
+                                                        expected):
+        out = tmp_path / "run"
+        run(capsys, "simulate", "--rounds", "5", "--out", str(out))
+        path = Path(f"{out}_manifest.json")
+        path.write_bytes(manifest if isinstance(manifest, bytes) else manifest.encode())
+        code, printed, err = run(capsys, "estimate", "--input", f"{out}_observations.csv")
+        assert code == expected
+        assert printed == "" and err.startswith("error: ")
 
 
 class TestSweep:
@@ -667,17 +707,6 @@ COMMAND_FLAGS = st.sampled_from(sorted(FLAGS)).flatmap(lambda command: st.tuples
 
 
 class TestErrorContract:
-    def test_convergence_error_exits_3(self, monkeypatch, capsys):
-        # no subcommand calls coordinate_ascent_map, the one source of
-        # ConvergenceError; reaching main, it exits 3 like any FgclockError
-        def stalled(args):
-            raise ConvergenceError("did not converge", last_path=None)
-
-        monkeypatch.setattr(cli, "cmd_compare_oracle", stalled)
-        code, out, err = run(capsys, "compare-oracle")
-        assert code == EXIT_VALIDATION
-        assert out == "" and err.splitlines() == ["error: did not converge"]
-
     @given(command=st.sampled_from(["simulate", "sweep"]), config=CONFIGS)
     @settings(max_examples=300, deadline=None)
     def test_generated_configs(self, command, config):

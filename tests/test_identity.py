@@ -25,7 +25,7 @@ def test_tiny_digests_repeat_and_cover_every_variant_and_path(tmp_path):
                 assert f"{family} {tag} {path}" in groups
         for path in ("ml_offset", "closed_form_estimate_paper"):
             assert f"{family} {path}" in groups
-    for oracle in ("exact", "coordinate-ascent", "grid", "grid-4096"):
+    for oracle in ("exact", "hull", "grid", "grid-4096"):
         for family in ("oracle", "oracle-cap"):
             assert f"{family} {oracle}" in groups
     for command in ("simulate-long", "estimate-long", "simulate-flat", "estimate-flat",

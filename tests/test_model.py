@@ -14,10 +14,10 @@ from fgclock import (
     backtrack_estimate,
     chain_log_posterior,
     closed_form_estimate_paper,
-    coordinate_ascent_map,
     exact_map_active_set,
     fge_offset,
     grid_max_marginal,
+    hull_map,
     ml_offset,
     simulate_observations,
     simulate_paths,
@@ -565,7 +565,7 @@ class TestCheckChain:
             lambda: backtrack_estimate(big, 10.0, 1e-2),
             lambda: closed_form_estimate_paper(big, 10.0, 1e-2),
             lambda: exact_map_active_set(big, 10.0, 1e-2),
-            lambda: coordinate_ascent_map(big, 10.0, 1e-2),
+            lambda: hull_map(big, 10.0, 1e-2),
             lambda: grid_max_marginal(big, 10.0, 1e-2, 0.0, 2.0, 64),
             lambda: chain_log_posterior(np.array([1.0, 1.0, 1.0]), big, 10.0, 1e-2),
             lambda: chain_log_posterior(np.append(big, 1.0), ok, 10.0, 1e-2),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fgclock
 from fgclock import (
     ClockModelParams,
-    ConvergenceError,
     DegenerateModelError,
     FgclockError,
     GridCoverageError,
@@ -16,13 +16,14 @@ from fgclock import (
     SizeError,
     backtrack_estimate,
     chain_log_posterior,
-    coordinate_ascent_map,
     exact_map_active_set,
     grid_max_marginal,
+    hull_map,
     simulate_observations,
     simulate_paths,
 )
 from fgclock import oracle
+from fgclock.estimators import final_estimate
 from fgclock.oracle import _quad_max_conv
 
 
@@ -75,11 +76,11 @@ class TestExactMap:
         rng = np.random.default_rng(0)
         U = rng.permutation([1.0, 2.0, 3.0, 4.0, 5.0])
         sol = exact_map_active_set(U, 100.0, 1.0)
-        ca = coordinate_ascent_map(U, 100.0, 1.0)
+        hull = hull_map(U, 100.0, 1.0)
         k = int(np.argmin(U))
         assert (k + 1) in sol.active_set
         assert np.all(np.diff(sol.path[k:]) >= -1e-9)
-        np.testing.assert_allclose(sol.path, ca.path, atol=1e-8)
+        np.testing.assert_allclose(sol.path, hull.path, atol=1e-8)
 
     def test_feasibility_and_kkt(self):
         for i in range(60):
@@ -97,73 +98,6 @@ class TestExactMap:
     def test_sigma_zero_unsupported(self):
         with pytest.raises(DegenerateModelError):
             exact_map_active_set([1.0, 2.0], 1.0, 0.0)
-
-
-class TestCoordinateAscent:
-    def test_single_round(self):
-        sol = coordinate_ascent_map([4.2], 1.0, 0.5)
-        assert sol.path[0] == 4.2
-
-    def test_unconstrained_tail_stationarity(self):
-        # nondecreasing data with large gaps: final coordinate interior,
-        # so xi_N - xi_{N-1} = lam * sigma^2 at the optimum
-        lam, sigma = 2.0, 0.5
-        sol = coordinate_ascent_map([0.0, 10.0, 20.0, 30.0], lam, sigma)
-        assert sol.path[-1] - sol.path[-2] == pytest.approx(lam * sigma**2, abs=1e-9)
-
-    def test_agrees_with_exact_enumeration(self):
-        rng = np.random.default_rng(31)
-        for i in range(300):
-            lam = float(rng.choice([1.0, 10.0]))
-            sigma = float(rng.choice([1e-2, 1e-1]))
-            U = random_instance(i, lam=lam, sigma=sigma, master=23)
-            exact = exact_map_active_set(U, lam, sigma)
-            ca = coordinate_ascent_map(U, lam, sigma)
-            np.testing.assert_allclose(ca.path, exact.path, atol=1e-8)
-            assert abs(ca.objective - exact.objective) <= 1e-8 * max(
-                1.0, abs(exact.objective)
-            )
-
-    def test_bad_tol(self):
-        with pytest.raises(ParameterError):
-            coordinate_ascent_map([1.0], 1.0, 0.1, tol=0.0)
-
-    @pytest.mark.parametrize("tol", ["1e-3", None, True])
-    def test_tol_must_be_a_positive_number(self, tol):
-        with pytest.raises(ParameterError, match="tol"):
-            coordinate_ascent_map([1.0, 2.0], 1.0, 0.1, tol=tol)
-
-    def test_float32_tol_is_compared_as_a_float(self):
-        # 1e185 cast to float32 to be compared with the tolerance would overflow
-        # (pytest makes a RuntimeWarning an error)
-        sol = coordinate_ascent_map([0.0, 1e185], 10.0, 10.0, tol=np.float32(10.0))
-        assert sol.path.tolist() == [0.0, 1000.0]
-
-    def test_convergence_error_carries_last_path(self):
-        # the sweep from the hull start moves some round by an ulp, which the
-        # smallest tol does not forgive
-        U = random_instance(4, n=8)
-        with pytest.raises(ConvergenceError) as exc:
-            coordinate_ascent_map(U, 1.0, 0.1, tol=5e-324, max_iters=1)
-        path = exc.value.last_path
-        assert path.shape == (8,) and np.isfinite(path).all()
-
-    @pytest.mark.parametrize("U, sigma, message", [
-        ([-1.7e308, 1.7e308], 1.0, "chain log posterior"),
-        ([1.7e308, -1.7e308, 1.7e308], 1.0, "candidate"),
-        # lam sigma**2 = 1e308: the hull's value at round 2 is NaN, and starts at U_2
-        ([-1e308, -1.7e308, 1.7e308], 1e154, "chain log posterior"),
-    ])
-    def test_overflowing_hull_differences_leave_the_objective_to_refuse(self, U, sigma, message):
-        # the hull's differences overflow; the sweeps still end where the cold
-        # start's did, at a path whose log posterior is refused
-        with pytest.raises(ParameterError, match=message):
-            coordinate_ascent_map(U, 1.0, sigma)
-
-    @pytest.mark.parametrize("max_iters", [2.5, "5", 0])
-    def test_max_iters_must_be_a_whole_number(self, max_iters):
-        with pytest.raises(ParameterError, match="max_iters"):
-            coordinate_ascent_map([1.0, 2.0], 1.0, 0.1, max_iters=max_iters)
 
 
 class TestOracleNeverBeaten:
@@ -310,29 +244,6 @@ def literal_exact_map(U, lam, sigma):
         elif obj > best[0] - 1e-12 * max(1.0, abs(best[0])) and members < best[1]:
             best = (obj, members, x)
     return np.minimum(best[2], U), best[0], frozenset(best[1])
-
-
-def literal_coordinate_ascent(U, lam, sigma, start, tol, max_iters):
-    """The first release's sweeps on numpy scalars, from the path ``start``:
-    the last path and whether it converged."""
-    n = len(U)
-    lam_s2 = lam * sigma**2
-    x = np.array(start, dtype=float)
-    for _ in range(max_iters):
-        delta = 0.0
-        for k in range(n):
-            if k == 0:
-                prop = x[1] + lam_s2
-            elif k == n - 1:
-                prop = x[n - 2] + lam_s2
-            else:
-                prop = (x[k - 1] + x[k + 1] + lam_s2) / 2.0
-            new = min(prop, U[k])
-            delta = max(delta, abs(new - x[k]))
-            x[k] = new
-        if delta < tol:
-            return x, True
-    return x, False
 
 
 LITERAL_CASES = [
@@ -482,24 +393,6 @@ class TestLiteralReferences:
         assert sol.path.tobytes() == path.tobytes()
         assert (sol.objective, sol.active_set) == (obj, active)
 
-    @pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
-    # the hull start meets 1e-12 in one sweep; the smallest tol only a sweep that
-    # changes nothing meets, so one sweep ends in ConvergenceError on many cases
-    @pytest.mark.parametrize("tol, max_iters", [(1e-12, 3), (1e-12, 200_000), (5e-324, 1)])
-    def test_coordinate_ascent_equals_reference(self, case, tol, max_iters):
-        U, lam, sigma = LITERAL_CASES[case]
-        if len(U) == 1:
-            return
-        start = oracle._hull_path(U.tolist(), lam * sigma**2)
-        want, converged = literal_coordinate_ascent(U, lam, sigma, start, tol, max_iters)
-        if converged:
-            got = coordinate_ascent_map(U, lam, sigma, tol, max_iters).path
-        else:
-            with pytest.raises(ConvergenceError) as exc:
-                coordinate_ascent_map(U, lam, sigma, tol, max_iters)
-            got = exc.value.last_path
-        assert got.tobytes() == want.tobytes()
-
     # reals, reals rounded to 0.1, and a few values with signed zeros: the last
     # two give exact ties and ties within the tolerance
     @given(
@@ -576,13 +469,13 @@ class TestOraclesConsistent:
         for i in range(50):
             U = random_instance(i, master=37)
             exact = exact_map_active_set(U, 1.0, 0.1)
-            ca = coordinate_ascent_map(U, 1.0, 0.1)
-            assert abs(exact.objective - ca.objective) <= 1e-8
+            hull = hull_map(U, 1.0, 0.1)
+            assert abs(exact.objective - hull.objective) <= 1e-8
 
 
 ORACLES = {
     "exact": lambda U, lam, sigma: exact_map_active_set(U, lam, sigma),
-    "coordinate-ascent": lambda U, lam, sigma: coordinate_ascent_map(U, lam, sigma),
+    "hull": lambda U, lam, sigma: hull_map(U, lam, sigma),
     "grid": lambda U, lam, sigma: grid_max_marginal(U, lam, sigma, -5.0, 5.0, 64),
 }
 
@@ -675,7 +568,7 @@ class TestTiesAndOverflow:
         spread = 1e-9 * float(np.max(np.abs(U)))
         calls = [
             lambda: exact_map_active_set(U, lam, sigma),
-            lambda: coordinate_ascent_map(U, lam, sigma, max_iters=500),
+            lambda: hull_map(U, lam, sigma),
             lambda: grid_max_marginal(U, lam, sigma, float(np.min(U)) - spread,
                                       float(np.max(U)) + spread, 513),
             lambda: grid_max_marginal(U, lam, sigma, -1e150, 1e150, 513),
@@ -728,13 +621,145 @@ class TestHullPath:
         # at lam sigma**2 = 1e308 the fill overflows to NaN or inf
         assert oracle._hull_path(U, 1e308) == U
 
-    @pytest.mark.parametrize("n", [1000, 28_800])
-    def test_long_model_chains_take_one_sweep_to_the_map(self, n):
-        # max_iters=1: the sweep from the hull start moves no round by 1e-12
-        U = random_instance(n, n=n, lam=10.0, sigma=1e-2, master=71)
-        got = coordinate_ascent_map(U, 10.0, 1e-2, max_iters=1).path[-1]
-        want = backtrack_estimate(U, 10.0, 1e-2).xi_hat[-1]
-        assert abs(got - want) <= 1e-8 * max(1.0, float(np.max(np.abs(U))))
+
+def kkt_violations(path, U, lam, sigma):
+    """The 1-based rounds where ``path`` fails the KKT conditions of the MAP, in 16 ulps.
+
+    With a = lam sigma**2, x_0 = x_1 and x_{N+1} = x_N, sigma**2 mu_k = a + x_{k+1} -
+    2 x_k + x_{k-1} is the multiplier of x_k <= U_k. The objective is concave, so a
+    feasible path is the maximum exactly when every mu_k >= 0 and mu_k = 0 wherever
+    x_k < U_k. This check shares no code with the oracles.
+    """
+    x, U = np.asarray(path, dtype=float), np.asarray(U, dtype=float)
+    mu = np.diff(np.concatenate((x[:1], x, x[-1:])), 2) + lam * sigma**2
+    tol = 16 * math.ulp(max(1.0, float(np.max(np.abs(x)))))
+    bad = (x > U) | (mu < -tol) | ((x < U) & (np.abs(mu) > tol))
+    return (np.flatnonzero(bad) + 1).tolist()
+
+
+def literal_hull(U, lam, sigma):
+    """The MAP path as the upper envelope of supporting lines, in O(N^3).
+
+    With a = lam sigma**2 and W_k = U_k + a k^2 / 2, y_k = x_k + a k^2 / 2 is the
+    greatest convex minorant of W whose slopes lie in [a/2, a(2N + 1)/2]: the
+    supremum over those slopes s of the highest line of slope s under W. The
+    supremum is reached at a bound or at a chord slope of W, so only those are
+    tried. This forms W and shares no code with the oracle's monotone chain.
+    """
+    n = len(U)
+    a = lam * sigma**2
+    k = np.arange(1, n + 1, dtype=float)
+    W = np.asarray(U, dtype=float) + a * k**2 / 2.0
+    lo, hi = a / 2.0, a * (2 * n + 1) / 2.0
+    chords = [(W[j] - W[i]) / (j - i) for i in range(n) for j in range(i + 1, n)]
+    slopes = np.clip([lo, hi, *chords], lo, hi)
+    # lines[s, k]: the highest line of slope s under W, at round k
+    lines = np.min(W[None, None, :] + slopes[:, None, None] * (k[None, :, None] - k[None, None, :]),
+                   axis=2)
+    return np.max(lines, axis=0) - a * k**2 / 2.0
+
+
+class TestHullMap:
+    @pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+    def test_literal_cases_equal_the_supporting_line_reference(self, case):
+        U, lam, sigma = LITERAL_CASES[case]
+        got = hull_map(U, lam, sigma).path
+        want = literal_hull(U, lam, sigma)
+        assert np.all(np.abs(got - want) <= 1e-9 * max(1.0, float(np.max(np.abs(U)))))
+
+    @pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+    def test_literal_cases_are_certified(self, case):
+        # small chains, constant and signed-zero chains, and near-ties
+        U, lam, sigma = LITERAL_CASES[case]
+        sol = hull_map(U, lam, sigma)
+        assert kkt_violations(sol.path, U, lam, sigma) == []
+        assert sol.active_set == frozenset((np.flatnonzero(sol.path == U) + 1).tolist())
+
+    @pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+    def test_literal_cases_score_as_enumeration(self, case):
+        # the objective is the log posterior at the path, and the active set is
+        # enumeration's or, in a tie, one of the best sets
+        U, lam, sigma = LITERAL_CASES[case]
+        sol = hull_map(U, lam, sigma)
+        exact = exact_map_active_set(U, lam, sigma)
+        assert sol.objective == objective(sol.path, U, lam, sigma)
+        assert abs(sol.objective - exact.objective) <= 1e-12 * max(1.0, abs(exact.objective))
+        if sol.active_set != exact.active_set:
+            candidates = dense_map_candidates(U, lam, sigma)
+            best = max(candidates.values())
+            near = {frozenset(s) for s, obj in candidates.items()
+                    if obj >= best - 1e-12 * max(1.0, abs(best))}
+            assert sol.active_set in near and exact.active_set in near
+
+    def test_unconstrained_tail_stationarity(self):
+        # nondecreasing data with large gaps: final coordinate interior,
+        # so xi_N - xi_{N-1} = lam * sigma^2 at the optimum
+        lam, sigma = 2.0, 0.5
+        sol = hull_map([0.0, 10.0, 20.0, 30.0], lam, sigma)
+        assert sol.path[-1] - sol.path[-2] == pytest.approx(lam * sigma**2, abs=1e-9)
+
+    def test_agrees_with_exact_enumeration(self):
+        rng = np.random.default_rng(31)
+        for i in range(300):
+            lam = float(rng.choice([1.0, 10.0]))
+            sigma = float(rng.choice([1e-2, 1e-1]))
+            U = random_instance(i, lam=lam, sigma=sigma, master=23)
+            exact = exact_map_active_set(U, lam, sigma)
+            sol = hull_map(U, lam, sigma)
+            np.testing.assert_allclose(sol.path, exact.path, atol=1e-8)
+            assert abs(sol.objective - exact.objective) <= 1e-8 * max(
+                1.0, abs(exact.objective)
+            )
+
+    @pytest.mark.parametrize("n", [100, 1000, 28_800])
+    @pytest.mark.parametrize("lam, sigma", [(10.0, 1e-2), (1.0, 0.1), (10.0, 1e-3)])
+    def test_model_chains_are_certified_and_end_at_recursive(self, n, lam, sigma):
+        for i in range(n, n + 3):
+            U = random_instance(i, n=n, lam=lam, sigma=sigma, master=71)
+            sol = hull_map(U, lam, sigma)
+            assert kkt_violations(sol.path, U, lam, sigma) == []
+            assert sol.active_set == frozenset((np.flatnonzero(sol.path == U) + 1).tolist())
+            want = final_estimate("recursive", U, lam, sigma)
+            assert abs(sol.path[-1] - want) <= 1e-8 * max(1.0, float(np.max(np.abs(U))))
+
+    def test_certificate_refuses_a_moved_free_round(self):
+        U = random_instance(100, n=100, lam=10.0, sigma=1e-2, master=71)
+        path = hull_map(U, 10.0, 1e-2).path
+        free = np.flatnonzero(path < U)
+        assert len(free) and kkt_violations(path, U, 10.0, 1e-2) == []
+        for k in free[[0, len(free) // 2, -1]]:
+            moved = path.copy()
+            moved[k] -= 1e-6
+            assert k + 1 in kkt_violations(moved, U, 10.0, 1e-2)
+
+    def test_certificate_refuses_an_active_round_above_u(self):
+        U = random_instance(100, n=100, lam=10.0, sigma=1e-2, master=71)
+        path = hull_map(U, 10.0, 1e-2).path
+        active = np.flatnonzero(path == U)
+        assert len(active)
+        for k in active:
+            lifted = path.copy()
+            lifted[k] = np.nextafter(U[k], math.inf)
+            assert k + 1 in kkt_violations(lifted, U, 10.0, 1e-2)
+
+    def test_the_benchmarks_name_is_hull_map_outside_all(self):
+        assert fgclock.coordinate_ascent_map is oracle.coordinate_ascent_map is hull_map
+        assert "hull_map" in fgclock.__all__ and "coordinate_ascent_map" not in fgclock.__all__
+
+    def test_single_round_is_u(self):
+        sol = hull_map([4.2], 1.0, 0.5)
+        assert sol.path.tolist() == [4.2]
+        assert sol.active_set == frozenset({1})
+
+    @pytest.mark.parametrize("U, sigma", [
+        ([-1.7e308, 1.7e308], 1.0),
+        ([1.7e308, -1.7e308, 1.7e308], 1.0),
+        # lam sigma**2 = 1e308: the hull's value at round 2 is NaN, and is U_2
+        ([-1e308, -1.7e308, 1.7e308], 1e154),
+    ])
+    def test_overflowing_hull_differences_leave_the_objective_to_refuse(self, U, sigma):
+        with pytest.raises(ParameterError, match="chain log posterior"):
+            hull_map(U, 1.0, sigma)
 
 
 def literal_quad_max_conv(values, c):

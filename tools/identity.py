@@ -176,7 +176,7 @@ def digest_oracles(fgclock, U, lam, sigma, groups, family="oracle"):
 
     calls = {
         "exact": lambda: fgclock.exact_map_active_set(U, lam, sigma),
-        "coordinate-ascent": lambda: fgclock.coordinate_ascent_map(U, lam, sigma),
+        "hull": lambda: fgclock.hull_map(U, lam, sigma),
         "grid": lambda: grid(513),
         "grid-4096": lambda: grid(4096),
     }
