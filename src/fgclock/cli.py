@@ -77,8 +77,7 @@ def _settings(args):
     manifest of a simulated ``--input``, then its flag."""
     settings = dict(_DEFAULTS)
     if getattr(args, "config", None) is not None:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = _read_json(args.config, "config file")
         if not isinstance(cfg, dict):
             raise ParameterError("config file must hold a JSON object")
         unknown = set(cfg) - set(_DEFAULTS)
@@ -86,7 +85,7 @@ def _settings(args):
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         settings.update(cfg)
     if getattr(args, "input", None) is not None:
-        settings.update(_simulated_model(args.input))
+        settings.update(_simulated_model(args.input)[1])
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -94,28 +93,36 @@ def _settings(args):
     return settings
 
 
+def _read_json(path, what):
+    """The JSON in ``path``, the ``what``; one that is not JSON is refused naming both."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: the {what} is not JSON: {exc.msg}",
+                                       exc.doc, exc.pos) from None
+
+
 def _simulated_model(path):
-    """The estimator settings of the manifest that ``simulate`` wrote beside ``path``.
+    """The manifest that ``simulate`` wrote beside ``path``, and its estimator settings.
 
     ``simulate --out p`` writes ``p_observations.csv`` and ``p_manifest.json``;
-    any other input, or one with no manifest beside it, has none.
+    any other input, or one with no manifest beside it, has none: ``(None, {})``.
     """
     prefix = path.removesuffix("_observations.csv")
     if prefix == path:
-        return {}
+        return None, {}
     manifest_file = f"{prefix}_manifest.json"
     try:
-        fh = open(manifest_file)
+        manifest = _read_json(manifest_file, "simulate manifest")
     except FileNotFoundError:
-        return {}
-    with fh:
-        manifest = json.load(fh)
+        return None, {}
     simulated = isinstance(manifest, dict) and manifest.get("subcommand") == "simulate"
     config = manifest.get("config") if simulated else None
     if not isinstance(config, dict) or not set(_ESTIMATOR_KEYS) <= set(config):
         raise ParameterError(f"{manifest_file}: not a simulate manifest with "
                              f"{', '.join(_ESTIMATOR_KEYS)} in its config")
-    return {key: config[key] for key in _ESTIMATOR_KEYS}
+    return manifest_file, {key: config[key] for key in _ESTIMATOR_KEYS}
 
 
 def _parse_values(text):
@@ -230,7 +237,17 @@ def _read_observations(path):
 
 def cmd_estimate(args):
     U, V = _read_observations(args.input)
-    params = _model(_settings(args))
+    settings = _settings(args)
+    try:
+        params = _model(settings)
+    except FgclockError as exc:
+        manifest_file, model = _simulated_model(args.input)
+        taken = {key: _DEFAULTS[key] for key in model if getattr(args, key) is None}
+        try:  # refused too with the defaults in place of the manifest's values?
+            _model({**settings, **taken})
+        except FgclockError:
+            raise exc from None
+        raise type(exc)(f"{manifest_file}: {exc}") from None
     used = {key: getattr(params, key) for key in _ESTIMATOR_KEYS}
     out = {}
     for variant in ESTIMATORS if args.variant == "all" else [args.variant]:

@@ -9,13 +9,15 @@ subject to x_k <= U_k. The flat-prior root variable x_0 is eliminated
 analytically (its optimum is x_0 = x_1, zeroing the first increment).
 Three independent routes to the same optimum are provided: active-set
 enumeration with tridiagonal equality solves, one forward elimination shared
-by the pieces that start at each round, which walks only the feasible sets
-and scores exactly only those a vector pass puts near the best, the O(N)
-lower hull of U_k + lam sigma^2 k^2 / 2, whose path is the optimum up to
-rounding, and a discretized max-product sweep on a grid, whose envelopes
-take one vector pass where the input allows and are read out in linear
-time. Each shortcut gives, bit for bit, the results of the full loop it
-skips.
+by the pieces that start at each round, which scores each feasible piece
+once and builds and scores exactly only the sets that a longest-path pass
+over the pieces puts near the best, the O(N) lower hull of
+U_k + lam sigma^2 k^2 / 2, whose path is the optimum up to rounding, and a
+discretized max-product sweep on a grid, which keeps each level's message
+as its finite prefix below the level's cut, and whose envelopes take one
+vector pass where the input allows and are read out in linear time at the
+points the next level reads. Each shortcut gives, bit for bit, the results
+of the full loop it skips.
 None of the oracles shares code with the estimators they validate.
 """
 
@@ -94,15 +96,20 @@ def _pieces(u, cap, a, lam_s2):
             row = (2.0 + w, lam_s2 - w * rhs[-1])
         else:
             row = first
-        x = [r / d] * (len(diag) + 1)
-        k = len(diag)  # x[k] is round a+1+k; back-substitute while each is within cap
-        while k >= 0 and not x[k] > cap[a + 1 + k]:
-            k -= 1
-            if k >= 0:
-                x[k] = (rhs[k] + x[k + 1]) / diag[k]
+        m = len(diag)
         diag.append(row[0])
         rhs.append(row[1])
-        yield x if k < 0 else None
+        top = r / d  # round b - 1
+        if top > cap[b - 1]:
+            yield None
+            continue
+        x = [top] * (m + 1)
+        for k in range(m - 1, -1, -1):  # back-substitute x[k], round a+1+k, while within cap
+            x[k] = (rhs[k] + x[k + 1]) / diag[k]
+            if x[k] > cap[a + 1 + k]:
+                x = None
+                break
+        yield x
 
 
 def exact_map_active_set(U, lam, sigma):
@@ -118,62 +125,101 @@ def exact_map_active_set(U, lam, sigma):
     the pieces from one round a share one forward elimination, and a piece
     is dropped at its first round above U + tol. An active round has
     x_k = U_k <= U_k + tol, so a set is feasible exactly when each of its
-    pieces is: only the paths -1 -> n through feasible pieces are walked,
-    not all 2^n - 1 sets. The walk takes a = -1, 0, ..., n - 1 in turn, once
-    every path to a is listed, and extends those paths through each b > a,
-    so the paths through b extend those ending at a = -1, 0, ..., b - 1 in
-    turn, which by induction lists their masks in increasing order. The
-    feasible paths are gathered into one 2-D array of candidates.
+    pieces is: the feasible sets are the paths -1 -> n through feasible
+    pieces.
 
-    One vector pass scores every feasible set approximately, and only the
-    sets within 1e-6 (1 + S) of the best approximate score, S the largest
-    quad + lam sum |x|, are scored exactly, in mask order, with the
-    arithmetic of ``chain_log_posterior``. This gives the bits of a loop
-    that scores every set: the tie tolerance never exceeds 1e-12 (1 + S),
-    so a set below a wider gap neither replaces a set above it nor keeps
-    its place against one, and the answer depends only on the sets linked
-    to the best by steps within the tolerance. At most 4094 steps span
-    4.1e-9 (1 + S), which the margin holds with room for the rounding of
-    both scores. Where a score could near the float limit every set is
-    scored, so the first one refused, if any, is the same.
+    Each feasible piece is scored once, approximately, on its values
+    clipped at U: its share of a set's score lam sum x - quad, of its scale
+    quad + lam sum |x| and of its squared increments. A forward
+    longest-path pass over the pieces gives the best approximate score, the
+    largest scale S and the largest squared sum, a backward pass the best
+    score from each round to n, and a search from -1 extends a path only
+    while it can still end within 1e-6 (1 + S) of the best, with
+    1e-9 (1 + S) to spare for the order of the sums. Only the sets it
+    reaches are built, and scored exactly, in mask order, with the
+    arithmetic of ``chain_log_posterior``.
+    This gives the bits of a loop that scores every set: the tie tolerance
+    never exceeds 1e-12 (1 + S), so a set below a wider gap neither
+    replaces a set above it nor keeps its place against one, and the
+    answer depends only on the sets linked to the best by steps within the
+    tolerance. At most 4094 steps span 4.1e-9 (1 + S), which the margin
+    holds with room for the rounding of both scores. Where a score could
+    near the float limit, or is NaN, every feasible set is scored, so the
+    first one refused, if any, is the same.
     """
     U, s2 = _validate_chain_args(U, lam, sigma)
     n = len(U)
     check_enumerable(n)
     lam_s2 = float(lam) * s2
-    feas_tol = 1e-9 * max(1.0, float(np.max(np.abs(U))))
     u = U.tolist()
+    feas_tol = 1e-9 * max(1.0, *map(abs, u))
     # Python floats: a bound near the float limit overflows to inf, unwarned
     cap = [v + feas_tol for v in u]
-    # ends[b]: (mask of its rounds and b, x[0..b]) of each path -1 -> b, in mask order; piece
-    # (a, b) holds x[a+1..b], feasible unless above U + tol (a NaN is; the objective refuses it)
-    ends = {-1: [(0, [])], **{b: [] for b in range(n + 1)}}
+    rate, limit = float(lam), FLOAT_MAX / 4.0
+    # out[a]: (b, x[a+1..b], approximate score) of each feasible piece (a, b) from a round a
+    # that some path reaches; ahead[b]: the best score, scale and squared sum of a path -1 -> b
+    out = {a: [] for a in range(-1, n)}
+    ahead = {-1: (0.0, 0.0, 0.0)}
+    # safe: no score can overflow, so none is refused, and each is within rounding of its sum
+    safe = True
     for a in range(-1, n):
-        if ends[a]:
-            for b, x in enumerate(_pieces(u, cap, a, lam_s2), a + 1):
-                if x is not None:  # x[b] = u[b] <= cap[b]
-                    x += u[b:b + 1]
-                    ends[b] += [(mask | 1 << b, head + x) for mask, head in ends[a]]
-    masks, paths = zip(*ends[n])
-    xs = np.fromiter(itertools.chain.from_iterable(paths), float, n * len(paths)).reshape(-1, n)
+        if a not in ahead:
+            continue
+        before, before_scale, before_sq = ahead[a]
+        upper = u[a + 1:]
+        for b, x in enumerate(_pieces(u, cap, a, lam_s2), a + 1):
+            if x is None:  # above U + tol (a NaN is not; the objective refuses it)
+                continue
+            if b < n:
+                x.append(u[b])  # x[b] = u[b] <= cap[b]
+            prev = u[a] if a >= 0 else min(x[0], u[0])  # the root is pinned at x_1
+            sq = total = size = 0.0
+            for v, c in zip(x, upper):
+                if c < v:  # clipped at U; a NaN stays
+                    v = c
+                step = v - prev
+                sq += step * step
+                total += v
+                size += abs(v)
+                prev = v
+            quad = sq / (2.0 * s2)
+            score, scale = rate * total - quad, quad + rate * size
+            if not (sq < limit and scale < limit):  # or NaN
+                safe = False
+            out[a].append((b, x, score))
+            score, scale, sq = before + score, before_scale + scale, before_sq + sq
+            if b in ahead:
+                score0, scale0, sq0 = ahead[b]
+                score, scale, sq = max(score0, score), max(scale0, scale), max(sq0, sq)
+            ahead[b] = (score, scale, sq)
+    peak, big, squares = ahead[n]
+    safe = safe and big < limit and squares < limit
+    behind = {n: 0.0}  # the best score of a path from each reached round to n
+    for a in range(n - 1, -2, -1):
+        if out[a]:
+            behind[a] = max([score + behind[b] for b, _, score in out[a]])
+    # 1e-6 (1 + S) holds the 4094 tie steps of at most 1e-12 (1 + S) that can
+    # link a set to the best, and the rounding of both scores, with room to spare
+    low = peak - (1e-6 + 1e-9) * (1.0 + big)
+    kept = {}  # the pieces of each set the search reaches, by the mask of its active rounds
+    stack = [(-1, 0.0, 0, ())]
+    while stack:
+        a, so_far, mask, route = stack.pop()
+        for b, x, score in out[a]:
+            if safe and not so_far + score + behind[b] >= low:
+                continue
+            if b == n:
+                kept[mask] = route + (x,)
+            else:
+                stack.append((b, so_far + score, mask | 1 << b, route + (x,)))
+    masks = sorted(kept)
+    xs = np.array([list(itertools.chain.from_iterable(kept[mask])) for mask in masks])
     bounds = np.concatenate((U[:1], U))  # of the root, pinned at x_1, and of x
     rows = np.minimum(np.concatenate((xs[:, :1], xs), axis=1), bounds)  # each set's candidate
-    with np.errstate(over="ignore", invalid="ignore"):
-        incr = rows[:, 1:] - rows[:, :-1]
-        sq = (incr * incr).sum(axis=1)
-        quad = sq / (2.0 * s2)
-        approx = lam * rows[:, 1:].sum(axis=1) - quad
-        scale = quad + lam * np.abs(rows[:, 1:]).sum(axis=1)
-        # then no score overflows, so none is refused, and each is within rounding of approx
-        safe = np.all((sq < FLOAT_MAX / 4) & (scale < FLOAT_MAX / 4))
-        # 1e-6 (1 + S) holds the 4094 tie steps of at most 1e-12 (1 + S) that can
-        # link a set to the best, and the rounding of both scores, with room to spare
-        keep = (approx >= approx.max() - 1e-6 * (1.0 + scale.max())) | (not safe)
     best = None
-    for j in np.flatnonzero(keep).tolist():
-        candidate = rows[j]
+    for mask, candidate in zip(masks, rows):
         obj = _chain_log_posterior(candidate, lam, s2)
-        members = tuple(k + 1 for k in range(n) if masks[j] >> k & 1)
+        members = tuple(k + 1 for k in range(n) if mask >> k & 1)
         tie_tol = 1e-12 * max(1.0, abs(best[0])) if best else 0.0
         if (best is None or obj > best[0] + tie_tol
                 or (obj > best[0] - tie_tol and members < best[1])):
@@ -246,62 +292,70 @@ def hull_map(U, lam, sigma):
 coordinate_ascent_map = hull_map
 
 
-def _quad_max_conv(values, step_sq_half_inv):
-    """Upper envelope q[i] = max_j (values[j] - c (i - j)^2) on a uniform grid.
+def _quad_max_conv(values, step_sq_half_inv, n):
+    """Upper envelope q[i] = max_j (values[j] - c (i - j)^2) at the grid points i < n.
 
-    ``c = step_sq_half_inv`` is h^2 / (2 sigma^2) in grid-index units.
-    Linear-time lower-envelope-of-parabolas transform applied to the
-    negated values (Felzenszwalb and Huttenlocher, 2012); entries equal
-    to -inf are skipped. The breakpoints of neighbouring finite entries
-    take one vector pass, in the stack loop's own expression: where they
-    strictly increase, as for every concave input and so every grid
-    message, the loop would pop nothing and they are its envelope, bit for
-    bit. Otherwise the loop runs, on Python floats and ints read through
-    memoryviews. The breakpoints never decrease, so the parabola v[m]
-    covers the grid points i with z[m-1] < i <= z[m], floor(z[m]) -
-    floor(z[m-1]) of them with z clipped to [-1, n - 1], and the read-out
-    repeats each parabola that many times: it is linear, as the scalar
-    loop's read-out is, and picks the parabola that a binary search for
-    each i would.
+    ``c = step_sq_half_inv`` is h^2 / (2 sigma^2) in grid-index units, and
+    ``n`` may be below, at or above ``len(values)``: only the first n
+    points are read out. Linear-time lower-envelope-of-parabolas transform
+    applied to the negated values (Felzenszwalb and Huttenlocher, 2012);
+    entries equal to -inf are skipped. Where the finite entries form one
+    run, as in every grid message, the breakpoints of neighbours q = p + 1
+    take one vector pass, in the stack loop's own expression, where
+    q^2 - p^2 = 2p + 1 and 2 (q - p) = 2 are exact: where they strictly
+    increase, as for every concave input, the loop would pop nothing and
+    they are its envelope, bit for bit. Otherwise the loop runs, on Python
+    floats and ints read through memoryviews. The breakpoints never
+    decrease, so the parabola rooted at v[m] covers the grid points i with
+    z[m-1] < i <= z[m], floor(z[m]) - floor(z[m-1]) of them with z clipped
+    to [-1, n - 1], and the read-out repeats each root that many times and
+    gathers the values there: it is linear, as the scalar loop's read-out
+    is, and picks the parabola that a binary search for each i would.
     """
-    n = len(values)
+    c = step_sq_half_inv
     finite = np.flatnonzero(np.isfinite(values))
     if len(finite) == 0:
         return np.full(n, -math.inf)
-    c = step_sq_half_inv
-    top = values[finite]       # apexes and roots of the parabolas in the envelope
-    v = finite.astype(float)
-    q, p = v[1:], v[:-1]
-    with np.errstate(over="ignore"):
-        z = ((q * q - p * p) - (top[1:] - top[:-1]) / c) / (2.0 * (q - p))
-    if n > 2**26 or not np.all(z[1:] > z[:-1]):  # float squares of indices round past 2**26
-        f = memoryview(values)
-        v = [int(finite[0])]
-        z = [-math.inf, math.inf]  # breakpoints between them
-        for q in memoryview(finite[1:]):
-            while True:
-                p = v[-1]
-                # intersection of the parabolas rooted at q and p
-                s = ((q * q - p * p) - (f[q] - f[p]) / c) / (2.0 * (q - p))
-                if s <= z[-2] and len(v) > 1:
-                    v.pop()
-                    z.pop()
-                else:
-                    break
-            v.append(q)
-            z[-1] = s
-            z.append(math.inf)
-        top, v, z = values[v], np.array(v, dtype=float), z[1:-1]
-    # floor(z[m]) + 1 grid points lie at or below z[m], with z clipped to [-1, n - 1]
-    last = np.empty(len(v) + 1)
-    last[0], last[-1] = -1.0, n - 1.0
-    inner = last[1:-1]
-    np.floor(np.clip(z, -1.0, n - 1.0, out=inner), out=inner)
-    counts = (last[1:] - last[:-1]).astype(np.intp)
-    d = np.arange(n, dtype=float) - np.repeat(v, counts)
-    # c (i - p)^2 in the order of the scalar form; one that overflows is inf
-    with np.errstate(over="ignore"):
-        return np.repeat(top, counts) - (c * d) * d
+    first, last = int(finite[0]), int(finite[-1])
+    v = None
+    with np.errstate(over="ignore"):  # a breakpoint or c (i - j)^2 that overflows is inf
+        if last - first == len(finite) - 1:
+            z = np.diff(values[first:last + 1])
+            z /= c
+            np.subtract(np.arange(2.0 * first + 1.0, 2.0 * last, 2.0), z, out=z)
+            z *= 0.5
+            if np.all(z[1:] > z[:-1]):
+                v = finite
+        if v is None:
+            f = memoryview(values)
+            v = [first]
+            z = [-math.inf, math.inf]  # breakpoints between them
+            for q in memoryview(finite[1:]):
+                while True:
+                    p = v[-1]
+                    # intersection of the parabolas rooted at q and p
+                    s = ((q * q - p * p) - (f[q] - f[p]) / c) / (2.0 * (q - p))
+                    if s <= z[-2] and len(v) > 1:
+                        v.pop()
+                        z.pop()
+                    else:
+                        break
+                v.append(q)
+                z[-1] = s
+                z.append(math.inf)
+            v, z = np.array(v), z[1:-1]
+        # floor(z[m]) + 1 grid points lie at or below z[m], with z clipped to [-1, n - 1]
+        ends = np.empty(len(v) + 1)
+        ends[0], ends[-1] = -1.0, n - 1.0
+        inner = ends[1:-1]
+        np.floor(np.clip(z, -1.0, n - 1.0, out=inner), out=inner)
+        root = np.repeat(v, (ends[1:] - ends[:-1]).astype(np.intp))
+        # values[j] - c (i - j)^2, in the order of the scalar form
+        d = np.arange(n, dtype=float)
+        d -= root
+        out = c * d
+        out *= d
+        return np.subtract(values[root], out, out=out)
 
 
 def grid_max_marginal(U, lam, sigma, lo, hi, points):
@@ -335,23 +389,34 @@ def grid_max_marginal(U, lam, sigma, lo, hi, points):
             linear = lam * grid
             if cut[0] == 0:
                 raise GridCoverageError("grid lies entirely above U_1; no feasible point")
-            msg = linear.copy()
-            msg[cut[0]:] = -math.inf
+            # each level's message is its prefix below the cut, where it is -inf
+            msg = linear[:cut[0]]
+            # bounds on every finite message value, in Python floats, which overflow to
+            # inf unwarned: they follow each read-out's operations, which round
+            # monotonically, and c (i - j)^2 <= c (points - 1)^2
+            top, bottom = float(linear[-1]), float(linear[0])
+            spread = float(c) * (points - 1) * (points - 1)
+            most, least = top, bottom
             for k in range(1, len(U)):
-                msg = _quad_max_conv(msg, c) + linear
-                msg[cut[k]:] = -math.inf
+                most, least = most + top, (least - spread) + bottom
+                # a sum past the cut that could overflow is refused, as on the whole grid
+                n = cut[k] if -FLOAT_MAX <= least and most <= FLOAT_MAX else points
+                msg = _quad_max_conv(msg, c, n)
+                msg += linear[:n]
+                msg = msg[:cut[k]]
     except FloatingPointError:
         raise ParameterError(f"the max-marginals overflow on the grid (lam={lam}, "
                              f"lo={lo}, hi={hi})") from None
-    i = int(np.argmax(msg))
-    if not math.isfinite(msg[i]):
+    i = int(np.argmax(msg)) if len(msg) else 0
+    if not (len(msg) and math.isfinite(msg[i])):
         raise GridCoverageError("final max-marginal is -inf everywhere on the grid")
     if i == 0 or i == points - 1:
         raise GridCoverageError(f"argmax landed on the grid boundary (index {i}); widen [lo, hi]")
     # sub-step refinement: the max-marginal is piecewise quadratic, so a three-point
     # vertex fit recovers the continuous peak when it lies inside a segment; at a
     # constraint cut a neighbor is -inf and the grid point itself is the peak
-    left, mid, right = msg[i - 1:i + 2].tolist()  # Python floats overflow unwarned
+    left, mid = msg[i - 1:i + 1].tolist()  # Python floats overflow unwarned
+    right = float(msg[i + 1]) if i + 1 < len(msg) else -math.inf
     delta = 0.0
     if math.isfinite(left) and math.isfinite(right):
         den = 2.0 * (2.0 * mid - left - right)

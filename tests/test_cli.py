@@ -94,6 +94,15 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "sigm" in err
 
+    def test_config_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("garbage")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "x"))
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith(f"error: {cfg}: the config file is not JSON: Expecting value")
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "simulate", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "x"))
@@ -296,6 +305,36 @@ class TestEstimate:
         code, printed, err = run(capsys, "estimate", "--input", f"{out}_observations.csv")
         assert code == expected
         assert printed == "" and err.startswith("error: ")
+
+    def test_manifest_that_is_not_json_is_named(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run(capsys, "simulate", "--rounds", "5", "--out", str(out))
+        Path(f"{out}_manifest.json").write_text("garbage")
+        code, printed, err = run(capsys, "estimate", "--input", f"{out}_observations.csv")
+        assert code == EXIT_IO
+        assert printed == ""
+        assert err.startswith(f"error: {out}_manifest.json: the simulate manifest is not JSON: ")
+
+    def test_a_refused_manifest_value_names_the_manifest(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run(capsys, "simulate", "--rounds", "5", "--out", str(out))
+        manifest = Path(f"{out}_manifest.json")
+        doc = json.loads(manifest.read_text())
+        doc["config"]["sigma"] = -1.0
+        manifest.write_text(json.dumps(doc))
+        code, printed, err = run(capsys, "estimate", "--input", f"{out}_observations.csv")
+        assert code == EXIT_VALIDATION
+        assert printed == ""
+        assert err == f"error: {manifest}: sigma must be in [0, 1.341e+154], got -1.0\n"
+        # a refused flag is the flag's, and a flag over the refused value wins
+        code, _, err = run(capsys, "estimate", "--input", f"{out}_observations.csv",
+                           "--sigma", "-2")
+        assert code == EXIT_VALIDATION
+        assert err == "error: sigma must be in [0, 1.341e+154], got -2.0\n"
+        code, printed, err = run(capsys, "estimate", "--input", f"{out}_observations.csv",
+                                 "--sigma", "0.02")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(printed)["params"]["sigma"] == 0.02
 
 
 class TestSweep:

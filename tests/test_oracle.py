@@ -24,7 +24,7 @@ from fgclock import (
 )
 from fgclock import oracle
 from fgclock.estimators import final_estimate
-from fgclock.oracle import _quad_max_conv
+from fgclock.oracle import MapSolution, _quad_max_conv
 
 
 def random_instance(i, n=None, lam=1.0, sigma=0.1, master=17):
@@ -139,6 +139,12 @@ class TestGridMaxMarginal:
         with pytest.raises(GridCoverageError):
             grid_max_marginal([0.0, 0.0], 1.0, 0.1, lo=1.0, hi=2.0, points=512)
 
+    @pytest.mark.parametrize("U", [[1.0, -10.0], [1.0, -10.0, 1.0]])
+    def test_a_later_round_below_the_grid_is_refused(self, U):
+        # the cut of round 2 is index 0, so its message, and every later one, is empty
+        with pytest.raises(GridCoverageError, match="-inf everywhere"):
+            grid_max_marginal(U, 1.0, 0.1, lo=0.0, hi=2.0, points=64)
+
     def test_boundary_argmax_detected(self):
         # grid whose upper edge sits below the optimum
         with pytest.raises(GridCoverageError):
@@ -189,6 +195,13 @@ class TestGridMaxMarginal:
         # refused with no warning of any kind
         with pytest.raises(ParameterError, match="max-marginals overflow"):
             grid_max_marginal(U, lam, sigma, lo, hi, points)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_past_the_last_cut_is_refused(self):
+        # lam hi = 1e308: the second round's sums overflow only above its cut, which
+        # no later round reads, and are refused all the same
+        with pytest.raises(ParameterError, match="the max-marginals overflow on the grid"):
+            grid_max_marginal([0.9e8, 0.5e8], 1e300, 1e4, 0.0, 1e8, 4096)
 
     def test_peak_near_the_float_limit_is_finite(self):
         # the peak max-marginal is about 1.2e308, so twice it overflows in the
@@ -462,6 +475,64 @@ class TestLiteralReferences:
             except ParameterError:
                 break
         assert scored_candidates(U, lam, sigma, monkeypatch) == want
+
+
+def walked_exact_map(U, lam, sigma):
+    """Enumeration as it walked before each piece was scored once: every feasible set's path,
+    built through ``oracle._pieces`` in mask order, each scored exactly in turn with the tie
+    rule; the reference."""
+    U, s2 = oracle._validate_chain_args(U, lam, sigma)
+    n = len(U)
+    oracle.check_enumerable(n)
+    lam_s2 = float(lam) * s2
+    u = U.tolist()
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(U))))
+    cap = [v + tol for v in u]
+    # the paths -1 -> b through feasible pieces, in mask order
+    ends = {-1: [(0, [])], **{b: [] for b in range(n + 1)}}
+    for a in range(-1, n):
+        if ends[a]:
+            for b, x in enumerate(oracle._pieces(u, cap, a, lam_s2), a + 1):
+                if x is not None:
+                    x += u[b:b + 1]
+                    ends[b] += [(mask | 1 << b, head + x) for mask, head in ends[a]]
+    bounds = np.concatenate((U[:1], U))
+    best = None
+    for mask, x in ends[n]:
+        candidate = np.minimum(np.array(x)[[0, *range(n)]], bounds)
+        obj = oracle._chain_log_posterior(candidate, lam, s2)
+        members = tuple(k + 1 for k in range(n) if mask >> k & 1)
+        tie_tol = 1e-12 * max(1.0, abs(best[0])) if best else 0.0
+        if (best is None or obj > best[0] + tie_tol
+                or (obj > best[0] - tie_tol and members < best[1])):
+            best = (obj, members, candidate[1:])
+    return MapSolution(path=best[2].copy(), objective=best[0], active_set=frozenset(best[1]))
+
+
+def outcome(solve, *args):
+    """A solution's path bytes, objective in hex and active set, or a refusal's class and
+    message."""
+    try:
+        sol = solve(*args)
+    except FgclockError as exc:
+        return type(exc), str(exc)
+    return sol.path.tobytes(), sol.objective.hex(), sol.active_set
+
+
+class TestScoredPieces:
+    """Enumeration scores each piece once and builds only the sets near the best, with the
+    bits of the walk that built and scored every feasible set."""
+
+    def test_equals_the_walk_that_scores_every_set(self):
+        # every lam sum |x| of the 5e307 chains is 1e308, past the screen's limit, so
+        # every feasible set is scored, as the float-limit test above shows for two rounds
+        chains = [*piece_chains(), *CAP_CASES,
+                  *((np.full(n, 5e307), 1.0, 1.0) for n in (2, 3))]
+        results = [outcome(exact_map_active_set, *chain) for chain in chains]
+        for chain, got in zip(chains, results):
+            assert got == outcome(walked_exact_map, *chain)
+        refused = sum(len(got) == 2 for got in results)
+        assert 0 < refused < len(chains) - 100
 
 
 class TestOraclesConsistent:
@@ -803,12 +874,12 @@ def brute_quad_max_conv(values, c):
 
 def grid_messages(monkeypatch, chains, points):
     """``(values, c)`` of each envelope the grid oracle takes on the ``(U, lo, hi)`` of
-    ``chains`` at lam = 10, sigma = 1e-2."""
+    ``chains`` at lam = 10, sigma = 1e-2, its message on the whole grid: -inf past the cut."""
     captured = []
 
-    def capture(values, c):
-        captured.append((values.copy(), c))
-        return conv(values, c)
+    def capture(values, c, n):
+        captured.append((np.concatenate((values, np.full(points - len(values), -math.inf))), c))
+        return conv(values, c, n)
 
     conv = oracle._quad_max_conv
     monkeypatch.setattr(oracle, "_quad_max_conv", capture)
@@ -833,7 +904,7 @@ class TestQuadMaxConv:
             -c * (np.arange(n) - n / 3.0) ** 2,  # a single parabola's own shape
         ]
         for values in cases:
-            got = _quad_max_conv(values, c)
+            got = _quad_max_conv(values, c, len(values))
             assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
             want = brute_quad_max_conv(values, c)
             assert np.array_equal(np.isneginf(got), np.isneginf(want))
@@ -841,6 +912,33 @@ class TestQuadMaxConv:
             assert np.isfinite(got[finite]).all()
             assert np.all(np.abs(got[finite] - want[finite])
                           <= 1e-12 * np.maximum(1.0, np.abs(want[finite])))
+
+    @pytest.mark.parametrize("c", [1e-3, 0.37, 50.0])
+    def test_read_out_length(self, c, monkeypatch):
+        # the first n points of the envelope: the reference's cut short below
+        # len(values), and above it the reference's own read-out of the values
+        # with -inf appended, which carries the parabolas on
+        rng = np.random.default_rng([79, int(c * 1000)])
+        cases = [rng.normal(0.0, 10.0, m) for m in (1, 2, 7, 64)]
+        cases += [np.where(rng.random(64) < 0.4, -math.inf, rng.normal(0.0, 10.0, 64)),
+                  np.full(5, -math.inf), np.array([]), -c * (np.arange(40.0) - 13.5) ** 2,
+                  rng.choice([0.0, 1.0, 2.5], size=30)]
+        grids = []
+        for i in range(2):
+            U = random_instance(i, n=3, lam=10.0, sigma=1e-2, master=97)
+            grids.append((U, float(np.min(U)) - 0.2, float(np.max(U)) + 0.1))
+        # the finite prefixes that the grid oracle passes
+        messages = grid_messages(monkeypatch, grids, 513)
+        cases += [values[np.isfinite(values)] for values, _ in messages]
+        extended = 0
+        for values in cases:
+            m = len(values)
+            for n in sorted({0, 1, m // 2, max(m - 1, 0), m, m + 1, 2 * m + 5}):
+                padded = np.concatenate((values, np.full(max(0, n - m), -math.inf)))
+                want = literal_quad_max_conv(padded, c)[:n]
+                assert _quad_max_conv(values, c, n).tobytes() == want.tobytes()
+                extended += n > m and bool(np.isfinite(want[m:]).all())
+        assert extended > 20
 
     def test_concave_inputs_take_the_vector_pass(self, monkeypatch):
         # a grid message is a ramp cut at U_k + h/2, max-convolved with a
@@ -862,7 +960,7 @@ class TestQuadMaxConv:
         for values, c in captured:
             z = neighbour_breakpoints(values, c)
             assert all(right > left for left, right in zip(z, z[1:]))
-            got = _quad_max_conv(values, c)
+            got = _quad_max_conv(values, c, len(values))
             assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
@@ -871,7 +969,8 @@ class TestQuadMaxConv:
         # parabolas between the first and the last
         values = c * np.arange(17.0) ** 2
         assert set(neighbour_breakpoints(values, c)) == {0.0}
-        assert _quad_max_conv(values, c).tobytes() == literal_quad_max_conv(values, c).tobytes()
+        got = _quad_max_conv(values, c, len(values))
+        assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
 
     def test_convex_parabolas_match_the_loop(self):
         # three or more parabolas meeting at one grid point: their breakpoints
@@ -882,7 +981,7 @@ class TestQuadMaxConv:
             n = int(rng.integers(3, 7))
             c = float(rng.uniform(0.05, 5.0))
             values = rng.normal(0.0, 10.0) + c * (rng.integers(0, n) - np.arange(n)) ** 2
-            got = _quad_max_conv(values, c)
+            got = _quad_max_conv(values, c, len(values))
             assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 50.0])
@@ -899,9 +998,9 @@ class TestQuadMaxConv:
             top * np.random.default_rng(61).uniform(0.5, 1.0, 64),
         ]
         for values in cases:
-            got = _quad_max_conv(values, c)
+            got = _quad_max_conv(values, c, len(values))
             assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
-        assert _quad_max_conv(constant, c).tobytes() == constant.tobytes()
+        assert _quad_max_conv(constant, c, len(constant)).tobytes() == constant.tobytes()
 
     def test_benchmark_grid_messages(self, monkeypatch):
         # the oracle-check benchmark's grids: 3-round model chains at 4096
@@ -914,7 +1013,8 @@ class TestQuadMaxConv:
         assert len(captured) == 8
         for values, c in captured:
             assert len(values) == 4096
-            assert _quad_max_conv(values, c).tobytes() == literal_quad_max_conv(values, c).tobytes()
+            got = _quad_max_conv(values, c, len(values))
+            assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_breakpoints_on_grid_points(self, c):
@@ -932,7 +1032,8 @@ class TestQuadMaxConv:
             on_points += sum(0.0 <= b <= 39.0 and b == math.floor(b) for b in z)
             below += sum(b < 0.0 for b in z)
             above += sum(b > 39.0 for b in z)
-            assert _quad_max_conv(values, c).tobytes() == literal_quad_max_conv(values, c).tobytes()
+            got = _quad_max_conv(values, c, len(values))
+            assert got.tobytes() == literal_quad_max_conv(values, c).tobytes()
         assert min(on_points, below, above) > 100
 
     @pytest.mark.parametrize("c", [1e-300, 1e-3, 1.0])
@@ -950,7 +1051,7 @@ class TestQuadMaxConv:
             with np.errstate(over="ignore"):
                 infinite += sum(math.isinf(b) for b in neighbour_breakpoints(values, c))
                 want = literal_quad_max_conv(values, c)
-            assert _quad_max_conv(values, c).tobytes() == want.tobytes()
+            assert _quad_max_conv(values, c, len(values)).tobytes() == want.tobytes()
         with np.errstate(over="ignore"):
             z = neighbour_breakpoints(cases[0], c)
         assert z[0] == -math.inf and z[-1] == math.inf
@@ -965,4 +1066,4 @@ class TestQuadMaxConv:
                 values = np.array(values)
                 with np.errstate(over="ignore"):
                     want = literal_quad_max_conv(values, c)
-                assert _quad_max_conv(values, c).tobytes() == want.tobytes()
+                assert _quad_max_conv(values, c, len(values)).tobytes() == want.tobytes()
