@@ -7,6 +7,7 @@ run can be reproduced bit-for-bit. Exit codes: 0 success, 2 usage,
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -47,7 +48,7 @@ EXIT_CODES = (
     (FgclockError, EXIT_VALIDATION),
     (OSError, EXIT_IO),
     (json.JSONDecodeError, EXIT_IO),
-    (UnicodeDecodeError, EXIT_IO),
+    (UnicodeError, EXIT_IO),
 )
 
 #: Every setting with its default; each run merges the defaults, then the
@@ -72,9 +73,9 @@ _SWEEP_KEYS = tuple(key for key in _DEFAULTS if key not in _MODEL_KEYS)
 _ESTIMATOR_KEYS = ("lambda_xi", "lambda_psi", "sigma")
 
 
-def _settings(args):
-    """Every setting: its default, then its value in the ``--config`` file or in the
-    manifest of a simulated ``--input``, then its flag."""
+def _settings(args, simulated=None):
+    """Every setting: its default, then its value in the ``--config`` file or in
+    ``simulated``, the values of an ``estimate`` input's manifest, then its flag."""
     settings = dict(_DEFAULTS)
     if getattr(args, "config", None) is not None:
         cfg = _read_json(args.config, "config file")
@@ -84,8 +85,8 @@ def _settings(args):
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         settings.update(cfg)
-    if getattr(args, "input", None) is not None:
-        settings.update(_simulated_model(args.input)[1])
+    if simulated:
+        settings.update(simulated)
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -93,9 +94,19 @@ def _settings(args):
     return settings
 
 
+@contextlib.contextmanager
+def _open_utf8(path, what, newline=None):
+    """``path``, the ``what``, open as UTF-8; one that is not is refused naming both."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise UnicodeError(f"{path}: the {what} is not UTF-8: {exc}") from None
+
+
 def _read_json(path, what):
     """The JSON in ``path``, the ``what``; one that is not JSON is refused naming both."""
-    with open(path) as fh:
+    with _open_utf8(path, what) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -209,7 +220,7 @@ def cmd_simulate(args):
 
 def _read_observations(path):
     U, V = [], []
-    with open(path, newline="") as fh:
+    with _open_utf8(path, "observation CSV", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:3]] != ["k", "U", "V"]:
@@ -237,11 +248,11 @@ def _read_observations(path):
 
 def cmd_estimate(args):
     U, V = _read_observations(args.input)
-    settings = _settings(args)
+    manifest_file, model = _simulated_model(args.input)
+    settings = _settings(args, model)
     try:
         params = _model(settings)
     except FgclockError as exc:
-        manifest_file, model = _simulated_model(args.input)
         taken = {key: _DEFAULTS[key] for key in model if getattr(args, key) is None}
         try:  # refused too with the defaults in place of the manifest's values?
             _model({**settings, **taken})

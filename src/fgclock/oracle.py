@@ -10,8 +10,9 @@ analytically (its optimum is x_0 = x_1, zeroing the first increment).
 Three independent routes to the same optimum are provided: active-set
 enumeration with tridiagonal equality solves, one forward elimination shared
 by the pieces that start at each round, which scores each feasible piece
-once and builds and scores exactly only the sets that a longest-path pass
-over the pieces puts near the best, the O(N) lower hull of
+once in one longest-path pass and then searches back from the last round,
+meeting the sets near the best in mask order and scoring each exactly as
+it meets it, the O(N) lower hull of
 U_k + lam sigma^2 k^2 / 2, whose path is the optimum up to rounding, and a
 discretized max-product sweep on a grid, which keeps each level's message
 as its finite prefix below the level's cut, and whose envelopes take one
@@ -21,7 +22,6 @@ of the full loop it skips.
 None of the oracles shares code with the estimators they validate.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -126,26 +126,32 @@ def exact_map_active_set(U, lam, sigma):
     is dropped at its first round above U + tol. An active round has
     x_k = U_k <= U_k + tol, so a set is feasible exactly when each of its
     pieces is: the feasible sets are the paths -1 -> n through feasible
-    pieces.
+    pieces, and the piece (a, a + 1), with no free round, always is one.
 
     Each feasible piece is scored once, approximately, on its values
     clipped at U: its share of a set's score lam sum x - quad, of its scale
     quad + lam sum |x| and of its squared increments. A forward
-    longest-path pass over the pieces gives the best approximate score, the
-    largest scale S and the largest squared sum, a backward pass the best
-    score from each round to n, and a search from -1 extends a path only
-    while it can still end within 1e-6 (1 + S) of the best, with
-    1e-9 (1 + S) to spare for the order of the sums. Only the sets it
-    reaches are built, and scored exactly, in mask order, with the
-    arithmetic of ``chain_log_posterior``.
-    This gives the bits of a loop that scores every set: the tie tolerance
-    never exceeds 1e-12 (1 + S), so a set below a wider gap neither
-    replaces a set above it nor keeps its place against one, and the
-    answer depends only on the sets linked to the best by steps within the
-    tolerance. At most 4094 steps span 4.1e-9 (1 + S), which the margin
+    longest-path pass over the pieces gives the best approximate score of
+    a path from -1 to each round, and at n the largest scale S and the
+    largest squared sum. A depth-first search then walks back from n,
+    taking the pieces (a, b) into each round b by their start,
+    a = -1, 0, 1, ..., and extends a path only while the best score to a,
+    plus the piece, plus the suffix already taken can end within
+    1e-6 (1 + S) of the best, with 1e-9 (1 + S) to spare for the order of
+    the sums. Masks, the sums of 2^k over a set's active rounds, compare
+    first by the last active round, where the set's piece that ends at n
+    starts, and then, among the sets that share it, by the rounds before
+    it in the same way, so the search meets the sets in increasing mask
+    order. Each is clipped and scored exactly as it is met, with the
+    arithmetic of ``chain_log_posterior``, and put through the tie rule.
+    This gives the bits of a loop that scores every set in mask order: the
+    tie tolerance never exceeds 1e-12 (1 + S), so a set below a wider gap
+    neither replaces a set above it nor keeps its place against one, and
+    the answer depends only on the sets linked to the best by steps within
+    the tolerance. At most 4094 steps span 4.1e-9 (1 + S), which the margin
     holds with room for the rounding of both scores. Where a score could
-    near the float limit, or is NaN, every feasible set is scored, so the
-    first one refused, if any, is the same.
+    near the float limit, or is NaN, the search is not pruned and meets
+    every feasible set, so the first one refused, if any, is the same.
     """
     U, s2 = _validate_chain_args(U, lam, sigma)
     n = len(U)
@@ -156,15 +162,13 @@ def exact_map_active_set(U, lam, sigma):
     # Python floats: a bound near the float limit overflows to inf, unwarned
     cap = [v + feas_tol for v in u]
     rate, limit = float(lam), FLOAT_MAX / 4.0
-    # out[a]: (b, x[a+1..b], approximate score) of each feasible piece (a, b) from a round a
-    # that some path reaches; ahead[b]: the best score, scale and squared sum of a path -1 -> b
-    out = {a: [] for a in range(-1, n)}
+    # into[b]: (a, x[a+1..b], approximate score) of each feasible piece (a, b), by a;
+    # ahead[b]: the best score, scale and squared sum of a path -1 -> b
+    into = [[] for _ in range(n + 1)]
     ahead = {-1: (0.0, 0.0, 0.0)}
     # safe: no score can overflow, so none is refused, and each is within rounding of its sum
     safe = True
     for a in range(-1, n):
-        if a not in ahead:
-            continue
         before, before_scale, before_sq = ahead[a]
         upper = u[a + 1:]
         for b, x in enumerate(_pieces(u, cap, a, lam_s2), a + 1):
@@ -186,47 +190,34 @@ def exact_map_active_set(U, lam, sigma):
             score, scale = rate * total - quad, quad + rate * size
             if not (sq < limit and scale < limit):  # or NaN
                 safe = False
-            out[a].append((b, x, score))
+            into[b].append((a, x, score))
             score, scale, sq = before + score, before_scale + scale, before_sq + sq
-            if b in ahead:
-                score0, scale0, sq0 = ahead[b]
-                score, scale, sq = max(score0, score), max(scale0, scale), max(sq0, sq)
-            ahead[b] = (score, scale, sq)
+            score0, scale0, sq0 = ahead.get(b, (score, scale, sq))
+            ahead[b] = (max(score0, score), max(scale0, scale), max(sq0, sq))
     peak, big, squares = ahead[n]
     safe = safe and big < limit and squares < limit
-    behind = {n: 0.0}  # the best score of a path from each reached round to n
-    for a in range(n - 1, -2, -1):
-        if out[a]:
-            behind[a] = max([score + behind[b] for b, _, score in out[a]])
     # 1e-6 (1 + S) holds the 4094 tie steps of at most 1e-12 (1 + S) that can
     # link a set to the best, and the rounding of both scores, with room to spare
     low = peak - (1e-6 + 1e-9) * (1.0 + big)
-    kept = {}  # the pieces of each set the search reaches, by the mask of its active rounds
-    stack = [(-1, 0.0, 0, ())]
-    while stack:
-        a, so_far, mask, route = stack.pop()
-        for b, x, score in out[a]:
-            if safe and not so_far + score + behind[b] >= low:
-                continue
-            if b == n:
-                kept[mask] = route + (x,)
-            else:
-                stack.append((b, so_far + score, mask | 1 << b, route + (x,)))
-    masks = sorted(kept)
-    xs = np.array([list(itertools.chain.from_iterable(kept[mask])) for mask in masks])
     bounds = np.concatenate((U[:1], U))  # of the root, pinned at x_1, and of x
-    rows = np.minimum(np.concatenate((xs[:, :1], xs), axis=1), bounds)  # each set's candidate
     best = None
-    for mask, candidate in zip(masks, rows):
-        obj = _chain_log_posterior(candidate, lam, s2)
-        members = tuple(k + 1 for k in range(n) if mask >> k & 1)
-        tie_tol = 1e-12 * max(1.0, abs(best[0])) if best else 0.0
-        if (best is None or obj > best[0] + tie_tol
-                or (obj > best[0] - tie_tol and members < best[1])):
-            best = (obj, members, candidate[1:])
+    stack = [(n, 0.0, (), [])]  # a round, and the score, active rounds and path after it
+    while stack:
+        b, after, members, route = stack.pop()
+        if b < 0:  # a set, met in increasing mask order
+            candidate = np.minimum(route[:1] + route, bounds)
+            obj = _chain_log_posterior(candidate, lam, s2)
+            tie_tol = 1e-12 * max(1.0, abs(best[0])) if best else 0.0
+            if (best is None or obj > best[0] + tie_tol
+                    or (obj > best[0] - tie_tol and members < best[1])):
+                best = (obj, members, candidate[1:])
+            continue
+        for a, x, score in reversed(into[b]):  # pushed in reverse, so met by a
+            if not safe or ahead[a][0] + score + after >= low:
+                active = (a + 1,) + members if a >= 0 else members
+                stack.append((a, score + after, active, x + route))
     obj, members, path = best  # the set of every round is always feasible
-    # a copy: a view would hold every candidate
-    return MapSolution(path=path.copy(), objective=obj, active_set=frozenset(members))
+    return MapSolution(path=path, objective=obj, active_set=frozenset(members))
 
 
 def _hull_path(u, a):

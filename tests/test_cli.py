@@ -111,10 +111,12 @@ class TestSimulate:
     def test_undecodable_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"rounds": "\xff\xfe"}')
-        code, out, _ = run(capsys, "simulate", "--config", str(cfg),
-                           "--out", str(tmp_path / "x"))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "x"))
         assert code == EXIT_IO
         assert out == ""
+        assert err == (f"error: {cfg}: the config file is not UTF-8: 'utf-8' codec can't "
+                       f"decode byte 0xff in position 12: invalid start byte\n")
         assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize(
@@ -265,6 +267,13 @@ class TestEstimate:
         assert code == EXIT_IO
         assert out == ""
 
+    def test_undecodable_input_is_named(self, tmp_path, capsys):
+        csv = tmp_path / "obs.csv"
+        csv.write_bytes(b"k,U,V\n1,\xff\xfe,2.0\n")
+        code, _, err = run(capsys, "estimate", "--input", str(csv))
+        assert code == EXIT_IO
+        assert err.startswith(f"error: {csv}: the observation CSV is not UTF-8: 'utf-8' codec ")
+
     def test_a_simulated_log_is_estimated_with_its_model(self, tmp_path, capsys):
         out = tmp_path / "flat"
         run(capsys, "simulate", "--rounds", "30", "--sigma", "0", "--lambda-psi", "4",
@@ -314,6 +323,16 @@ class TestEstimate:
         assert code == EXIT_IO
         assert printed == ""
         assert err.startswith(f"error: {out}_manifest.json: the simulate manifest is not JSON: ")
+
+    def test_manifest_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run(capsys, "simulate", "--rounds", "5", "--out", str(out))
+        Path(f"{out}_manifest.json").write_bytes(b"\xff\xfe")
+        code, printed, err = run(capsys, "estimate", "--input", f"{out}_observations.csv")
+        assert code == EXIT_IO
+        assert printed == ""
+        assert err == (f"error: {out}_manifest.json: the simulate manifest is not UTF-8: "
+                       f"'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
 
     def test_a_refused_manifest_value_names_the_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"

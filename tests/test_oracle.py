@@ -381,6 +381,14 @@ class TestSharedElimination:
                     checked += 1
         assert checked == sum((n + 1) * (n + 2) // 2 - 1 for n in range(1, 13)) * 20
 
+    def test_the_piece_with_no_free_round_comes_first(self):
+        # so every round is reached from the one before it, whatever the caps
+        for U, lam, sigma in piece_chains():
+            n, u, lam_s2 = len(U), U.tolist(), lam * sigma**2
+            for cap in ([math.inf] * n, u, [-math.inf] * n):
+                for a in range(-1, n):
+                    assert next(oracle._pieces(u, cap, a, lam_s2)) == []
+
     def test_a_piece_above_cap_is_dropped(self):
         for U, lam, sigma in piece_chains():
             n, u, lam_s2 = len(U), U.tolist(), lam * sigma**2
@@ -533,6 +541,15 @@ class TestScoredPieces:
             assert got == outcome(walked_exact_map, *chain)
         refused = sum(len(got) == 2 for got in results)
         assert 0 < refused < len(chains) - 100
+
+    def test_the_search_scores_few_of_the_feasible_sets(self, monkeypatch):
+        # the search prunes: on model chains it scores the sets near the best, not all
+        scored = feasible = 0
+        for i in range(16):
+            U = random_instance(i, n=8, lam=10.0, sigma=1e-2, master=97)
+            scored += len(scored_candidates(U, 10.0, 1e-2, monkeypatch))
+            feasible += len(literal_candidates(U, 10.0, 1e-2))
+        assert 16 <= scored * 10 < feasible
 
 
 class TestOraclesConsistent:
