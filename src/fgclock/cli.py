@@ -40,6 +40,9 @@ EXIT_IO = 5
 MAX_ENUM_SETS = 2**28
 #: One instance's simulation and estimates, in active sets: about 200 at N = 12.
 INSTANCE_SETS = 2**8
+#: Rows of a ``simulate`` CSV formatted per write: a block's text takes a few MB, so a
+#: log of any length is written in flat memory.
+CSV_BLOCK_ROWS = 2**16
 
 #: Exit code of each error; the first matching row wins.
 EXIT_CODES = (
@@ -96,12 +99,19 @@ def _settings(args, simulated=None):
 
 @contextlib.contextmanager
 def _open_utf8(path, what, newline=None):
-    """``path``, the ``what``, open as UTF-8; one that is not is refused naming both."""
-    try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+    """``path``, the ``what``, open as UTF-8; one that is not is refused naming both
+    and the offset of the bad bytes in the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
             yield fh
-    except UnicodeDecodeError as exc:
-        raise UnicodeError(f"{path}: the {what} is not UTF-8: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # the text layer decodes in chunks: exc.object, the last, ends at tell()
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            bad = exc.object[exc.start:exc.end]
+            where = (f"byte 0x{bad[0]:02x} in position {at}" if len(bad) == 1
+                     else f"bytes in position {at}-{at + len(bad) - 1}")
+            raise UnicodeError(f"{path}: the {what} is not UTF-8: '{exc.encoding}' codec "
+                               f"can't decode {where}: {exc.reason}") from None
 
 
 def _read_json(path, what):
@@ -147,22 +157,31 @@ def _model(settings):
     return ClockModelParams(**{key: settings[key] for key in _MODEL_KEYS})
 
 
-def _write_manifest(path, subcommand, config, seed, outputs):
+def _write_run(manifest_file, subcommand, config, seed, outputs):
+    """Write ``outputs``, a path -> text pieces mapping, then the manifest that lists
+    them, each file as UTF-8 in one pass, and print what was written."""
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
         "seed_scheme": SEED_SCHEME,
         "artifact_version": __version__,
-        "outputs": outputs,
+        "outputs": list(outputs),
     }
-    _write_json(path, manifest, sort_keys=True)
+    files = {**outputs, manifest_file: [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]}
+    for path, pieces in files.items():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
+    print(f"wrote {', '.join(files)}")
 
 
-def _write_json(path, document, sort_keys=False):
-    """Write ``document`` as indented JSON and a newline, in one write."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(document, indent=2, sort_keys=sort_keys) + "\n")
+def _csv_blocks(header, *columns):
+    """CSV text, the ``header`` row and then the ``repr`` of each column's values row
+    by row, in blocks of :data:`CSV_BLOCK_ROWS` rows."""
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = (column[start:start + CSV_BLOCK_ROWS].tolist() for column in columns)
+        yield "".join([",".join(map(repr, row)) + "\n" for row in zip(*block)])
 
 
 def _add_estimator_flags(parser):
@@ -184,37 +203,19 @@ def cmd_simulate(args):
     rng = seed_stream(seed, DOMAIN_SIMULATE)  # the path's normals, then the uniforms
     path = simulate_paths(params, rng)
     obs = simulate_observations(path, params, rng)
-    theta, d = path.theta, path.d
-
-    obs_file = f"{args.out}_observations.csv"
-    latent_file = f"{args.out}_latent.csv"
-    manifest_file = f"{args.out}_manifest.json"
-    with open(obs_file, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "U", "V"])
-        for k in range(params.rounds):
-            writer.writerow([k + 1, repr(float(obs.U[k])), repr(float(obs.V[k]))])
-    with open(latent_file, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "xi", "psi", "theta", "d"])
-        for k in range(params.rounds + 1):
-            writer.writerow(
-                [k, repr(float(path.xi[k])), repr(float(path.psi[k])),
-                 repr(float(theta[k])), repr(float(d[k]))]
-            )
-    _write_manifest(
-        manifest_file,
-        "simulate",
-        dataclasses.asdict(params),
-        seed,
-        [obs_file, latent_file],
-    )
+    k = np.arange(params.rounds + 1)
+    outputs = {
+        f"{args.out}_observations.csv": _csv_blocks(("k", "U", "V"), k[1:], obs.U, obs.V),
+        f"{args.out}_latent.csv": _csv_blocks(("k", "xi", "psi", "theta", "d"), k, path.xi,
+                                              path.psi, path.theta, path.d),
+    }
     if path.negative_d_count:
         print(
             f"warning: {path.negative_d_count} latent delay values drifted negative",
             file=sys.stderr,
         )
-    print(f"wrote {obs_file}, {latent_file}, {manifest_file}")
+    _write_run(f"{args.out}_manifest.json", "simulate", dataclasses.asdict(params), seed,
+               outputs)
     return EXIT_OK
 
 
@@ -222,25 +223,30 @@ def _read_observations(path):
     U, V = [], []
     with _open_utf8(path, "observation CSV", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["k", "U", "V"]:
-            raise ParameterError(f"{path}: expected header 'k,U,V', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                k, u, v = float(row[0]), float(row[1]), float(row[2])
-            except (IndexError, ValueError):
-                raise ParameterError(f"{path}: malformed CSV at row {lineno}: {row}")
-            # the estimators take the last row as round N, so a reordered,
-            # missing or repeated round would be estimated as another one
-            if k != len(U) + 1:
-                raise ParameterError(
-                    f"{path}: row {lineno} has k = {row[0]}, expected {len(U) + 1}: "
-                    f"rounds must be numbered 1, 2, ..., N in file order"
-                )
-            U.append(u)
-            V.append(v)
+        lineno = 0  # the last row read
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:3]] != ["k", "U", "V"]:
+                raise ParameterError(f"{path}: expected header 'k,U,V', got {header}")
+            lineno = 1
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    k, u, v = float(row[0]), float(row[1]), float(row[2])
+                except (IndexError, ValueError):
+                    raise ParameterError(f"{path}: malformed CSV at row {lineno}: {row}")
+                # the estimators take the last row as round N, so a reordered,
+                # missing or repeated round would be estimated as another one
+                if k != len(U) + 1:
+                    raise ParameterError(
+                        f"{path}: row {lineno} has k = {row[0]}, expected {len(U) + 1}: "
+                        f"rounds must be numbered 1, 2, ..., N in file order"
+                    )
+                U.append(u)
+                V.append(v)
+        except csv.Error as exc:  # a field over csv.field_size_limit(), a NUL byte (3.10)
+            raise ParameterError(f"{path}: malformed CSV at row {lineno + 1}: {exc}") from None
     if not U:
         raise ParameterError(f"{path}: no observation rows")
     return np.array(U), np.array(V)
@@ -277,16 +283,12 @@ def cmd_sweep(args):
     config = SweepConfig(params=_model(settings), **{key: settings[key] for key in _SWEEP_KEYS})
     table = mse_vs_rounds(config) if config.axis == AXIS_ROUNDS else mse_vs_sigma(config)
 
-    csv_file = args.out
-    json_file = f"{args.out}.json"
-    manifest_file = f"{args.out}.manifest.json"
-    with open(csv_file, "w", newline="") as fh:
-        fh.write(table.to_csv())
-    _write_json(json_file, table.to_json_dict())
     resolved = dataclasses.asdict(config.params)
     resolved.update({key: getattr(config, key) for key in _SWEEP_KEYS})
-    _write_manifest(manifest_file, "sweep", resolved, config.seed, [csv_file, json_file])
-    print(f"wrote {csv_file}, {json_file}, {manifest_file}")
+    _write_run(f"{args.out}.manifest.json", "sweep", resolved, config.seed, {
+        args.out: [table.to_csv()],
+        f"{args.out}.json": [json.dumps(table.to_json_dict(), indent=2) + "\n"],
+    })
     return EXIT_OK
 
 

@@ -10,9 +10,7 @@ which holds the sweep's seed scheme and draw order, and each block is
 transformed and estimated as ``(block, N)`` arrays.
 """
 
-import csv
 import dataclasses
-import io
 import math
 from dataclasses import dataclass
 
@@ -122,15 +120,11 @@ class MseTable:
         Floats use shortest round-trip formatting; an undefined standard
         error (trials = 1) is an empty field.
         """
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        lines = [",".join(CSV_HEADER)]
         for row in self.rows:
             stderr = "" if math.isnan(row.stderr) else repr(row.stderr)
-            writer.writerow(
-                [repr(row.axis_value), row.estimator, repr(row.mse), stderr, row.trials]
-            )
-        return buf.getvalue()
+            lines.append(f"{row.axis_value!r},{row.estimator},{row.mse!r},{stderr},{row.trials}")
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self):
         return {

@@ -5,6 +5,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,6 +157,9 @@ def write_obs(path, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+LONG_LOG = b"k,U,V\n" + b"".join(b"%d,1.25,2.5\n" % k for k in range(1, 3001))
+
+
 class TestEstimate:
     def test_ml_example(self, tmp_path, capsys):
         csv = tmp_path / "obs.csv"
@@ -273,6 +277,34 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--input", str(csv))
         assert code == EXIT_IO
         assert err.startswith(f"error: {csv}: the observation CSV is not UTF-8: 'utf-8' codec ")
+
+    @pytest.mark.parametrize("content, message", [
+        # a bad byte past the decoder's first 8 KiB chunk, in 3000 rows
+        (LONG_LOG[:37904] + b"\xff" + LONG_LOG[37905:],
+         "byte 0xff in position 37904: invalid start byte"),
+        # cut off inside a two-byte character
+        (b"k,U,V\n1,1.0,\xc3", "byte 0xc3 in position 12: unexpected end of data"),
+    ], ids=["past-the-first-chunk", "cut-off-character"])
+    def test_undecodable_input_names_the_offset_in_the_file(self, tmp_path, capsys,
+                                                             content, message):
+        csv = tmp_path / "obs.csv"
+        csv.write_bytes(content)
+        code, out, err = run(capsys, "estimate", "--input", str(csv))
+        assert (code, out) == (EXIT_IO, "")
+        assert err == (f"error: {csv}: the observation CSV is not UTF-8: 'utf-8' codec "
+                       f"can't decode {message}\n")
+
+    @pytest.mark.parametrize("content", [
+        # Python 3.10's csv module refuses a NUL byte, and later ones read it into the field
+        b"k,U,V\n1,1.0\x00,2.0\n",
+        b"k,U,V\n1," + b"1" * (csv.field_size_limit() + 1) + b",2.0\n",
+    ], ids=["nul", "over-the-field-limit"])
+    def test_a_row_the_csv_module_refuses_is_named(self, tmp_path, capsys, content):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "estimate", "--input", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: {path}: malformed CSV at row 2: ")
 
     def test_a_simulated_log_is_estimated_with_its_model(self, tmp_path, capsys):
         out = tmp_path / "flat"
@@ -536,6 +568,59 @@ class TestRepeatedCalls:
                                 "--trials", "5", "--out", str(out))
         assert (code, err) == (EXIT_OK, "") and stdout.startswith("wrote ")
         assert out.read_text().splitlines()[0] == "axis,estimator,mse,stderr,trials"
+
+
+def csv_writer_text(header, rows):
+    """``rows`` under ``header`` as ``csv.writer`` wrote them, one ``writerow`` each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestWritersMatchCsvWriter:
+    """The files written as joined text hold the bytes of the ``csv.writer`` form."""
+
+    VALUES = [-0.0, 5e-324, 1e-07, 0.1, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+
+    @pytest.mark.parametrize("block_rows", [1, 3, cli.CSV_BLOCK_ROWS])
+    def test_simulate(self, tmp_path, capsys, monkeypatch, block_rows):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        n = len(self.VALUES)
+        column = [np.roll(np.resize(self.VALUES, n + 1), shift) for shift in range(6)]
+        path = SimpleNamespace(xi=column[0], psi=column[1], theta=column[2], d=column[3],
+                               negative_d_count=0)
+        obs = SimpleNamespace(U=column[4][:n], V=column[5][:n])
+        monkeypatch.setattr(cli, "simulate_paths", lambda params, rng: path)
+        monkeypatch.setattr(cli, "simulate_observations", lambda path, params, rng: obs)
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, "simulate", "--rounds", str(n), "--out", str(out))
+        assert code == EXIT_OK
+        want_obs = csv_writer_text(
+            ["k", "U", "V"],
+            ([k + 1, repr(float(obs.U[k])), repr(float(obs.V[k]))] for k in range(n)))
+        want_latent = csv_writer_text(
+            ["k", "xi", "psi", "theta", "d"],
+            ([k, repr(float(path.xi[k])), repr(float(path.psi[k])),
+              repr(float(path.theta[k])), repr(float(path.d[k]))] for k in range(n + 1)))
+        assert Path(f"{out}_observations.csv").read_bytes() == want_obs.encode()
+        assert Path(f"{out}_latent.csv").read_bytes() == want_latent.encode()
+
+    def test_mse_table(self):
+        config = experiments.SweepConfig(params=ClockModelParams(10.0, 10.0, 1e-2, 1.0, 0.5, 5),
+                                         axis="sigma", values=(0.01, 1e200), trials=1, seed=3)
+        swept = experiments.mse_vs_sigma(config).rows
+        assert [row.trials for row in swept] == [1, 1, 1, 0, 0, 0]  # 1e200 fails
+        edges = tuple(experiments.MseRow(value, "ml", value, value, 2) for value in self.VALUES)
+        table = experiments.MseTable("sigma", swept + edges)
+        want = csv_writer_text(
+            experiments.CSV_HEADER,
+            ([repr(row.axis_value), row.estimator, repr(row.mse),
+              "" if math.isnan(row.stderr) else repr(row.stderr), row.trials]
+             for row in table.rows))
+        assert table.to_csv() == want
+        assert ",,1\n" in want and ":failed[ParameterError],nan,,0\n" in want
 
 
 def philox_path(params, key, counter=0):
