@@ -26,9 +26,10 @@ from .experiments import (
     SweepConfig,
     mse_vs_rounds,
     mse_vs_sigma,
+    trial_blocks,
 )
-from .model import ClockModelParams, check_count, simulate_observations, simulate_paths
-from .model import DOMAIN_COMPARE_ORACLE, DOMAIN_SIMULATE, SEED_SCHEME, seed_stream
+from .model import ClockModelParams, LatentPath, check_count, simulated_series
+from .model import DOMAIN_COMPARE_ORACLE, DOMAIN_SIMULATE, SEED_SCHEME
 from .oracle import check_enumerable, exact_map_active_set
 
 EXIT_OK = 0
@@ -200,9 +201,9 @@ def cmd_simulate(args):
     settings = _settings(args)
     params = _model(settings)
     seed = check_count(settings["seed"], "seed", low=0)
-    rng = seed_stream(seed, DOMAIN_SIMULATE)  # the path's normals, then the uniforms
-    path = simulate_paths(params, rng)
-    obs = simulate_observations(path, params, rng)
+    _, walk, obs = next(trial_blocks(params, seed, 1, domain=DOMAIN_SIMULATE))
+    path = LatentPath(*walk[0])
+    obs = simulated_series(*obs[0])
     k = np.arange(params.rounds + 1)
     outputs = {
         f"{args.out}_observations.csv": _csv_blocks(("k", "U", "V"), k[1:], obs.U, obs.V),
@@ -308,15 +309,15 @@ def cmd_compare_oracle(args):
     estimators = {variant.oracle_key: tag for tag, variant in ESTIMATORS.items()
                   if variant.oracle_key is not None}
     worst = dict.fromkeys(estimators, (-1.0, None))
-    for i in range(instances):
-        rng = seed_stream(seed, DOMAIN_COMPARE_ORACLE, [0, 0, 0, i])
-        path = simulate_paths(params, rng)
-        obs = simulate_observations(path, params, rng)
-        exact = exact_map_active_set(obs.U, params.lambda_xi, params.sigma).path[-1]
+    for start, _, obs in trial_blocks(params, seed, instances, domain=DOMAIN_COMPARE_ORACLE):
+        # instance by instance, so that the first instance refused is the one reported
+        exact = [exact_map_active_set(simulated_series(*chain).U, params.lambda_xi,
+                                      params.sigma).path[-1] for chain in obs]
         for key, tag in estimators.items():
-            dev = abs(final_estimate(tag, obs.U, params.lambda_xi, params.sigma) - exact)
-            if dev > worst[key][0]:
-                worst[key] = (dev, i)
+            dev = np.abs(final_estimate(tag, obs[:, 0], params.lambda_xi, params.sigma) - exact)
+            i = int(np.argmax(dev))  # the first of equal deviations, as across blocks
+            if dev[i] > worst[key][0]:
+                worst[key] = (float(dev[i]), start + i)
     report = {"rounds": params.rounds, "instances": instances, "seed": seed}
     for key, (value, index) in worst.items():
         report[key] = {"value": value, "at": {"seed": seed, "index": index}}

@@ -5,9 +5,9 @@ each estimator's theta_hat_N against the final latent offset theta_N.
 The estimators are the entries of :data:`fgclock.estimators.ESTIMATORS`,
 named in tables by their labels (:data:`ALL_ESTIMATORS`), and
 :class:`SweepConfig` is where every sweep input is checked.
-A cell's trials are drawn in blocks by :func:`fgclock.model.draw_trials`,
-which holds the sweep's seed scheme and draw order, and each block is
-transformed and estimated as ``(block, N)`` arrays.
+Every subcommand draws its trials, in its own seed domain, in blocks of
+:func:`trial_blocks`: :func:`fgclock.model.draw_trials` holds the seed scheme
+and draw order, and each block is simulated and estimated as ``(block, N)`` arrays.
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ import numpy as np
 from .errors import FgclockError, ParameterError
 from .estimators import ESTIMATORS, final_estimate
 from .model import (
+    DOMAIN_SWEEP,
     ClockModelParams,
     check_count,
     check_real,
@@ -154,25 +155,32 @@ def block_trials(rounds):
     return max(1, BLOCK_ROUNDS // max(rounds, 8))
 
 
+def trial_blocks(params, seed, trials, axis_index=0, domain=DOMAIN_SWEEP):
+    """``(start, walk, obs)`` of each block of the trials 0 .. ``trials - 1``, drawn by
+    :func:`draw_trials`: their ``(block, 2, N + 1)`` xi and psi walks and ``(block, 2, N)``
+    U and V, in which a value that overflows is inf or NaN, without a warning."""
+    block = min(block_trials(params.rounds), trials)
+    noise, uniforms = np.empty((2, block, 2, params.rounds))
+    for start in range(0, trials, block):
+        z, u = noise[: trials - start], uniforms[: trials - start]
+        draw_trials(seed, axis_index, start, z, u, domain=domain)
+        # computed inside, yielded outside: the error state stays the consumer's
+        with np.errstate(over="ignore", invalid="ignore"):
+            walk = random_walks(z, params)
+            obs = walk[..., 1:] + exponential_delays(u, params)
+        yield start, walk, obs
+
+
 def _run_cell(params, axis_index, trials, master_seed, estimators):
     """Squared errors of every estimator over ``trials`` independent runs."""
-    n = params.rounds
     sq = {tag: np.empty(trials) for tag in estimators}
-    block = min(block_trials(n), trials)
-    noise = np.empty((block, 2, n))
-    uniforms = np.empty((block, 2, n))
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        z, u = noise[: stop - start], uniforms[: stop - start]
-        draw_trials(master_seed, axis_index, start, z, u)
-        walk = random_walks(z, params)
-        obs = walk[..., 1:] + exponential_delays(u, params)
+    for start, walk, obs in trial_blocks(params, master_seed, trials, axis_index):
         truth = (walk[:, 0, -1] - walk[:, 1, -1]) / 2.0
         for tag in estimators:
             xi = final_estimate(_TAGS[tag], obs[:, 0], params.lambda_xi, params.sigma)
             psi = final_estimate(_TAGS[tag], obs[:, 1], params.lambda_psi, params.sigma)
             err = (xi - psi) / 2.0 - truth
-            sq[tag][start:stop] = err * err
+            sq[tag][start:start + len(err)] = err * err
     return sq
 
 

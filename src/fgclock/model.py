@@ -226,22 +226,17 @@ SEED_SCHEME = 2
 DOMAIN_SWEEP, DOMAIN_SIMULATE, DOMAIN_COMPARE_ORACLE = 0, 1, 2
 
 
-def seed_stream(seed, domain, counter=0):
-    """The generator of ``np.random.Philox(key=[seed, domain], counter=counter)``."""
-    return np.random.Generator(np.random.Philox(key=[seed, domain], counter=counter))
-
-
-def draw_trials(master_seed, axis_index, start, noise, uniforms):
-    """Fill the ``(trials, 2, N)`` rows of trials ``start``, ``start + 1``, ... of one sweep cell.
+def draw_trials(master_seed, axis_index, start, noise, uniforms, domain=DOMAIN_SWEEP):
+    """Fill the ``(trials, 2, N)`` rows of trials ``start``, ``start + 1``, ... in ``domain``.
 
     Trial t at axis position ``axis_index`` fills ``noise[t - start]``, then
     ``uniforms[t - start]``, row 0 before row 1, from the one stream
-    ``seed_stream(master_seed, DOMAIN_SWEEP, [0, 0, axis_index, t])``.
+    ``np.random.Philox(key=[master_seed, domain], counter=[0, 0, axis_index, t])``.
     Streams sit at least 2**128 Philox blocks apart, so a trial draws the
     same numbers in any block. One generator moves from trial to trial by
     its counter: a Philox constructor also reads OS entropy a key leaves unused.
     """
-    bits = np.random.Philox(key=[master_seed, DOMAIN_SWEEP])
+    bits = np.random.Philox(key=[master_seed, domain])
     generator, state = np.random.Generator(bits), bits.state
     counter = state["state"]["counter"]
     counter[2] = axis_index
@@ -319,8 +314,13 @@ def simulate_observations(path, params, seed):
         obs = exponential_delays(uniforms, params)
         obs[0] += path.xi[1:]
         obs[1] += path.psi[1:]
+    return simulated_series(*obs)
+
+
+def simulated_series(U, V):
+    """The ObservationSeries of simulated float64 U and V; ParameterError refuses an overflow."""
     try:
-        return ObservationSeries(*obs)
+        return ObservationSeries(U, V)
     except ParameterError:  # a value overflowed: the series checks that each is finite
         raise ParameterError("simulated U and V must hold finite numbers only") from None
 

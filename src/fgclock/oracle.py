@@ -364,7 +364,8 @@ def grid_max_marginal(U, lam, sigma, lo, hi, points):
     if not (low < high and math.isfinite(high - low)):
         raise ParameterError(f"need lo < hi with hi - lo finite, got lo={lo}, hi={hi}")
     points = check_count(points, "points", low=2)
-    grid = np.linspace(low, high, points)
+    with np.errstate(over="ignore"):  # a grid that overflows has a step refused below
+        grid = np.linspace(low, high, points)
     # squared in Python floats, so that an overflow is refused without a warning
     h = float(grid[1] - grid[0])
     c = check_real(h * h / (2.0 * s2), "grid step**2 / (2 sigma**2)",

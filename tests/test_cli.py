@@ -22,7 +22,9 @@ from fgclock.cli import (
     EXIT_VALIDATION,
     main,
 )
+from fgclock.estimators import ESTIMATORS, final_estimate
 from fgclock.experiments import ALL_ESTIMATORS
+from fgclock.oracle import exact_map_active_set
 
 
 def run(capsys, *argv):
@@ -592,8 +594,8 @@ class TestWritersMatchCsvWriter:
         path = SimpleNamespace(xi=column[0], psi=column[1], theta=column[2], d=column[3],
                                negative_d_count=0)
         obs = SimpleNamespace(U=column[4][:n], V=column[5][:n])
-        monkeypatch.setattr(cli, "simulate_paths", lambda params, rng: path)
-        monkeypatch.setattr(cli, "simulate_observations", lambda path, params, rng: obs)
+        monkeypatch.setattr(cli, "LatentPath", lambda xi, psi: path)
+        monkeypatch.setattr(cli, "simulated_series", lambda U, V: obs)
         out = tmp_path / "run"
         code, _, _ = run(capsys, "simulate", "--rounds", str(n), "--out", str(out))
         assert code == EXIT_OK
@@ -637,20 +639,14 @@ class TestSeedDomains:
 
     @staticmethod
     def walks(monkeypatch, capsys, *argv):
-        """The bytes of each latent walk a run draws: each simulated path, each sweep trial's."""
+        """The bytes of each latent walk a run draws, one per trial or instance."""
         walks = []
-
-        def recorded_paths(params, seed):
-            path = model.simulate_paths(params, seed)
-            walks.append(np.stack([path.xi, path.psi]).tobytes())
-            return path
 
         def recorded_walks(noise, params):
             walk = model.random_walks(noise, params)
             walks.extend(trial.tobytes() for trial in walk)
             return walk
 
-        monkeypatch.setattr(cli, "simulate_paths", recorded_paths)
         monkeypatch.setattr(experiments, "random_walks", recorded_walks)
         assert run(capsys, *argv)[0] == EXIT_OK
         return walks
@@ -699,7 +695,48 @@ class TestSeedDomains:
             assert walk == np.stack([path.xi, path.psi]).tobytes()
 
 
+def oracle_report(params, seed, instances):
+    """compare-oracle's report, each instance drawn from its own Philox constructor."""
+    report = {"rounds": params.rounds, "instances": instances, "seed": seed}
+    for variant in ESTIMATORS.values():
+        if variant.oracle_key is not None:
+            report[variant.oracle_key] = {"value": -1.0}
+    for i in range(instances):
+        _, obs = philox_path(params, key=[seed, 2], counter=[0, 0, 0, i])
+        exact = exact_map_active_set(obs.U, params.lambda_xi, params.sigma).path[-1]
+        for tag, variant in ESTIMATORS.items():
+            if variant.oracle_key is None:
+                continue
+            dev = abs(final_estimate(tag, obs.U, params.lambda_xi, params.sigma) - exact)
+            if dev > report[variant.oracle_key]["value"]:
+                report[variant.oracle_key] = {"value": dev, "at": {"seed": seed, "index": i}}
+    return report
+
+
 class TestCompareOracle:
+    # at N = 1 every deviation is 0.0, and recursive's is at N = 6 too: instance 0
+    # wins each tie; paper's worst at N = 6 is in block 5
+    @pytest.mark.parametrize("rounds, paper_at", [(1, 0), (6, 41)])
+    def test_blocks_report_the_per_instance_reference(self, capsys, monkeypatch, rounds,
+                                                      paper_at):
+        # blocks of 7 instances at N <= 8: 50 instances fill 7 blocks and 1 of an 8th
+        monkeypatch.setattr(experiments, "BLOCK_ROUNDS", 56)
+        code, out, _ = run(capsys, "compare-oracle", "--rounds", str(rounds),
+                           "--instances", "50", "--sigma", "0.1")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc == oracle_report(ClockModelParams(10.0, 10.0, 0.1, 1.0, 0.5, rounds), 0, 50)
+        assert doc["max_abs_dev_backtrack"]["at"]["index"] == 0
+        assert doc["max_abs_dev_paper_closed_form"]["at"]["index"] == paper_at
+
+    def test_the_first_instance_refused_is_reported(self, capsys):
+        # instance 0's oracle refuses its chain; instance 1's draw overflows, so
+        # checking a whole block before its oracle calls would report that one
+        code, out, err = run(capsys, "compare-oracle", "--rounds", "2", "--instances", "6",
+                             "--seed", "13", "--lambda-xi", "5e-309", "--lambda-psi", "5e-309")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: the chain log posterior must be in ")
+
     def test_single_round_zero_deviation(self, capsys):
         code, out, _ = run(capsys, "compare-oracle", "--rounds", "1",
                            "--instances", "10", "--seed", "2")
@@ -746,7 +783,7 @@ class TestCompareOracle:
         def no_instance(*args, **kwargs):
             raise AssertionError("an instance ran")
 
-        monkeypatch.setattr(cli, "simulate_paths", no_instance)
+        monkeypatch.setattr(cli, "trial_blocks", no_instance)
         code, out, err = run(capsys, "compare-oracle", "--rounds", "1",
                              "--instances", "268435456")
         assert code == EXIT_USAGE

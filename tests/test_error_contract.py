@@ -136,6 +136,8 @@ def numbers(name, result):
 @example(call=("ClockModelParams", (np.float32(0.5), 1e308, 0.1, 1.0, 0.0, 3)))
 @example(call=("simulate_paths", (ClockModelParams(2.0, 2.0, 0.3, 1e308, np.float32(0.5), 2), 1)))
 @example(call=("backward_constants", (1e308, 1.0, 3)))
+# a grid whose points overflow as they are spaced
+@example(call=("grid_max_marginal", ([1.0, 2.0], 1.0, 1.0, -1.7976931348623157e308, 0.0, 4)))
 @settings(max_examples=400, deadline=None)
 def test_finite_result_or_fgclock_error(call):
     name, args = call

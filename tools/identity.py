@@ -20,11 +20,13 @@ group, ``<group> <records> <sha256>``, over two parts:
   every file they write. ``simulate`` and ``sweep`` also run with one
   config file that sets every setting, alone, overridden by flags, with
   an unknown key and with a refused count; a rounds sweep at N = 1 and 2
-  runs 8200 trials, one more block than 8192 trials; and every
-  subcommand prints its ``--help``. These groups hold draws of the seed
-  scheme that the manifests record (``fgclock.model.SEED_SCHEME``): a new
-  scheme moves the ``simulate``, ``sweep`` and ``compare-oracle`` groups,
-  and the ``estimate`` groups that read ``simulate``'s files, and no other.
+  runs 8200 trials, and ``compare-oracle`` at N = 4 runs 8200 instances,
+  one more block than 8192 of them; a ``compare-oracle`` run is refused
+  at its first instance; and every subcommand prints its ``--help``.
+  These groups hold draws of the seed scheme that the manifests record
+  (``fgclock.model.SEED_SCHEME``): a new scheme moves the ``simulate``,
+  ``sweep`` and ``compare-oracle`` groups, and the ``estimate`` groups
+  that read ``simulate``'s files, and no other.
 
 Run it on two trees and ``diff`` the files: a differing line names the
 corpus family, variant and path, or the command, that changed. ``--tiny``
@@ -200,6 +202,12 @@ def commands(scale):
         ("sweep-blocks", ["sweep", "--axis", "rounds", "--values", "1,2", "--trials", "8200",
                           "--out", "blocks.csv"]),
         ("compare-oracle", ["compare-oracle", "--rounds", oracle[0], "--instances", oracle[1]]),
+        ("compare-oracle-blocks", ["compare-oracle", "--rounds", "4", "--instances", "8200",
+                                   "--sigma", "0.1", "--seed", "1"]),
+        # instance 0's oracle refuses it, before instance 1's draw overflows
+        ("compare-oracle-refused", ["compare-oracle", "--rounds", "2", "--instances", "6",
+                                    "--seed", "13", "--lambda-xi", "5e-309",
+                                    "--lambda-psi", "5e-309"]),
     ]
     runs = [(group, argv, None) for group, argv in runs]
     config = {"lambda_xi": 8.0, "lambda_psi": 4.0, "sigma": 0.02, "d0": 1.5, "theta0": -0.25,
