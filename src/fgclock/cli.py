@@ -56,7 +56,7 @@ EXIT_CODES = (
 )
 
 #: Every setting with its default; each run merges the defaults, then the
-#: ``--config`` file, then the flags given, in :func:`_settings`.
+#: ``--config`` file or a ``simulate`` manifest, then the flags given, in :func:`_settings`.
 _DEFAULTS = {
     "lambda_xi": 10.0,
     "lambda_psi": 10.0,
@@ -75,27 +75,29 @@ _MODEL_KEYS = tuple(field.name for field in dataclasses.fields(ClockModelParams)
 _SWEEP_KEYS = tuple(key for key in _DEFAULTS if key not in _MODEL_KEYS)
 #: The model settings the estimators read.
 _ESTIMATOR_KEYS = ("lambda_xi", "lambda_psi", "sigma")
+#: The setting of each check that reads one under another name.
+_CHECKED_AS = {"rounds values": "values", "sigma values": "values"}
 
 
-def _settings(args, simulated=None):
-    """Every setting: its default, then its value in the ``--config`` file or in
-    ``simulated``, the values of an ``estimate`` input's manifest, then its flag."""
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None) is not None:
-        cfg = _read_json(args.config, "config file")
-        if not isinstance(cfg, dict):
-            raise ParameterError("config file must hold a JSON object")
-        unknown = set(cfg) - set(_DEFAULTS)
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(cfg)
-    if simulated:
-        settings.update(simulated)
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = _parse_values(flag) if key == "values" else flag
-    return settings
+@contextlib.contextmanager
+def _settings(args, *files):
+    """Every setting, to check inside: its default, then its value in each of ``files``,
+    (path, values) pairs, then its flag. A refusal inside names the path of each file
+    that set a setting it read; a default or a flag has no path."""
+    flags = {key: getattr(args, key, None) for key in _DEFAULTS}
+    flags = {key: _parse_values(flag) if key == "values" else flag
+             for key, flag in flags.items() if flag is not None}
+    settings, sources = dict(_DEFAULTS), {}
+    for path, values in (*files, (None, flags)):
+        settings.update(values)
+        sources.update(dict.fromkeys(values, path))
+    try:
+        yield settings
+    except FgclockError as exc:
+        named = {sources.get(_CHECKED_AS.get(key, key)) for key in exc.settings} - {None}
+        if named:
+            exc.args = (f"{', '.join(sorted(named))}: {exc}",)
+        raise
 
 
 @contextlib.contextmanager
@@ -123,6 +125,17 @@ def _read_json(path, what):
         except json.JSONDecodeError as exc:
             raise json.JSONDecodeError(f"{path}: the {what} is not JSON: {exc.msg}",
                                        exc.doc, exc.pos) from None
+
+
+def _config_file(path):
+    """The ``--config`` file at ``path``, if one is given, and its settings."""
+    cfg = {} if path is None else _read_json(path, "config file")
+    if not isinstance(cfg, dict):
+        raise ParameterError("config file must hold a JSON object")
+    unknown = set(cfg) - set(_DEFAULTS)
+    if unknown:
+        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    return path, cfg
 
 
 def _simulated_model(path):
@@ -198,9 +211,9 @@ def _add_model_flags(parser):
 
 
 def cmd_simulate(args):
-    settings = _settings(args)
-    params = _model(settings)
-    seed = check_count(settings["seed"], "seed", low=0)
+    with _settings(args, _config_file(args.config)) as settings:
+        params = _model(settings)
+        seed = check_count(settings["seed"], "seed", low=0)
     _, walk, obs = next(trial_blocks(params, seed, 1, domain=DOMAIN_SIMULATE))
     path = LatentPath(*walk[0])
     obs = simulated_series(*obs[0])
@@ -250,22 +263,17 @@ def _read_observations(path):
             raise ParameterError(f"{path}: malformed CSV at row {lineno + 1}: {exc}") from None
     if not U:
         raise ParameterError(f"{path}: no observation rows")
-    return np.array(U), np.array(V)
+    U, V = np.array(U), np.array(V)
+    if not (finite := np.isfinite(U) & np.isfinite(V)).all():
+        i = int(np.argmin(finite))  # the first that is not: round k is at index k - 1
+        raise ParameterError(f"{path}: round {i + 1} is not finite: U = {U[i]}, V = {V[i]}")
+    return U, V
 
 
 def cmd_estimate(args):
-    U, V = _read_observations(args.input)
-    manifest_file, model = _simulated_model(args.input)
-    settings = _settings(args, model)
-    try:
+    with _settings(args, _simulated_model(args.input)) as settings:
         params = _model(settings)
-    except FgclockError as exc:
-        taken = {key: _DEFAULTS[key] for key in model if getattr(args, key) is None}
-        try:  # refused too with the defaults in place of the manifest's values?
-            _model({**settings, **taken})
-        except FgclockError:
-            raise exc from None
-        raise type(exc)(f"{manifest_file}: {exc}") from None
+    U, V = _read_observations(args.input)
     used = {key: getattr(params, key) for key in _ESTIMATOR_KEYS}
     out = {}
     for variant in ESTIMATORS if args.variant == "all" else [args.variant]:
@@ -280,8 +288,8 @@ def cmd_estimate(args):
 
 
 def cmd_sweep(args):
-    settings = _settings(args)
-    config = SweepConfig(params=_model(settings), **{key: settings[key] for key in _SWEEP_KEYS})
+    with _settings(args, _config_file(args.config)) as settings:
+        config = SweepConfig(params=_model(settings), **{key: settings[key] for key in _SWEEP_KEYS})
     table = mse_vs_rounds(config) if config.axis == AXIS_ROUNDS else mse_vs_sigma(config)
 
     resolved = dataclasses.asdict(config.params)
@@ -294,11 +302,11 @@ def cmd_sweep(args):
 
 
 def cmd_compare_oracle(args):
-    settings = _settings(args)
-    check_enumerable(settings["rounds"])
-    instances = check_count(args.instances, "--instances")
-    seed = check_count(settings["seed"], "--seed", low=0)
-    params = _model(settings)
+    with _settings(args) as settings:
+        check_enumerable(settings["rounds"])
+        instances = check_count(args.instances, "--instances")
+        seed = check_count(settings["seed"], "--seed", low=0)
+        params = _model(settings)
     cost = 2**params.rounds - 1 + INSTANCE_SETS
     if instances * cost > MAX_ENUM_SETS:
         raise SizeError(

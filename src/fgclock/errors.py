@@ -2,7 +2,11 @@
 
 
 class FgclockError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; ``settings`` names what a refusal read."""
+
+    def __init__(self, *args, settings=()):
+        super().__init__(*args)
+        self.settings = settings
 
 
 class ParameterError(FgclockError, ValueError):

@@ -66,19 +66,20 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.axis not in (AXIS_ROUNDS, AXIS_SIGMA):
-            raise ParameterError(f"axis must be 'rounds' or 'sigma', got {self.axis!r}")
+            raise ParameterError(f"axis must be 'rounds' or 'sigma', got {self.axis!r}",
+                                 settings=("axis",))
         vals = _as_tuple(self.values)
         if not vals:
             raise ParameterError(
-                f"sweep values must be a nonempty list of numbers, got {self.values!r}"
-            )
+                f"sweep values must be a nonempty list of numbers, got {self.values!r}",
+                settings=("values",))
         if self.axis == AXIS_ROUNDS:
             # ints, so that a manifest records rounds 2, not 2.0
             vals = tuple(check_count(v, "rounds values") for v in vals)
         else:
             vals = tuple(check_real(v, "sigma values", 0.0) for v in vals)
         if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ParameterError("sweep values must be strictly increasing")
+            raise ParameterError("sweep values must be strictly increasing", settings=("values",))
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "trials", check_count(self.trials, "trials"))
         object.__setattr__(self, "seed", check_count(self.seed, "seed", low=0))
@@ -86,8 +87,7 @@ class SweepConfig:
         if not tags or not all(t in ALL_ESTIMATORS for t in tags):
             raise ParameterError(
                 f"estimators must be a nonempty list of {list(ALL_ESTIMATORS)}, "
-                f"got {self.estimators!r}"
-            )
+                f"got {self.estimators!r}", settings=("estimators",))
         object.__setattr__(self, "estimators", tags)
 
 

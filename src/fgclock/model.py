@@ -37,17 +37,20 @@ def check_real(value, name, low=-math.inf, high=math.inf):
     number = value
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ParameterError(f"{name} must be a number, got {value!r}")
+            raise ParameterError(f"{name} must be a number, got {value!r}", settings=(name,))
         try:
             as_float = float(value)
         except OverflowError:
-            raise ParameterError(f"{name} must fit in a float, got {value!r}") from None
+            raise ParameterError(f"{name} must fit in a float, got {value!r}",
+                                 settings=(name,)) from None
         if isinstance(value, np.floating):
             number = as_float
     if not low <= number <= high:
-        raise ParameterError(f"{name} must be in [{low:.4g}, {high:.4g}], got {value!r}")
+        raise ParameterError(f"{name} must be in [{low:.4g}, {high:.4g}], got {value!r}",
+                             settings=(name,))
     if not isinstance(value, (int, float, np.number)):
-        raise ParameterError(f"{name} must be an int or a float, got {value!r}")
+        raise ParameterError(f"{name} must be an int or a float, got {value!r}",
+                             settings=(name,))
     return value
 
 
@@ -86,23 +89,25 @@ def check_chain(U, name="U", ndims=(1,)):
 def check_count(value, name, low=1):
     """``value`` as an int, checked to be a whole number in [``low``, COUNT_MAX]."""
     if int(check_real(value, name, low, COUNT_MAX)) != value:
-        raise ParameterError(f"{name} must be a whole number >= {low}, got {value!r}")
+        raise ParameterError(f"{name} must be a whole number >= {low}, got {value!r}",
+                             settings=(name,))
     return int(value)
 
 
-def sigma_squared(sigma, lam):
+def sigma_squared(sigma, lam, rates=("lam",)):
     """sigma**2 for a chain with delay rate ``lam``, after checking both.
 
     sigma must be >= 0 with a finite square, and the unit shift
     lam * sigma**2 of the estimators must be finite: where it overflows,
-    a zero-distance term would be inf * 0 = NaN.
+    a zero-distance term would be inf * 0 = NaN; ``rates`` names the settings of ``lam``.
     """
     check_rate(lam)
     # squared as a Python float, which a float32 or int64 sigma cannot overflow
     s2 = float(check_real(sigma, "sigma", 0.0, SIGMA_MAX)) ** 2
     # Python floats: an overflowing product is inf, without a numpy warning
     if math.isinf(float(lam) * s2):
-        raise ParameterError(f"lam * sigma**2 overflows (lam={lam}, sigma={sigma})")
+        raise ParameterError(f"lam * sigma**2 overflows (lam={lam}, sigma={sigma})",
+                             settings=("sigma", *rates))
     return s2
 
 
@@ -152,7 +157,8 @@ class ClockModelParams:
         check_rate(self.lambda_xi, "lambda_xi")
         check_rate(self.lambda_psi, "lambda_psi")
         # the larger rate compared as Python floats, so that no rate is cast to float32
-        sigma_squared(self.sigma, max(self.lambda_xi, self.lambda_psi, key=float))
+        sigma_squared(self.sigma, max(self.lambda_xi, self.lambda_psi, key=float),
+                      ("lambda_xi", "lambda_psi"))
         check_real(self.d0, "d0", 0.0, FLOAT_MAX)
         check_real(self.theta0, "theta0", -FLOAT_MAX, FLOAT_MAX)
         object.__setattr__(self, "rounds", check_count(self.rounds, "rounds"))

@@ -258,6 +258,20 @@ class TestEstimate:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "finite" in err
+        assert err == f"error: {csv}: round 2 is not finite: U = {bad}, V = 2.0\n"
+
+    def test_a_non_finite_v_is_named_by_its_first_round(self, tmp_path, capsys):
+        csv = tmp_path / "obs.csv"
+        csv.write_text("k,U,V\n1,1.0,2.0\n2,1.0,-inf\n3,nan,1.8\n")
+        code, out, err = run(capsys, "estimate", "--input", str(csv))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: {csv}: round 2 is not finite: U = 1.0, V = -inf\n"
+
+    def test_settings_are_checked_before_the_input_is_read(self, tmp_path, capsys):
+        code, out, err = run(capsys, "estimate", "--input", str(tmp_path / "none.csv"),
+                             "--sigma", "-1")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "error: sigma must be in [0, 1.341e+154], got -1.0\n"
 
     def test_bad_header(self, tmp_path, capsys):
         csv = tmp_path / "obs.csv"
@@ -537,6 +551,62 @@ class TestPrecedence:
         manifest = json.loads(Path(f"{out}{suffix}").read_text())
         recorded = {**manifest["config"], "seed": manifest["seed"]}[key]
         assert recorded == json.loads(json.dumps(expected))
+
+
+class TestRefusedConfigValues:
+    """A refusal names the config file that set a setting it read; a default or a flag
+    is not named, and a flag over a refused config value wins."""
+
+    def run_config(self, tmp_path, capsys, command, config, *argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, command, "--config", str(cfg), *argv,
+                             "--out", str(tmp_path / "o"))
+        assert out.startswith("wrote ") if code == EXIT_OK else out == ""
+        return code, err, cfg
+
+    OVERFLOW = "lam * sigma**2 overflows (lam=1e+300, sigma=10000000000.0)"
+
+    @pytest.mark.parametrize("command, config, argv, message", [
+        ("simulate", {"sigma": -1}, [], "sigma must be in [0, 1.341e+154], got -1"),
+        ("simulate", {"rounds": 3, "seed": -1}, [], "seed must be in [0, 9.007e+15], got -1"),
+        ("sweep", {**SWEEP_BASE, "trials": 2.5}, [],
+         "trials must be a whole number >= 1, got 2.5"),
+        ("sweep", {"axis": "rounds", "values": [2.5]}, [],
+         "rounds values must be a whole number >= 1, got 2.5"),
+        ("sweep", {"values": [-1], "trials": 2}, ["--axis", "sigma"],
+         "sigma values must be in [0, inf], got -1"),
+        ("sweep", {"axis": "sigma", "values": [0.1, 0.1]}, [],
+         "sweep values must be strictly increasing"),
+        ("sweep", {**SWEEP_BASE, "estimators": []}, [],
+         f"estimators must be a nonempty list of {list(ALL_ESTIMATORS)}, got []"),
+        ("simulate", {"lambda_xi": 1e300}, ["--sigma", "1e10"], OVERFLOW),
+        ("sweep", {**SWEEP_BASE, "lambda_xi": 1e300}, ["--sigma", "1e10"], OVERFLOW),
+        # lambda_psi, from the file, is valid, but the overflow check reads it too
+        ("simulate", {"lambda_psi": 1.0}, ["--lambda-xi", "1e300", "--sigma", "1e10"],
+         OVERFLOW),
+    ])
+    def test_a_refused_config_value_names_the_config_file(self, tmp_path, capsys, command,
+                                                          config, argv, message):
+        code, err, cfg = self.run_config(tmp_path, capsys, command, config, *argv)
+        assert (code, err) == (EXIT_VALIDATION, f"error: {cfg}: {message}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_a_flag_over_a_refused_config_value_wins(self, tmp_path, capsys):
+        code, err, _ = self.run_config(tmp_path, capsys, "simulate",
+                                       {"rounds": 3, "sigma": -1}, "--sigma", "0.02")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads((tmp_path / "o_manifest.json").read_text())["config"]["sigma"] == 0.02
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--sigma", "-2"], "sigma must be in [0, 1.341e+154], got -2.0"),
+        (["--lambda-xi", "1e300", "--lambda-psi", "1", "--sigma", "1e10"], OVERFLOW),
+    ])
+    def test_a_refused_flag_beside_a_valid_config_is_not_prefixed(self, tmp_path, capsys,
+                                                                 argv, message):
+        code, err, _ = self.run_config(tmp_path, capsys, "simulate",
+                                       {"rounds": 3, "sigma": 0.02}, *argv)
+        assert (code, err) == (EXIT_VALIDATION, f"error: {message}\n")
 
 
 class TestRepeatedCalls:

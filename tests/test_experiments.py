@@ -71,8 +71,10 @@ class TestSweepConfig:
         ],
     )
     def test_malformed_input_rejected(self, field, value):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as exc:
             make_config(**{field: value})
+        # each rounds value is checked under the name "rounds values"
+        assert exc.value.settings in {(field,), (f"rounds {field}",)}
 
     def test_counts_stored_as_int(self):
         cfg = make_config(values=[2.0, 5.0], trials=30.0, seed=np.int64(3))

@@ -30,7 +30,7 @@ def test_tiny_digests_repeat_and_cover_every_variant_and_path(tmp_path):
             assert f"{family} {oracle}" in groups
     for command in ("simulate-long", "estimate-long", "simulate-flat", "estimate-flat",
                     "sweep", "sweep-blocks", "compare-oracle", "compare-oracle-blocks",
-                    "compare-oracle-refused"):
+                    "compare-oracle-refused", "estimate-refused-manifest"):
         assert f"cli {command}" in groups
     for command in ("simulate", "sweep"):
         for form in ("config", "override", "unknown-key", "refused-count"):

@@ -23,7 +23,7 @@ from fgclock import (
     simulate_paths,
 )
 from fgclock.estimators import ESTIMATORS, final_estimate
-from fgclock.model import check_chain, check_real, draw_trials
+from fgclock.model import check_chain, check_real, draw_trials, sigma_squared
 
 
 def make_params(**kw):
@@ -68,8 +68,17 @@ class TestParams:
         ],
     )
     def test_invalid_params_rejected(self, field, value):
-        with pytest.raises(ParameterError, match=field):
+        with pytest.raises(ParameterError, match=field) as exc:
             make_params(**{field: value})
+        assert field in exc.value.settings
+
+    def test_an_overflow_names_sigma_and_both_rates(self):
+        with pytest.raises(ParameterError, match="overflows") as exc:
+            make_params(lambda_xi=1e300, sigma=1e10)
+        assert exc.value.settings == ("sigma", "lambda_xi", "lambda_psi")
+        with pytest.raises(ParameterError, match="overflows") as exc:
+            sigma_squared(1e10, 1e300)
+        assert exc.value.settings == ("sigma", "lam")
 
     @pytest.mark.parametrize("rounds", [2.0, np.int64(2), np.float64(2.0)])
     def test_rounds_stored_as_int(self, rounds):
@@ -93,8 +102,9 @@ class TestCheckReal:
          pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
     )
     def test_refused(self, value):
-        with pytest.raises(ParameterError, match="x"):
+        with pytest.raises(ParameterError, match="x") as exc:
             check_real(value, "x")
+        assert exc.value.settings == ("x",)
 
     def test_bounds_are_inclusive(self):
         assert check_real(0.0, "x", 0.0, 1) == 0.0

@@ -22,7 +22,8 @@ group, ``<group> <records> <sha256>``, over two parts:
   an unknown key and with a refused count; a rounds sweep at N = 1 and 2
   runs 8200 trials, and ``compare-oracle`` at N = 4 runs 8200 instances,
   one more block than 8192 of them; a ``compare-oracle`` run is refused
-  at its first instance; and every subcommand prints its ``--help``.
+  at its first instance; an ``estimate`` flag is refused with the rates of
+  the manifest beside its input; and every subcommand prints its ``--help``.
   These groups hold draws of the seed scheme that the manifests record
   (``fgclock.model.SEED_SCHEME``): a new scheme moves the ``simulate``,
   ``sweep`` and ``compare-oracle`` groups, and the ``estimate`` groups
@@ -208,6 +209,11 @@ def commands(scale):
         ("compare-oracle-refused", ["compare-oracle", "--rounds", "2", "--instances", "6",
                                     "--seed", "13", "--lambda-xi", "5e-309",
                                     "--lambda-psi", "5e-309"]),
+        # one group of two runs: a flag and the manifest's rates overflow lam * sigma**2
+        ("estimate-refused-manifest", ["simulate", "--rounds", "5", "--lambda-xi", "1e300",
+                                       "--out", "big"]),
+        ("estimate-refused-manifest", ["estimate", "--input", "big_observations.csv",
+                                       "--sigma", "1e10"]),
     ]
     runs = [(group, argv, None) for group, argv in runs]
     config = {"lambda_xi": 8.0, "lambda_psi": 4.0, "sigma": 0.02, "d0": 1.5, "theta0": -0.25,
