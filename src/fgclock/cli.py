@@ -131,10 +131,10 @@ def _config_file(path):
     """The ``--config`` file at ``path``, if one is given, and its settings."""
     cfg = {} if path is None else _read_json(path, "config file")
     if not isinstance(cfg, dict):
-        raise ParameterError("config file must hold a JSON object")
+        raise ParameterError(f"{path}: config file must hold a JSON object")
     unknown = set(cfg) - set(_DEFAULTS)
     if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        raise ParameterError(f"{path}: unknown config keys: {sorted(unknown)}")
     return path, cfg
 
 
@@ -305,7 +305,7 @@ def cmd_compare_oracle(args):
     with _settings(args) as settings:
         check_enumerable(settings["rounds"])
         instances = check_count(args.instances, "--instances")
-        seed = check_count(settings["seed"], "--seed", low=0)
+        seed = check_count(settings["seed"], "seed", low=0)
         params = _model(settings)
     cost = 2**params.rounds - 1 + INSTANCE_SETS
     if instances * cost > MAX_ENUM_SETS:

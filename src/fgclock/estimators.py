@@ -12,8 +12,8 @@ estimate is theta_hat = (xi_hat_N - psi_hat_N) / 2.
 The table :data:`ESTIMATORS` holds every estimator of xi_hat_N, keyed by
 variant tag: a module-level function of the observations, their min, lam
 and sigma**2. :func:`final_estimate` is the one checked way to call one: the
-offset estimators, the experiments and the CLI all go through it, and
-``Variant.estimate`` is its unchecked internal. The variants are:
+offset estimators and the CLI go through it; the sweep checks its blocks as it
+does, then calls ``Variant.estimate``, its unchecked internal. The variants are:
 
 * ``recursive`` — forward backtracking with the D-constants produced by
   the backward recursion (D_{N-i} = (i+1) * lam), i.e. cumulative shifts
@@ -33,7 +33,7 @@ in :mod:`fgclock.oracle` arbitrate between them.
 
 In a long chain only the last rounds can bind xi_hat_N of either
 factor-graph variant, because each round's shift grows with its distance
-from round N. A series, or a ``(trials, n)`` block, reads one window of
+from round N. A series, or each chain of a block, reads one window of
 its last rounds, taken only where min U plus the window's shifts, with
 the same rounding, lies strictly above the largest U_N of any row, so
 every result is bit for bit the whole chain's: about
@@ -229,6 +229,16 @@ def _window(U, low, unit, width, shifts, bound):
     return shifts(n)
 
 
+def _windows(U, lows, lams, s2, width, shifts, bound):
+    """The shifts, a row per chain, of the window of a ``(trials, chains, n)`` block: the widest
+    of the windows :func:`_window` finds for each chain alone, from its min in ``lows``, its rate
+    in ``lams`` and ``shifts(lam, s2, m)``; a wider bound is only larger, so each result holds."""
+    windows = [_window(U[:, c], low, float(lam) * s2, width, partial(shifts, lam, s2), bound)
+               for c, (low, lam) in enumerate(zip(lows, lams))]
+    m = max(map(len, windows))
+    return np.array([w if len(w) == m else shifts(lam, s2, m) for w, lam in zip(windows, lams)])
+
+
 def _total(low, shifts):
     """fl(...fl(low + s_1)... + s_m), where the recursive pass takes ``low`` through the shifts."""
     for shift in shifts:
@@ -249,9 +259,9 @@ def _recursive(U, low, lam, s2):
     pass until then; from there on the two passes are equal, bit for bit.
     The shifts of the last m rounds add up to about unit * m (m + 1) / 2,
     so the window has about sqrt(2 (U_N - min U) / unit) rounds. A series
-    runs the pass on Python floats through a memoryview; a
-    ``(trials, n)`` block runs it across all rows at once, one column per
-    round, where the per-row loop would cost a Python loop per trial.
+    runs the pass on Python floats through a memoryview; a block runs it
+    across all rows and chains at once, one round per step, where the
+    per-row loop would cost a Python loop per trial.
 
     Where sigma**2 is 0 or subnormal every shift is 0.0, so the pass over
     a chain is its last step after a running min: U_N if it is below
@@ -265,27 +275,38 @@ def _recursive(U, low, lam, s2):
         last = U[..., -1]
         bar = np.minimum.reduce(U[..., :-1], axis=-1, initial=math.inf) + 0.0
         xi = np.where(last < bar, last, bar)
-        return xi if U.ndim == 2 else float(xi)
-    window = _window(U, low, float(lam) * s2, lambda units: math.sqrt(2.0 * units),
-                     partial(_shifts, lam, s2), _total)
-    U = U[..., U.shape[-1] - len(window):]
+        return xi if U.ndim > 1 else float(xi)
+
+    def width(units):
+        return math.sqrt(2.0 * units)
+
     if U.ndim == 1:
+        window = _window(U, low, float(lam) * s2, width, partial(_shifts, lam, s2), _total)
         prev = math.inf
-        for shift, u in zip(window, memoryview(U)):
+        for shift, u in zip(window, memoryview(U[len(U) - len(window):])):
             bar = prev + shift
             prev = u if u < bar else bar
         return prev
-    prev = U[:, 0].copy()
-    smaller = np.empty(len(prev), dtype=bool)
+    steps = _windows(U, low, lam, s2, width, _shifts, _total).T[..., None]
+    # a copy of the window as (round, chain, trial): each round one contiguous run
+    U = U[..., U.shape[-1] - len(steps):].T.copy()
+    prev, smaller = U[0], np.empty(U.shape[1:], dtype=bool)
     # a shifted value that overflows is +inf and loses the min to U_k
     with np.errstate(over="ignore"):
-        for k in range(1, len(window)):
-            np.add(prev, window[k], out=prev)
+        for k in range(1, len(U)):
+            np.add(prev, steps[k], out=prev)
             # u replaces bar only where strictly smaller, as in min(bar, u):
             # a 0.0/-0.0 tie keeps bar
-            np.less(U[:, k], prev, out=smaller)
-            np.copyto(prev, U[:, k], where=smaller)
-    return prev
+            np.less(U[k], prev, out=smaller)
+            np.copyto(prev, U[k], where=smaller)
+    return prev.T
+
+
+def _linear_shifts(lam, s2, m):
+    """The ``paper`` shifts of a chain's last m rounds, (m - 1, ..., 1, 0) * lam * sigma**2."""
+    shifts = np.arange(m - 1, -1, -1, dtype=float)
+    shifts *= float(lam) * s2  # in place: a fresh array of a long chain's length costs page faults
+    return shifts
 
 
 def _paper(U, low, lam, s2):
@@ -300,23 +321,23 @@ def _paper(U, low, lam, s2):
     term is +0.0 and the window's min is bit for bit the whole chain's.
     Where unit is 0, a series's min is min U + 0.0.
     """
-    unit = float(lam) * s2
-    if U.ndim == 1 and not unit:
+    if U.ndim == 1 and not float(lam) * s2:
         return low + 0.0
 
-    def shifts(m):
-        shifts = np.arange(m - 1, -1, -1, dtype=float)
-        # in place: where a chain is long, every fresh array of its length
-        # costs page faults, more than filling it
-        shifts *= unit
-        return shifts
+    def bound(low, window):
+        return low + float(window[0])
 
-    # unit is finite, so an overflowing shift or term is +inf, never
-    # inf * 0, and loses the min
+    # lam * s2 is finite, so an overflowing shift or term is +inf, never
+    # inf * 0, and loses the min; the width is float, as q unit shifts take q rounds
     with np.errstate(over="ignore"):
-        window = _window(U, low, unit, lambda units: units, shifts,
-                         lambda low, window: low + float(window[0]))
-        return np.minimum.reduce(U[..., U.shape[-1] - len(window):] + window, axis=-1)
+        if U.ndim == 1:
+            window = _window(U, low, float(lam) * s2, float, partial(_linear_shifts, lam, s2), bound)
+            return np.minimum.reduce(U[len(U) - len(window):] + window)
+        window = _windows(U, low, lam, s2, float, _linear_shifts, bound)
+        # the terms as (round, chain, trial), so that the min runs across whole rounds,
+        # not along short rows; with no -0.0 and no NaN, any order gives the same min
+        terms = np.add(U[..., U.shape[-1] - window.shape[-1]:].T, window.T[..., None], order="C")
+        return np.minimum.reduce(terms, axis=0).T
 
 
 def _ml(U, low, lam, s2):
@@ -328,11 +349,13 @@ Variant = namedtuple("Variant", "estimate label oracle_key")
 
 #: The estimator table, keyed by variant tag, in report order: every variant
 #: dispatch is a lookup here. ``estimate(U, low, lam, s2)`` is the unchecked
-#: estimator of xi_hat_N for a series or ``(trials, n)`` block U with min
-#: ``low``, rate lam and sigma**2 ``s2`` as :func:`fgclock.model.sigma_squared`
-#: checked them (``ml`` reads neither). It computes only the shifts of the
-#: window :func:`_window` finds for U and lets no overflow warn; only
-#: :func:`final_estimate` calls it. ``label`` names the variant's rows in sweep
+#: estimator of xi_hat_N for a series U with min ``low`` and rate lam, or of each
+#: chain of a ``(trials, chains, n)`` block U, with a min in ``low`` and a rate in
+#: ``lam`` per chain, and sigma**2 ``s2``, all as :func:`fgclock.model.check_chain`
+#: and :func:`fgclock.model.sigma_squared` checked them (``ml`` reads neither lam
+#: nor s2). It computes only the shifts of the window :func:`_window` finds for
+#: each chain and lets no overflow warn. :func:`final_estimate` calls it, and the
+#: sweep on its ``(trials, 2, N)`` blocks. ``label`` names the variant's rows in sweep
 #: tables; ``oracle_key`` names its deviation from the exact MAP in the
 #: compare-oracle report (None for ML, not a factor-graph estimate).
 ESTIMATORS = {
@@ -359,7 +382,9 @@ def final_estimate(variant, U, lam, sigma):
         raise ParameterError(f"unknown variant {variant!r}") from None
     s2 = None if estimate is _ml else sigma_squared(sigma, lam)
     U, low = check_chain(U, "observations", ndims=(1, 2))
-    return estimate(U, low, lam, s2)
+    if U.ndim == 1:
+        return estimate(U, low, lam, s2)
+    return estimate(U[:, None], (low,), (lam,), s2)[:, 0]
 
 
 def _check_series(U):

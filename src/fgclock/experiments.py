@@ -7,7 +7,8 @@ named in tables by their labels (:data:`ALL_ESTIMATORS`), and
 :class:`SweepConfig` is where every sweep input is checked.
 Every subcommand draws its trials, in its own seed domain, in blocks of
 :func:`trial_blocks`: :func:`fgclock.model.draw_trials` holds the seed scheme
-and draw order, and each block is simulated and estimated as ``(block, N)`` arrays.
+and draw order, and each block is simulated as ``(block, 2, N)`` arrays, which a
+sweep checks once per chain and estimates in one call per estimator.
 """
 
 import dataclasses
@@ -17,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FgclockError, ParameterError
-from .estimators import ESTIMATORS, final_estimate
+from .estimators import ESTIMATORS
 from .model import (
     DOMAIN_SWEEP,
     ClockModelParams,
+    check_chain,
     check_count,
     check_real,
     draw_trials,
@@ -33,9 +35,9 @@ AXIS_SIGMA = "sigma"
 #: Type of each axis's values in the cell's model; an axis names its field.
 _AXIS_TYPES = {AXIS_ROUNDS: int, AXIS_SIGMA: float}
 
-#: Variant tag of each estimator label, in the table's order.
-_TAGS = {variant.label: tag for tag, variant in ESTIMATORS.items()}
-ALL_ESTIMATORS = tuple(_TAGS)
+#: The unchecked estimator of each estimator label, in the table's order.
+_ESTIMATES = {variant.label: variant.estimate for variant in ESTIMATORS.values()}
+ALL_ESTIMATORS = tuple(_ESTIMATES)
 
 #: Trial-rounds per block: a cell of N rounds is evaluated
 #: ``block_trials(N)`` trials at a time, so its memory does not grow with
@@ -172,16 +174,29 @@ def trial_blocks(params, seed, trials, axis_index=0, domain=DOMAIN_SWEEP):
 
 
 def _run_cell(params, axis_index, trials, master_seed, estimators):
-    """Squared errors of every estimator over ``trials`` independent runs."""
+    """Squared errors of every estimator over ``trials`` independent runs. Each block's
+    chains are checked once, and each estimator reads both, at their own rates, in one call."""
+    rates, s2 = (params.lambda_xi, params.lambda_psi), float(params.sigma) ** 2
     sq = {tag: np.empty(trials) for tag in estimators}
     for start, walk, obs in trial_blocks(params, master_seed, trials, axis_index):
         truth = (walk[:, 0, -1] - walk[:, 1, -1]) / 2.0
+        lows = [check_chain(obs[:, c], "observations", ndims=(2,))[1] for c in (0, 1)]
         for tag in estimators:
-            xi = final_estimate(_TAGS[tag], obs[:, 0], params.lambda_xi, params.sigma)
-            psi = final_estimate(_TAGS[tag], obs[:, 1], params.lambda_psi, params.sigma)
+            xi, psi = _ESTIMATES[tag](obs, lows, rates, s2).T
             err = (xi - psi) / 2.0 - truth
             sq[tag][start:start + len(err)] = err * err
     return sq
+
+
+def _moments(sq):
+    """``np.mean(sq)`` and ``np.std(sq, ddof=1) / sqrt(n)`` (NaN at n = 1), bit for bit, from
+    one sum and one sum of squared deviations: the operations they run, in their order."""
+    n = len(sq)
+    mean = np.add.reduce(sq) / n
+    dev = sq - mean
+    np.multiply(dev, dev, out=dev)
+    stderr = math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
+    return float(mean), stderr
 
 
 def _cell_rows(axis_value, axis_index, config):
@@ -194,9 +209,7 @@ def _cell_rows(axis_value, axis_index, config):
         with np.errstate(over="ignore", invalid="ignore"):
             sq = _run_cell(params, axis_index, trials, config.seed, config.estimators)
             for tag in config.estimators:
-                mse = float(np.mean(sq[tag]))
-                stderr = (float(np.std(sq[tag], ddof=1) / math.sqrt(trials))
-                          if trials > 1 else math.nan)
+                mse, stderr = _moments(sq[tag])
                 if not math.isfinite(mse) or math.isinf(stderr):
                     raise ParameterError(f"the squared errors of {tag} overflow")
                 rows.append(MseRow(float(axis_value), tag, mse, stderr, trials))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fgclock import ClockModelParams, cli, experiments, model
+from fgclock import ClockModelParams, ParameterError, cli, experiments, model
 from fgclock.cli import (
     _DEFAULTS,
     _MODEL_KEYS,
@@ -592,6 +592,17 @@ class TestRefusedConfigValues:
         assert (code, err) == (EXIT_VALIDATION, f"error: {cfg}: {message}\n")
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("command, argv", [("simulate", []), ("sweep", ["--axis", "sigma"])])
+    @pytest.mark.parametrize("config, message", [
+        ([], "config file must hold a JSON object"),
+        ({"sigm": 1}, "unknown config keys: ['sigm']"),
+    ])
+    def test_a_refused_config_file_is_named(self, tmp_path, capsys, command, argv, config,
+                                            message):
+        code, err, cfg = self.run_config(tmp_path, capsys, command, config, *argv)
+        assert (code, err) == (EXIT_VALIDATION, f"error: {cfg}: {message}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_a_flag_over_a_refused_config_value_wins(self, tmp_path, capsys):
         code, err, _ = self.run_config(tmp_path, capsys, "simulate",
                                        {"rounds": 3, "sigma": -1}, "--sigma", "0.02")
@@ -877,6 +888,15 @@ class TestCompareOracle:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "seed" in err
+
+    def test_seed_is_checked_as_the_seed_setting(self, capsys):
+        # as simulate and sweep check it: the refusal names the setting, not the flag
+        argv = ["compare-oracle", "--seed", "-1", "--instances", "2"]
+        assert run(capsys, *argv) == (EXIT_VALIDATION, "",
+                                      "error: seed must be in [0, 9.007e+15], got -1\n")
+        with pytest.raises(ParameterError) as exc:
+            cli.cmd_compare_oracle(cli.build_parser().parse_args(argv))
+        assert exc.value.settings == ("seed",)
 
     @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
     def test_extreme_sigma_is_validation_error(self, capsys, sigma):

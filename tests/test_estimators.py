@@ -22,7 +22,7 @@ from fgclock import (
     simulate_observations,
     simulate_paths,
 )
-from fgclock import estimators
+from fgclock import estimators, experiments
 from fgclock.estimators import ESTIMATORS, _shifts, final_estimate
 from fgclock.experiments import ALL_ESTIMATORS, SweepConfig, mse_vs_sigma
 from fgclock.model import check_chain, sigma_squared
@@ -38,9 +38,17 @@ def chain_shifts(lam, sigma, n):
 
 
 def build(tag, lam, sigma, n):
-    """The unchecked estimator of ``tag``, handed the min of U as check_chain finds it."""
+    """The unchecked estimator of ``tag``, handed the min of U as check_chain finds it;
+    a ``(trials, n)`` block goes in as the one chain of a ``(trials, 1, n)`` block."""
     estimate, s2 = ESTIMATORS[tag].estimate, sigma_squared(sigma, lam)
-    return lambda U: estimate(U, check_chain(U, ndims=(1, 2))[1], lam, s2)
+
+    def run(U):
+        U, low = check_chain(U, ndims=(1, 2))
+        if U.ndim == 1:
+            return estimate(U, low, lam, s2)
+        return estimate(U[:, None], (low,), (lam,), s2)[:, 0]
+
+    return run
 
 
 class TestBackwardConstants:
@@ -1038,3 +1046,58 @@ class TestEstimatorTable:
         sigma = 2.0**log2_sigma
         final = {tag: build(tag, float(lam), sigma, len(U))(U) for tag in ESTIMATORS}
         assert final["ml"] <= final["paper"] <= final["recursive"]
+
+
+class TestChainBlocks:
+    """A ``(trials, 2, n)`` block, as the sweep estimates it: both chains in one call, each
+    at its own rate and with its own min, and each row bit for bit its series result."""
+
+    @staticmethod
+    def estimate_block(tag, block, rates, sigma):
+        lows = [check_chain(block[:, c], ndims=(2,))[1] for c in (0, 1)]
+        return ESTIMATORS[tag].estimate(block, lows, rates, sigma_squared(sigma, max(rates)))
+
+    @given(U=chains, V=chains, lam_xi=st.floats(1e-3, 1e3), lam_psi=st.floats(1e-3, 1e3),
+           sigma=st.just(0.0) | st.floats(1e-4, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_their_series(self, U, V, lam_xi, lam_psi, sigma):
+        n = min(len(U), len(V))
+        # 17 rows: more than any SIMD width, so vector body and scalar tail both run
+        block = np.array([[np.roll(U[:n], j), np.roll(V[:n], j)] for j in range(17)])
+        rates = (lam_xi, lam_psi)
+        for tag in ESTIMATORS:
+            got = self.estimate_block(tag, block, rates, sigma)
+            want = [[final_estimate(tag, chain, lam, sigma) for chain, lam in zip(row, rates)]
+                    for row in block]
+            assert got.tobytes() == np.array(want).tobytes(), tag
+
+    @pytest.mark.parametrize("tag", ["recursive", "paper"])
+    @pytest.mark.parametrize("lambda_psi", [10.0, 7.0])
+    def test_chains_apart_read_only_the_wider_chains_window(self, monkeypatch, window_lengths,
+                                                           tag, lambda_psi):
+        # theta0 = 1000: the chains sit 2e3 apart, so a window sized across both, from
+        # the lower chain's min to the upper chain's U_N, would take every round
+        n, sigma = 28_800, 1e-2
+        params = ClockModelParams(10.0, lambda_psi, sigma, 1.0, 1000.0, n)
+        _, _, block = next(experiments.trial_blocks(params, 5, 2))
+        rates = (10.0, lambda_psi)
+        read = []
+
+        def recording(*args, windows=estimators._windows):
+            shifts = windows(*args)
+            read.append(shifts.shape[-1])
+            return shifts
+
+        monkeypatch.setattr(estimators, "_windows", recording)
+        got = self.estimate_block(tag, block, rates, sigma)
+        (m,) = read
+        alone = []
+        for c, lam in enumerate(rates):
+            window_lengths.clear()
+            rows = final_estimate(tag, block[:, c], lam, sigma)
+            alone.append(window_lengths[0])
+            assert np.ascontiguousarray(got[:, c]).tobytes() == rows.tobytes()
+            for t in range(len(block)):
+                series = final_estimate(tag, block[t, c], lam, sigma)
+                assert np.float64(series).tobytes() == got[t, c].tobytes()
+        assert m == max(alone) and m < n // 2

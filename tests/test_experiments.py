@@ -13,7 +13,7 @@ from fgclock import (
     simulate_observations,
     simulate_paths,
 )
-from fgclock import experiments
+from fgclock import estimators, experiments
 from fgclock.estimators import final_estimate
 from fgclock.experiments import (
     ALL_ESTIMATORS,
@@ -227,9 +227,14 @@ def reference_cell(params, axis_index, trials, seed):
     return sq
 
 
+#: (lambda_xi, lambda_psi): rates apart, and equal rates, as in the CLI defaults.
+RATES = pytest.mark.parametrize("lambda_xi, lambda_psi", [(10.0, 7.0), (10.0, 10.0)])
+
+
 class TestBatchedCell:
     """The blocked cell must equal the one-trial-at-a-time evaluation bit for bit."""
 
+    @RATES
     @pytest.mark.parametrize(
         "sigma, rounds, trials",
         [
@@ -243,8 +248,8 @@ class TestBatchedCell:
             (1e-2, 200, block_trials(200) + 1),  # crosses a block boundary
         ],
     )
-    def test_matches_per_trial_reference(self, sigma, rounds, trials):
-        params = ClockModelParams(10.0, 7.0, sigma, 1.0, 0.5, rounds)
+    def test_matches_per_trial_reference(self, lambda_xi, lambda_psi, sigma, rounds, trials):
+        params = ClockModelParams(lambda_xi, lambda_psi, sigma, 1.0, 0.5, rounds)
         got = _run_cell(params, 3, trials, 21, ALL_ESTIMATORS)
         want = reference_cell(params, 3, trials, 21)
         for tag in ALL_ESTIMATORS:
@@ -263,10 +268,11 @@ class TestBatchedCell:
             for tag in ALL_ESTIMATORS:
                 assert table.cell(v, tag).mse == float(np.mean(ref[tag]))
 
-    def test_one_round_cell_memory_is_bounded_by_its_block(self):
+    @RATES
+    def test_one_round_cell_memory_is_bounded_by_its_block(self, lambda_xi, lambda_psi):
         # a block costs about 120 B per trial besides its draws: 65 536 one-round
         # trials in one block peaked at 9.4 MB, eight blocks of 8192 at 3.5 MB
-        params = ClockModelParams(10.0, 7.0, 1e-2, 1.0, 0.5, 1)
+        params = ClockModelParams(lambda_xi, lambda_psi, 1e-2, 1.0, 0.5, 1)
         tracemalloc.start()
         try:
             _run_cell(params, 0, 1 << 16, 3, ALL_ESTIMATORS)
@@ -274,6 +280,52 @@ class TestBatchedCell:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestCellPasses:
+    """Each block is checked once per chain, and each cell's moments take one pass each."""
+
+    def test_each_chain_of_a_block_is_checked_once(self, monkeypatch):
+        checked = []
+
+        def spy(U, *args, check=experiments.check_chain, **kwargs):
+            checked.append(U.shape)
+            return check(U, *args, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("sigma_squared called: params has checked lam and sigma")
+
+        monkeypatch.setattr(experiments, "check_chain", spy)
+        monkeypatch.setattr(estimators, "sigma_squared", refuse)
+        monkeypatch.setattr(experiments, "BLOCK_ROUNDS", 56)
+        params = ClockModelParams(10.0, 7.0, 1e-2, 1.0, 0.5, 2)
+        _run_cell(params, 0, 20, 3, ALL_ESTIMATORS)
+        # blocks of 7, 7 and 6 trials: each chain checked once, for all three estimators
+        assert checked == [(7, 2)] * 4 + [(6, 2)] * 2
+
+    def test_a_refused_chain_fails_the_cell(self):
+        # the delays overflow to inf, which the check of each block refuses
+        params = ClockModelParams(1e-320, 10.0, 1e-2, 1.0, 0.5, 3)
+        with pytest.raises(ParameterError, match="observations must hold finite numbers only"):
+            _run_cell(params, 0, 5, 1, ALL_ESTIMATORS)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 250, 65_537])
+    @pytest.mark.parametrize("values", ["spread", "tiny", "huge"])
+    def test_moments_equal_numpy_bit_for_bit(self, n, values):
+        rng = np.random.default_rng(n)
+        sq = {
+            # 1e-300 to 1e300: the squared deviations of the largest overflow
+            "spread": 10.0 ** rng.uniform(-300.0, 300.0, n),
+            "tiny": rng.exponential(1e-300, n),
+            "huge": rng.exponential(1e300, n),
+        }[values]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mse, stderr = experiments._moments(sq)
+            want_mse = np.mean(sq)
+            want_stderr = np.std(sq, ddof=1) / math.sqrt(n) if n > 1 else math.nan
+        assert np.float64(mse).tobytes() == np.float64(want_mse).tobytes()
+        assert np.float64(stderr).tobytes() == np.float64(want_stderr).tobytes()
+        assert type(mse) is float and type(stderr) is float
 
 
 def philox_cell(params, axis_index, trials, master_seed, estimators):
@@ -304,16 +356,18 @@ def philox_cell(params, axis_index, trials, master_seed, estimators):
 class TestBlockSeeding:
     """Tables drawn in blocks equal per-trial Philox ones, and each other, byte for byte."""
 
+    @RATES
     @pytest.mark.parametrize("block_rounds", [experiments.BLOCK_ROUNDS, 7, 56])
     @pytest.mark.parametrize(
         "axis, values", [("rounds", (1, 2, 25)), ("sigma", (0.0, 1e-3, 0.2))]
     )
-    def test_tables_equal_philox_tables(self, monkeypatch, block_rounds, axis, values):
+    def test_tables_equal_philox_tables(self, monkeypatch, lambda_xi, lambda_psi, block_rounds,
+                                        axis, values):
         monkeypatch.setattr(experiments, "BLOCK_ROUNDS", block_rounds)
         # the last block is partly filled at N = 25, and at N = 1 and 2 for 56;
         # for 7 every block holds one trial
         trials = block_trials(25) + 10
-        params = ClockModelParams(10.0, 7.0, 1e-2, 1.0, 0.5, 25)
+        params = ClockModelParams(lambda_xi, lambda_psi, 1e-2, 1.0, 0.5, 25)
         cfg = make_config(params=params, axis=axis, values=values, trials=trials,
                           seed=2**32 + 5)
         sweep = mse_vs_rounds if axis == "rounds" else mse_vs_sigma
