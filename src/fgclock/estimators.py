@@ -334,12 +334,7 @@ def _paper(U, low, lam, s2):
             window = _window(U, low, float(lam) * s2, float, partial(_linear_shifts, lam, s2), bound)
             return np.minimum.reduce(U[len(U) - len(window):] + window)
         window = _windows(U, low, lam, s2, float, _linear_shifts, bound)
-        U = U[..., U.shape[-1] - window.shape[-1]:]
-        # no -0.0 and no NaN in the terms, so any order gives the same min: along long rows,
-        # else across (round, chain, trial) terms, as numpy runs an inner loop per short row
-        if window.shape[-1] > len(U):
-            return np.minimum.reduce(U + window, axis=-1)
-        return np.minimum.reduce(np.add(U.T, window.T[..., None], order="C"), axis=0).T
+        return np.minimum.reduce(U[..., U.shape[-1] - window.shape[-1]:] + window, axis=-1)
 
 
 def _ml(U, low, lam, s2):
