@@ -207,7 +207,9 @@ def _add_estimator_flags(parser):
 def _add_model_flags(parser):
     _add_estimator_flags(parser)
     parser.add_argument("--d0", type=float, default=None)
-    parser.add_argument("--theta0", type=float, default=None)
+    parser.add_argument("--theta0", type=float, default=None,
+                        help="initial clock offset; a negative one with an exponent as "
+                             "--theta0=-1e-3")
 
 
 def cmd_simulate(args):

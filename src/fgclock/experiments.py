@@ -21,6 +21,7 @@ from .errors import FgclockError, ParameterError
 from .estimators import ESTIMATORS
 from .model import (
     DOMAIN_SWEEP,
+    FLOAT_MAX,
     ClockModelParams,
     check_chain,
     check_count,
@@ -79,7 +80,7 @@ class SweepConfig:
             # ints, so that a manifest records rounds 2, not 2.0
             vals = tuple(check_count(v, "rounds values") for v in vals)
         else:
-            vals = tuple(check_real(v, "sigma values", 0.0) for v in vals)
+            vals = tuple(check_real(v, "sigma values", 0.0, FLOAT_MAX) for v in vals)
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ParameterError("sweep values must be strictly increasing", settings=("values",))
         object.__setattr__(self, "values", vals)
@@ -136,7 +137,7 @@ class MseTable:
                 {
                     "axis": row.axis_value,
                     "estimator": row.estimator,
-                    "mse": row.mse,
+                    "mse": None if math.isnan(row.mse) else row.mse,
                     "stderr": None if math.isnan(row.stderr) else row.stderr,
                     "trials": row.trials,
                 }

@@ -239,20 +239,23 @@ def draw_trials(master_seed, axis_index, start, noise, uniforms, domain=DOMAIN_S
     ``uniforms[t - start]``, row 0 before row 1, from the one stream
     ``np.random.Philox(key=[master_seed, domain], counter=[0, 0, axis_index, t])``.
     Streams sit at least 2**128 Philox blocks apart, so a trial draws the
-    same numbers in any block. One generator moves from trial to trial by
-    its counter: a Philox constructor also reads OS entropy a key leaves unused.
+    same numbers in any block. One generator seeks from trial to trial: each
+    trial writes t into the counter of one state of Python ints, built per
+    call, and sets it, which costs less than a Philox constructor (that also
+    reads OS entropy a key leaves unused) or a state read back as numpy arrays.
     """
     bits = np.random.Philox(key=[master_seed, domain])
-    generator, state = np.random.Generator(bits), bits.state
-    counter = state["state"]["counter"]
-    counter[2] = axis_index
+    generator = np.random.Generator(bits)
+    normal, uniform = generator.standard_normal, generator.random
+    counter = [0, 0, axis_index, start]
     # as constructed: the buffer is spent, so the first draw advances the counter
-    state["buffer_pos"], state["has_uint32"] = 4, 0
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": [master_seed, domain]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for t, (z, u) in enumerate(zip(noise, uniforms), start):
         counter[3] = t
         bits.state = state
-        generator.standard_normal(out=z)
-        generator.random(out=u)
+        normal(out=z)
+        uniform(out=u)
 
 
 def random_walks(noise, params):

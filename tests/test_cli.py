@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -31,6 +32,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """``text`` read as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not RFC 8259 JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestSimulate:
@@ -462,6 +470,9 @@ class TestSweep:
             (["--axis", "rounds", "--values", "2", "--sigma", "1e200"], {}),
             ([], {"axis": ["rounds"], "values": [2]}),
             ([], {"axis": "sigma", "values": [10**400]}),
+            (["--axis", "sigma", "--values", "1e400"], {}),
+            (["--axis", "sigma", "--values", "0.01,inf"], {}),
+            ([], {"axis": "sigma", "values": [0.01, math.inf]}),  # written as Infinity
             ([], {"axis": "rounds", "values": [10**400]}),
         ],
     )
@@ -499,6 +510,92 @@ class TestSweep:
                            "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_VALIDATION
         assert "values" in err
+
+
+class TestStrictJson:
+    """Every JSON document the CLI writes or prints holds finite numbers and null only."""
+
+    def test_sweep_with_a_failed_cell(self, tmp_path, capsys):
+        # at sigma 1e200, lam * sigma**2 overflows: the cell's rows are failed rows
+        out = tmp_path / "x.csv"
+        code, _, _ = run(capsys, "sweep", "--axis", "sigma", "--values", "0.01,1e200",
+                         "--trials", "2", "--out", str(out))
+        assert code == EXIT_OK
+        rows = strict_json((tmp_path / "x.csv.json").read_text())["rows"]
+        assert [row["mse"] is None for row in rows] == [False] * 3 + [True] * 3
+        assert all(row["estimator"].endswith(":failed[ParameterError]") for row in rows[3:])
+        manifest = strict_json((tmp_path / "x.csv.manifest.json").read_text())
+        assert manifest["config"]["values"] == [0.01, 1e200]
+
+    def test_estimate_near_the_float_limit(self, tmp_path, capsys):
+        # theta_hat_N = (xi - psi) / 2 with xi and psi of opposite sign near the limit
+        obs = tmp_path / "obs.csv"
+        write_obs(obs, [(1, 1.7e308, -1.7e308), (2, 1.7e308, -1.7e308)])
+        code, out, _ = run(capsys, "estimate", "--input", str(obs))
+        assert code == EXIT_OK
+        estimates = strict_json(out)["estimates"]
+        assert {est["theta_hat_N"] for est in estimates.values()} == {1.7e308}
+
+    def test_compare_oracle_far_from_zero(self, capsys):
+        code, out, _ = run(capsys, "compare-oracle", "--rounds", "3", "--instances", "5",
+                           "--d0", "1e307", "--theta0=-1e307")
+        assert code == EXIT_OK
+        report = strict_json(out)
+        assert report["max_abs_dev_backtrack"]["at"] == {"seed": 0, "index": 0}
+
+
+def argparse_reads_negative_exponents():
+    """Whether this Python's argparse reads ``--x -1e-3`` as a value: 3.10 and 3.11 read
+    ``-1e-3`` as an option string, which leaves ``--x`` without its argument."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument("--x", type=float)
+    try:
+        return parser.parse_args(["--x", "-1e-3"]).x == -1e-3
+    except argparse.ArgumentError:
+        return False
+
+
+class TestNegativeTheta0:
+    """A negative --theta0 with an exponent is read in the ``--theta0=-1e-3`` form."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--rounds", "2", "--out", "s"],
+        "sweep": ["sweep", "--axis", "rounds", "--values", "2", "--trials", "2",
+                  "--out", "w.csv"],
+    }
+    MANIFESTS = {"simulate": "s_manifest.json", "sweep": "w.csv.manifest.json"}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("text, value", [("-1e-3", -1e-3), ("-2E1", -20.0)])
+    def test_equals_form_is_read(self, tmp_path, capsys, monkeypatch, command, text, value):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *self.COMMANDS[command], f"--theta0={text}")[0] == EXIT_OK
+        manifest = json.loads((tmp_path / self.MANIFESTS[command]).read_text())
+        assert manifest["config"]["theta0"] == value
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_spaced_form_is_argparses_reading(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        argv = [*self.COMMANDS[command], "--theta0", "-1e-3"]
+        if argparse_reads_negative_exponents():
+            assert run(capsys, *argv)[0] == EXIT_OK
+            manifest = json.loads((tmp_path / self.MANIFESTS[command]).read_text())
+            assert manifest["config"]["theta0"] == -1e-3
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert err.startswith("usage: fgclock")
+        assert "error: argument --theta0: expected one argument" in err
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "compare-oracle"])
+    def test_help_names_the_equals_form(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--theta0=-1e-3" in capsys.readouterr().out
 
 
 # each setting's config value, its flag's text and the value that flag gives;
@@ -575,7 +672,7 @@ class TestRefusedConfigValues:
         ("sweep", {"axis": "rounds", "values": [2.5]}, [],
          "rounds values must be a whole number >= 1, got 2.5"),
         ("sweep", {"values": [-1], "trials": 2}, ["--axis", "sigma"],
-         "sigma values must be in [0, inf], got -1"),
+         "sigma values must be in [0, 1.798e+308], got -1"),
         ("sweep", {"axis": "sigma", "values": [0.1, 0.1]}, [],
          "sweep values must be strictly increasing"),
         ("sweep", {**SWEEP_BASE, "estimators": []}, [],

@@ -480,9 +480,9 @@ def test_extreme_sigma_stays_in_error_contract(sigma, underflows):
             estimate(sigma)
     with pytest.raises(ParameterError):
         backward_constants(10.0, sigma, 3)
-    if math.isnan(sigma):
-        # ClockModelParams rejects it before any cell runs
-        with pytest.raises(ParameterError, match="sigma"):
+    if not math.isfinite(sigma):
+        # SweepConfig refuses a sigma-axis value that is not finite before any cell runs
+        with pytest.raises(ParameterError, match="sigma values"):
             sweep()
     else:
         assert {row.estimator for row in sweep().rows} == {

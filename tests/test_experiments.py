@@ -76,6 +76,12 @@ class TestSweepConfig:
         # each rounds value is checked under the name "rounds values"
         assert exc.value.settings in {(field,), (f"rounds {field}",)}
 
+    @pytest.mark.parametrize("value", [math.inf, np.float32("inf")], ids=["inf", "float32-inf"])
+    def test_infinite_sigma_values_refused(self, value):
+        with pytest.raises(ParameterError) as exc:
+            make_config(axis="sigma", values=(0.01, value))
+        assert exc.value.settings == ("sigma values",)
+
     def test_counts_stored_as_int(self):
         cfg = make_config(values=[2.0, 5.0], trials=30.0, seed=np.int64(3))
         assert cfg.values == (2, 5) and cfg.trials == 30 and cfg.seed == 3
